@@ -1,0 +1,86 @@
+"""Decay rate alpha(L) of the depth-L chain under both truncation policies.
+
+Builds and solves build_generator(L, lam, policy) for L = 2 .. max-L and
+writes one JSON record: per (L, policy) the decay rate, both residuals,
+the solver and its iteration count, state and nonzero counts, build and
+solve seconds, and the process's peak resident memory so far (depths run
+in increasing order and the chain doubles with each L, so that peak is
+the current depth's).  The clip and kill rates bracket the untruncated
+one; `bracket` lists kill - clip per depth.
+
+    PYTHONPATH=src python bench/spectral_table.py --out BENCH_2.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import sys
+import time
+
+import numpy as np
+import scipy
+
+from cpqsd import _kernels
+from cpqsd import spectral as S
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--lam", type=float, default=0.5)
+    ap.add_argument("--max-L", type=int, default=S._MAX_L)
+    ap.add_argument("--out", default=None, help="JSON file (default stdout)")
+    args = ap.parse_args(argv)
+
+    rows = []
+    for L in range(2, args.max_L + 1):
+        for policy in (S.POLICY_CLIP, S.POLICY_KILL):
+            t0 = time.perf_counter()
+            gen = S.build_generator(L, args.lam, policy)
+            t1 = time.perf_counter()
+            res = S.dominant_eigenpair(gen)
+            t2 = time.perf_counter()
+            rows.append({
+                "L": L, "policy": policy, "nstates": gen.nstates,
+                "nnz": int(gen.Q.nnz), "alpha": res.alpha,
+                "residual_left": res.residual_left,
+                "residual_right": res.residual_right,
+                "solver": ("power" if gen.nstates <= S._POWER_MAX_STATES
+                           else "arpack"),
+                "iterations": res.iterations,
+                "build_s": round(t1 - t0, 4), "solve_s": round(t2 - t1, 4),
+                "peak_rss_mb": round(resource.getrusage(
+                    resource.RUSAGE_SELF).ru_maxrss / 1024, 1)})
+            del gen, res
+            print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
+
+    alpha = {(r["L"], r["policy"]): r["alpha"] for r in rows}
+    record = {
+        "what": "alpha(L) of the depth-L truncated chain, clip and kill",
+        "command": "PYTHONPATH=src python bench/spectral_table.py "
+                   f"--lam {args.lam} --max-L {args.max_L}",
+        "USE_NUMBA": bool(_kernels.USE_NUMBA),
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "scipy": scipy.__version__},
+        "lambda": args.lam,
+        "max_L": args.max_L,
+        "power_max_states": S._POWER_MAX_STATES,
+        "rows": rows,
+        "bracket": [{"L": L, "alpha_clip": alpha[L, S.POLICY_CLIP],
+                     "alpha_kill": alpha[L, S.POLICY_KILL],
+                     "width": alpha[L, S.POLICY_KILL] - alpha[L, S.POLICY_CLIP]}
+                    for L in range(2, args.max_L + 1)],
+    }
+    text = json.dumps(record, indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()

@@ -27,7 +27,13 @@ from .errors import ParameterError, ResolutionError
 POLICY_CLIP = "clip"
 POLICY_KILL = "kill"
 
-_MAX_L = 26
+# deepest chain measured to build and solve (2-core, 8 GB machine): 2^21
+# states, 45M nonzeros, 1.7 GB peak, 80 s; each further L doubles both
+_MAX_L = 22
+# largest chain solved by power iteration (L <= 12); ARPACK above.  Measured
+# crossover: at L = 12 power iteration takes 0.12 s, ARPACK 0.03 s plus
+# 0.13 s to import scipy.sparse.linalg, which small chains thus never load
+_POWER_MAX_STATES = 2048
 
 
 def key_to_index(key):
@@ -93,54 +99,58 @@ def build_generator(L, lam, policy=POLICY_CLIP):
         raise ParameterError(f"unknown policy {policy!r}")
     n = 1 << (L - 1)
     mask = (1 << L) - 1
-    rows, cols, vals = [], [], []
+    # int32 keys: even the shifted key stays below 2^(L + 1)
+    idx = np.arange(n, dtype=np.int32)
+    key = 2 * idx + 1
+    # one block of (rows, cols, rates) per event type, each with at most one
+    # entry per row; blocks are summed into the exit rates in event order
+    rows, cols, rates = [], [], []
+    out_rate = np.zeros(n)
     absorption = np.zeros(n)
 
-    def emit(i, tkey, rate):
-        rows.append(i)
-        cols.append((tkey - 1) >> 1)
-        vals.append(rate)
+    def emit(sel, tkey, rate):
+        r = idx[sel]
+        rate = np.broadcast_to(rate, key.shape)[sel]
+        rows.append(r)
+        cols.append(tkey[sel] >> 1)
+        rates.append(rate)
+        out_rate[r] += rate
 
-    for idx in range(n):
-        key = index_to_key(idx)
-        # recoveries away from the pinned site
-        for i in range(1, L):
-            if key >> i & 1:
-                emit(idx, key & ~(1 << i), 1.0)
-        # recovery of the pinned site: recenter on the new maximum
-        rest = key & ~1
-        if rest == 0:
-            absorption[idx] += 1.0
-        else:
-            j = (rest & -rest).bit_length() - 1
-            emit(idx, rest >> j, 1.0)
-        # infections of healthy offsets inside the depth
-        for i in range(1, L):
-            if not key >> i & 1:
-                k = key >> (i - 1) & 1
-                if i + 1 < L:
-                    k += key >> (i + 1) & 1
-                if k:
-                    emit(idx, key | (1 << i), k * lam)
-        # infection of the site just below the depth
-        if key >> (L - 1) & 1 and policy == POLICY_KILL:
-            absorption[idx] += lam
-        # infection of +1: left shift, re-pin at the new rightmost site
-        shifted = (key << 1) | 1
-        if shifted <= mask:
-            emit(idx, shifted, lam)
-        elif policy == POLICY_KILL:
-            absorption[idx] += lam
-        else:
-            clipped = shifted & mask
-            if clipped != key:
-                emit(idx, clipped, lam)
+    # recoveries away from the pinned site
+    for i in range(1, L):
+        emit(key >> i & 1 == 1, key & ~(1 << i), 1.0)
+    # recovery of the pinned site: recenter on the new maximum (dividing by
+    # the lowest set bit strips the trailing zeros)
+    rest = key - 1
+    alive = rest != 0
+    absorption[~alive] += 1.0
+    emit(alive, rest // np.where(alive, rest & -rest, 1), 1.0)
+    # infections of healthy offsets inside the depth (key >> L is 0, so the
+    # deepest offset has only its upper neighbour)
+    for i in range(1, L):
+        k = (key >> (i - 1) & 1) + (key >> (i + 1) & 1)
+        emit((key >> i & 1 == 0) & (k > 0), key | (1 << i), k * lam)
+    # infection of the site just below the depth
+    if policy == POLICY_KILL:
+        absorption[key >> (L - 1) & 1 == 1] += lam
+    # infection of +1: left shift, re-pin at the new rightmost site
+    shifted = (key << 1) | 1
+    inside = shifted <= mask
+    if policy == POLICY_KILL:
+        absorption[~inside] += lam
+        emit(inside, shifted, lam)
+    else:
+        clipped = shifted & mask
+        emit(clipped != key, clipped, lam)
 
-    out_rate = np.bincount(rows, weights=vals, minlength=n) + absorption
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(-out_rate)
-    Q = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    rows.append(idx)
+    cols.append(idx)
+    rates.append(-(out_rate + absorption))
+    # rebinding frees each list of blocks as soon as it is joined
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    rates = np.concatenate(rates)
+    Q = sp.csr_matrix((rates, (rows, cols)), shape=(n, n))
     return TruncatedGenerator(L, float(lam), policy, Q, absorption)
 
 
@@ -149,7 +159,11 @@ def build_generator(L, lam, policy=POLICY_CLIP):
 @dataclass
 class SpectralResult:
     """Decay rate alpha with its eigenvectors, normalized nu*1 = 1 and
-    nu.h = 1; residuals are sup norms of nu Q + alpha nu and Q h + alpha h."""
+    nu.h = 1; residuals are sup norms of nu Q + alpha nu and Q h + alpha h.
+
+    `iterations` is the solver's work: power-iteration steps on chains of
+    at most _POWER_MAX_STATES states, applications of Q or Q.T (both sides
+    together) by ARPACK on larger ones."""
 
     lam: float
     L: int
@@ -220,35 +234,59 @@ def _uniformization(gen):
 
 
 def dominant_eigenpair(gen, tol=1e-10, max_iters=200_000):
-    """Perron triple of the truncated generator by left and right power
-    iteration on the uniformized kernel.
+    """Perron triple (alpha, nu, h) of the truncated generator.
 
-    Stops when the sup-norm residual is below tol and the l1 residual below
-    10*tol (the l1 norm is what propagates into semigroup errors).  Raises
-    ResolutionError with the last residual on non-convergence.
+    Chains of at most _POWER_MAX_STATES states use left and right power
+    iteration on the uniformized kernel (`iterations` counts its steps);
+    larger ones use ARPACK's implicitly restarted Arnoldi method on Q and
+    on Q.T (`iterations` counts applications of Q or Q.T, both sides
+    together).  Either way the result must pass the same certificate: the
+    sup-norm residuals below tol and the l1 left residual below 10*tol (the
+    l1 norm is what propagates into semigroup errors).  Raises
+    ResolutionError, quoting the residuals where known, when that fails or
+    when max_iters is used up.
     """
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+    if gen.nstates <= _POWER_MAX_STATES:
+        return _power_eigenpair(gen, tol, max_iters)
+    return _arpack_eigenpair(gen, tol, max_iters)
+
+
+def _certificate(Q, QT, v, h):
+    """Rayleigh quotient and residuals of the pair (v, h), v summing to 1.
+
+    Returns (alpha, sup left, l1 left, sup right residual, v Q, Q h); alpha
+    is the bi-orthogonal Rayleigh quotient, whose error is second order in
+    the vector errors, and the right residual is that of h / (v.h)."""
+    w = QT @ v
+    z = Q @ h
+    vh = float(np.sum(v * h))
+    alpha = -float(np.sum(v * z)) / vh
+    rl = w + alpha * v
+    return (alpha, float(np.max(np.abs(rl))), float(np.sum(np.abs(rl))),
+            float(np.max(np.abs(z + alpha * h))) / vh, w, z)
+
+
+def _certified(residual_left, resid_l1, residual_right, tol):
+    return (residual_left <= tol and resid_l1 <= 10 * tol
+            and residual_right <= tol)
+
+
+def _power_eigenpair(gen, tol, max_iters):
+    """Left and right power iteration on the uniformized kernel."""
     n = gen.nstates
     QT = gen.Q.T.tocsr()
     sigma, _ = _uniformization(gen)
 
-    # left and right vectors advance together; alpha comes from the
-    # bi-orthogonal Rayleigh quotient, whose error is second order in the
-    # vector errors, so neither residual is floored by the other side's
+    # left and right vectors advance together, so neither residual is
+    # floored by the other side's
     v = np.full(n, 1.0 / n)
     h = np.ones(n)
     for iters in range(1, max_iters + 1):
-        w = QT @ v
-        z = gen.Q @ h
-        vh = float(np.sum(v * h))
-        alpha = -float(np.sum(v * z)) / vh
-        rl = w + alpha * v
-        residual_left = float(np.max(np.abs(rl)))
-        resid_l1 = float(np.sum(np.abs(rl)))
-        residual_right = float(np.max(np.abs(z + alpha * h))) / vh
-        if (residual_left <= tol and resid_l1 <= 10 * tol
-                and residual_right <= tol):
+        alpha, residual_left, resid_l1, residual_right, w, z = _certificate(
+            gen.Q, QT, v, h)
+        if _certified(residual_left, resid_l1, residual_right, tol):
             break
         v = v + w / sigma
         v /= v.sum()
@@ -259,44 +297,62 @@ def dominant_eigenpair(gen, tol=1e-10, max_iters=200_000):
             f"power iteration did not converge in {max_iters} steps "
             f"(residuals {residual_left:.3e} left, {residual_right:.3e} right)")
 
-    return SpectralResult(gen.lam, gen.L, gen.policy, float(alpha), v, h / vh,
-                          residual_left, residual_right, iters)
+    return SpectralResult(gen.lam, gen.L, gen.policy, alpha, v,
+                          h / float(np.sum(v * h)), residual_left,
+                          residual_right, iters)
+
+
+class _Exhausted(Exception):
+    pass
+
+
+def _arpack_eigenpair(gen, tol, max_iters):
+    """Rightmost eigenvector of Q and of Q.T by ARPACK, at full precision
+    (tol=0) from the fixed start vector 1, so reruns are bit-identical."""
+    # imported here: scipy.sparse.linalg costs several MB and tens of ms,
+    # which small chains never need
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+
+    n = gen.nstates
+    QT = gen.Q.T.tocsr()
+    applied = 0
+
+    def rightmost(M):
+        def matvec(x):
+            nonlocal applied
+            if applied >= max_iters:
+                raise _Exhausted
+            applied += 1
+            return M @ x
+
+        op = LinearOperator((n, n), matvec=matvec, dtype=float)
+        _, vecs = eigs(op, k=1, which="LR", tol=0, v0=np.ones(n))
+        return np.real(vecs[:, 0])
+
+    try:
+        v = rightmost(QT)
+        h = rightmost(gen.Q)
+    except (_Exhausted, ArpackNoConvergence):
+        raise ResolutionError(
+            f"ARPACK did not converge in {max_iters} operator applications "
+            f"({applied} used)") from None
+    v = v / v.sum()
+    h = h / float(np.sum(v * h))
+    alpha, residual_left, resid_l1, residual_right, _, _ = _certificate(
+        gen.Q, QT, v, h)
+    if not _certified(residual_left, resid_l1, residual_right, tol):
+        raise ResolutionError(
+            f"ARPACK eigenpair failed the certificate (residuals "
+            f"{residual_left:.3e} left, l1 {resid_l1:.3e}, "
+            f"{residual_right:.3e} right)")
+    return SpectralResult(gen.lam, gen.L, gen.policy, alpha, v, h,
+                          residual_left, residual_right, applied)
 
 
 # ===== uniformized semigroup series =====
 
 def _poisson_log_weight(k, m, logm):
     return -m + k * logm - gammaln(k + 1)
-
-
-def _series_right(gen, t, rtol):
-    """e^{Qt} 1 by the uniformized Poisson series.
-
-    P^k 1 is entrywise decreasing in k (P is substochastic), so the tail
-    after K terms is bounded entrywise by P(Poisson > K) * P^K 1; iteration
-    stops when that is below rtol times the accumulated value.
-    """
-    n = gen.nstates
-    sigma, P = _uniformization(gen)
-    m = sigma * t
-    if m == 0:
-        return np.ones(n)
-    logm = math.log(m)
-    u = np.ones(n)
-    acc = np.zeros(n)
-    k = 0
-    k_max = int(m + 60.0 * math.sqrt(m + 1) + 1000)
-    while True:
-        acc += math.exp(_poisson_log_weight(k, m, logm)) * u
-        tail = float(gammainc(k + 1, m))
-        if k >= 1 and np.all(tail * u <= rtol * acc):
-            break
-        if k > k_max:
-            raise ResolutionError(
-                f"survival series did not close by k={k} (tail {tail:.3e})")
-        u = P @ u
-        k += 1
-    return acc
 
 
 def _series_left(gen, v0, t, rtol):
@@ -341,18 +397,42 @@ def _start_vector(gen, start):
 def survival_curve(gen, start, times, rtol=1e-12):
     """P(tau > t) for each t, from a canonical key or a mixture vector.
 
-    Exact up to the series tolerance: the Poisson tail is truncated only
-    once its rigorous entrywise bound drops below rtol relative to the
-    accumulated mass.
+    Exact up to the series tolerance.  One pass of the uniformized Poisson
+    series serves every time: u_k = P^k 1 is computed once and each t > 0
+    adds e^{-m} m^k / k! u_k (m = sigma t) to its own accumulator.  P^k 1 is
+    entrywise decreasing in k (P is substochastic), so the tail after K
+    terms is bounded entrywise by P(Poisson > K) * P^K 1; a time's series
+    closes once that bound is below rtol times its accumulated value.
     """
     v = _start_vector(gen, start)
-    out = []
+    times = [float(t) for t in times]
     for t in times:
-        if t < 0:
-            raise ParameterError(f"negative time {t}")
-        u = _series_right(gen, float(t), rtol)
-        out.append(float(np.sum(v * u)))
-    return out
+        if not 0 <= t < math.inf:
+            raise ParameterError(f"time must be finite and >= 0, got {t}")
+    sigma, P = _uniformization(gen)
+    pending = sorted({t for t in times if t > 0})
+    accs = {t: np.zeros(gen.nstates) for t in pending}
+    value = {0.0: 1.0}
+    u = np.ones(gen.nstates)
+    k = 0
+    while pending:
+        for t in list(pending):
+            m = sigma * t
+            acc = accs[t]
+            acc += math.exp(_poisson_log_weight(k, m, math.log(m))) * u
+            tail = float(gammainc(k + 1, m))
+            if k >= 1 and np.all(tail * u <= rtol * acc):
+                value[t] = float(np.sum(v * acc))
+                pending.remove(t)
+                del accs[t]
+            elif k > int(m + 60.0 * math.sqrt(m + 1) + 1000):
+                raise ResolutionError(
+                    f"survival series for t={t} did not close by k={k} "
+                    f"(tail {tail:.3e})")
+        if pending:
+            u = P @ u
+            k += 1
+    return [value[t] for t in times]
 
 
 def yaglom_exact(gen, start, t, rtol=1e-12):

@@ -16,6 +16,7 @@ in replica order, so results are reproducible and independent of threading.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,13 +45,11 @@ class Splitting:
 
 
 _MIN_STAGE_FRACTION = 0.2
-_ROUGH_ALPHA = {}
 
 
+@functools.lru_cache(maxsize=64)
 def _rough_alpha(lam):
-    if lam not in _ROUGH_ALPHA:
-        _ROUGH_ALPHA[lam] = dominant_eigenpair(build_generator(8, lam)).alpha
-    return _ROUGH_ALPHA[lam]
+    return dominant_eigenpair(build_generator(8, lam)).alpha
 
 
 def _words(seed_tuple, n):

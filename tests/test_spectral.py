@@ -9,16 +9,23 @@ the comparison is literal equality.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cpqsd
 from cpqsd.edge import EmpiricalDistribution, cylinder_restrict, decode_key, tv_distance
 from cpqsd.errors import ParameterError, ResolutionError
 from cpqsd.spectral import (
+    _MAX_L,
+    _POWER_MAX_STATES,
     POLICY_CLIP,
     POLICY_KILL,
     SpectralResult,
+    _power_eigenpair,
     build_generator,
     dominant_eigenpair,
     index_to_key,
@@ -120,15 +127,23 @@ class TestGeneratorOracle:
             total = sum(want.values()) + want_absorb
             assert diag[key_to_index(key)] == -total
 
-    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
-    def test_exact_match_L6(self, policy):
-        gen = build_generator(6, 0.5, policy)
-        for S in enumerate_states(6):
+    @staticmethod
+    def assert_matches_oracle(L, policy):
+        gen = build_generator(L, 0.5, policy)
+        for S in enumerate_states(L):
             key = sum(1 << -x for x in S)
-            want, want_absorb = oracle_row(S, 6, 0.5, policy)
+            want, want_absorb = oracle_row(S, L, 0.5, policy)
             got, got_absorb = generator_row(gen, key)
             assert got == want
             assert got_absorb == want_absorb
+
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    def test_exact_match_L6(self, policy):
+        self.assert_matches_oracle(6, policy)
+
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    def test_exact_match_L8(self, policy):
+        self.assert_matches_oracle(8, policy)
 
     def test_generic_lambda_match(self):
         lam = 0.3
@@ -172,6 +187,8 @@ class TestGeneratorOracle:
             build_generator(0, 0.5)
         with pytest.raises(ParameterError):
             build_generator(27, 0.5)
+        with pytest.raises(ParameterError):
+            build_generator(_MAX_L + 1, 0.5)
         with pytest.raises(ParameterError):
             build_generator(4, 0.0)
         with pytest.raises(ParameterError):
@@ -266,6 +283,74 @@ class TestDominantEigenpair:
             assert tv_distance(big, small) < 0.1
 
 
+class TestArpackEigenpair:
+    """Chains above _POWER_MAX_STATES are solved by ARPACK; the power
+    iteration, run on the same chain, is the reference."""
+
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    @pytest.mark.parametrize("L", [13, 14])
+    def test_agrees_with_power_iteration(self, L, policy):
+        gen = build_generator(L, 0.5, policy)
+        assert gen.nstates > _POWER_MAX_STATES
+        res = dominant_eigenpair(gen)
+        ref = _power_eigenpair(gen, 1e-10, 200_000)
+        assert abs(res.alpha - ref.alpha) <= 1e-10
+        assert np.max(np.abs(res.nu - ref.nu)) <= 1e-8
+        assert np.max(np.abs(res.h - ref.h)) <= 1e-8
+        assert res.residual_left <= 1e-10
+        assert res.residual_right <= 1e-10
+        assert res.nu.sum() == pytest.approx(1.0, abs=1e-14)
+        assert float(res.nu @ res.h) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    def test_positive_vectors(self, policy):
+        res = dominant_eigenpair(build_generator(14, 0.5, policy))
+        assert np.all(res.nu > 0)
+        assert np.all(res.h > 0)
+
+    def test_deterministic_rerun(self):
+        r1 = dominant_eigenpair(build_generator(13, 0.5))
+        r2 = dominant_eigenpair(build_generator(13, 0.5))
+        assert r1.alpha == r2.alpha
+        assert np.array_equal(r1.nu, r2.nu)
+        assert np.array_equal(r1.h, r2.h)
+        assert r1.iterations == r2.iterations
+        assert r1.residual_left == r2.residual_left
+        assert r1.residual_right == r2.residual_right
+
+    def test_iterations_count_operator_applications(self):
+        gen = build_generator(13, 0.5)
+        used = dominant_eigenpair(gen).iterations
+        assert dominant_eigenpair(gen, max_iters=used).iterations == used
+        with pytest.raises(ResolutionError, match="did not converge"):
+            dominant_eigenpair(gen, max_iters=used - 1)
+
+    def test_non_convergence_reported(self):
+        with pytest.raises(ResolutionError, match="did not converge"):
+            dominant_eigenpair(build_generator(13, 0.5), max_iters=10)
+
+    def test_small_chains_skip_arpack_import(self):
+        # scipy.sparse.linalg costs several MB of resident memory; solving
+        # and using a chain within the power-iteration range must not load it
+        code = (
+            "import sys\n"
+            "import cpqsd.edge, cpqsd.graphical, cpqsd.yaglom\n"
+            "from cpqsd import spectral as S\n"
+            "for policy in (S.POLICY_CLIP, S.POLICY_KILL):\n"
+            "    gen = S.build_generator(12, 0.5, policy)\n"
+            "    S.dominant_eigenpair(gen)\n"
+            "    S.survival_curve(gen, 1, [1.0, 2.0])\n"
+            "    S.yaglom_exact(gen, 1, 1.0)\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cpqsd.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestSemigroup:
 
     def test_one_state_survival_is_exponential(self):
@@ -302,6 +387,19 @@ class TestSemigroup:
             (p,) = survival_curve(gen, key, [t])
             assert math.exp(res.alpha * t) * p == pytest.approx(h[key], rel=0.01)
 
+    def test_one_pass_matches_single_time_calls(self):
+        gen = build_generator(8, 0.5, POLICY_KILL)
+        times = [4.0, 0.0, 1.0, 4.0, 2.5]
+        got = survival_curve(gen, 1, times)
+        assert got == [survival_curve(gen, 1, [t])[0] for t in times]
+        assert got[1] == 1.0
+        assert got[0] == got[3]
+
+    def test_mixture_survival_at_zero_is_one(self):
+        gen = build_generator(6, 0.5)
+        start = np.arange(1.0, gen.nstates + 1.0)
+        assert survival_curve(gen, start, [0.0, 1.0])[0] == 1.0
+
     def test_yaglom_at_zero_is_point_mass(self):
         gen = build_generator(6, 0.5)
         row = yaglom_exact(gen, 9, 0.0)
@@ -332,6 +430,9 @@ class TestSemigroup:
         gen = build_generator(4, 0.5)
         with pytest.raises(ParameterError):
             survival_curve(gen, 1, [-1.0])
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                survival_curve(gen, 1, [1.0, 2.0, bad])
         with pytest.raises(ParameterError):
             yaglom_exact(gen, 1, -0.5)
         with pytest.raises(ParameterError):
