@@ -423,9 +423,14 @@ def _gillespie_free_py(sites, n, lam, t_now, t_end, state):
 
     Mutates sites in place.  Returns (n', t'):
       n' >= 0  survived to t_end (t' = t_end) or died (n' = 0, t' = death time)
-      n' = -2  site buffer full (caller must treat as an error).
+      n' = -2  the buffer is full (n == capacity) before the next event.  No
+               draw has been made for that event, so copying the n sites into
+               a larger buffer and calling again with (n, t') continues the
+               same run exactly.
     """
     cap = sites.shape[0]
+    if n >= cap:
+        return -2, t_now
     while n > 0:
         adj = 0
         for i in range(n - 1):
@@ -465,14 +470,14 @@ def _gillespie_free_py(sites, n, lam, t_now, t_end, state):
                         k -= 1
                 if found != 0:
                     break
-            if n >= cap:
-                return -2, t_now
             j = n
             while j > 0 and sites[j - 1] > target:
                 sites[j] = sites[j - 1]
                 j -= 1
             sites[j] = target
             n += 1
+            if n >= cap:
+                return -2, t_now
     return 0, t_now
 
 

@@ -3,9 +3,14 @@
 An edge configuration is a finite set of nonpositive offsets containing 0
 (or the empty set after extinction).  Depth-L configurations are encoded as
 canonical integer keys: bit i set means site -i is infected, so every
-nonempty key is odd and 0 is reserved for the empty set.  Trajectories are
-simulated on the graphical construction, recentered at read-off time, and
-aggregated into empirical distributions that serialize to CSV.
+nonempty key is odd and 0 is reserved for the empty set.
+
+Independent trajectories of the free process are simulated event by event
+by the direct kernel K.gillespie_free, which has no spatial window, so
+nothing is censored; they are recentered at read-off time and aggregated
+into empirical distributions that serialize to CSV.  Steps on an existing
+graphical log (edge_evolve) serve couplings, where several configurations
+must share one set of marks.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ParameterError, ResolutionError
-from .graphical import SiteWindow, ceil_beta_t, evolve, _sorted_kernel_marks
+from .graphical import ceil_beta_t, evolve
 
 
 def default_beta(lam):
@@ -87,7 +92,7 @@ def _init_sites(init):
         return list(range(-init.M, 1))
     if isinstance(init, Finite):
         return sorted(init.sites)
-    return sorted(int(x) for x in init)
+    return sorted({int(x) for x in init})
 
 
 # ===== canonical keys =====
@@ -263,6 +268,10 @@ def distribution_from_csv(path):
 
 @dataclass(frozen=True)
 class EdgeTrajectory:
+    """Outcome of one replica: the truncated edge configuration at time t,
+    whether the process survived, `censored` (always False: the free process
+    is simulated without a window) and the number of clipped offsets."""
+
     final: EdgeConfiguration
     survived: bool
     censored: bool
@@ -273,14 +282,16 @@ def _stream_state(seed, stream):
     return np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)
 
 
-def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0, beta=None):
-    """One replica of the edge process: evolve init on a fresh log to time
-    t, recenter, truncate to depth.
+def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0):
+    """One replica of the edge process: run the contact process on Z from
+    init to time t, recenter, truncate to depth.
 
-    The window is sized so each side extends 2*ceil(beta*t) beyond the
-    initial configuration; `censored` reports whether the occupied set ever
-    touched it.  Offsets falling at or below -depth are counted in
-    `clipped` rather than silently dropped.
+    The free process is simulated event by event (K.gillespie_free) on a
+    sorted buffer of the occupied sites, grown whenever it fills, so there
+    is no spatial window and nothing is ever cut off: `censored` is always
+    False.  The run is a pure function of (seed, stream).  Offsets falling
+    at or below -depth are counted in `clipped` rather than silently
+    dropped.
     """
     if not lam > 0:
         raise ParameterError(f"lambda must be > 0, got {lam}")
@@ -295,24 +306,22 @@ def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0, beta=None):
         zeta, _ = recenter(sites)
         key, clipped = clip_key(zeta, depth)
         return EdgeTrajectory(decode_key(key, depth), True, False, clipped)
-    if beta is None:
-        beta = default_beta(lam)
-    guard = 2 * ceil_beta_t(beta, t)
-    lo = sites[0] - guard
-    hi = sites[-1] + guard
+    buf = np.zeros(2 * len(sites) + 16, np.int32)
+    buf[:len(sites)] = sites
     state = _stream_state(seed, stream)
-    ts, ks, ss, ds, n = _sorted_kernel_marks(lo, hi, 0.0, float(t), lam, state)
-    occ = np.zeros(hi - lo + 1, np.int8)
-    for x in sites:
-        occ[x - lo] = 1
-    touched = K.evolve_sweep(ts, ks, ss, ds, n, occ, lo, hi, 0.0, float(t))
-    idx = np.nonzero(occ)[0]
-    if idx.size == 0:
-        return EdgeTrajectory(EdgeConfiguration(), False, bool(touched), 0)
-    offsets = idx - idx[-1]
+    n, t_now = K.gillespie_free(buf, len(sites), float(lam), 0.0, float(t),
+                                state)
+    while n == -2:
+        # full before its next event: resume the same run in a larger buffer
+        n = buf.size
+        buf = np.concatenate([buf, np.zeros_like(buf)])
+        n, t_now = K.gillespie_free(buf, n, float(lam), t_now, float(t), state)
+    if n == 0:
+        return EdgeTrajectory(EdgeConfiguration(), False, False, 0)
+    offsets = buf[:n] - buf[n - 1]
     clipped = int(np.count_nonzero(offsets <= -depth))
     final = EdgeConfiguration(int(o) for o in offsets if o > -depth)
-    return EdgeTrajectory(final, True, bool(touched), clipped)
+    return EdgeTrajectory(final, True, False, clipped)
 
 
 def edge_evolve(zeta, offset, log, s, t):
@@ -326,26 +335,24 @@ def edge_evolve(zeta, offset, log, s, t):
     return zeta2, shift, out.censored
 
 
-def sample_edge_distribution(init, lam, t, depth, seed, replicas, beta=None):
+def sample_edge_distribution(init, lam, t, depth, seed, replicas):
     """Empirical law of the depth-truncated edge configuration at time t.
 
-    Runs `replicas` independent trajectories (stream = replica index) and
-    counts canonical keys, the empty set landing on key 0.  Returns the
-    distribution plus per-batch diagnostics in meta: censored and clipped
-    replica counts.
+    Runs `replicas` independent trajectories of simulate_edge_trajectory
+    (stream = replica index) and counts canonical keys, the empty set
+    landing on key 0.  meta carries the replica count with clipped offsets
+    and a `censored` count, which is always 0: the direct event simulation
+    has no window to leave.
     """
     dist = EmpiricalDistribution(depth)
-    censored = 0
     clipped = 0
     for r in range(replicas):
-        traj = simulate_edge_trajectory(init, lam, t, depth, seed,
-                                        stream=r, beta=beta)
+        traj = simulate_edge_trajectory(init, lam, t, depth, seed, stream=r)
         dist.add(encode_key(traj.final, depth))
-        censored += traj.censored
         clipped += traj.clipped > 0
     dist.replica_count = replicas
     dist.meta = {"lambda": lam, "t": t, "seed": seed,
-                 "censored": censored, "clipped": clipped}
+                 "censored": 0, "clipped": clipped}
     if isinstance(init, FullInterval):
         dist.meta["M"] = init.M
     return dist

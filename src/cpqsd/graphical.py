@@ -249,31 +249,6 @@ def sample_event_log(window, lam, seed, stream=0):
                     dst[order], lam=lam, seed_record=(int(seed), int(stream)))
 
 
-def _sorted_kernel_marks(lo, hi, t0, t1, lam, state):
-    """In-kernel mark generation for sampler hot loops: splitmix64 state,
-    capacity retry, sorted output.  Returns (times, kinds, src, dst, n)."""
-    ns = hi - lo + 1
-    mean = (t1 - t0) * (ns + 2.0 * max(ns - 1, 0) * lam)
-    cap = int(mean + 6.0 * math.sqrt(mean) + 64)
-    state0 = state.copy()
-    while True:
-        state[:] = state0
-        times = np.empty(cap)
-        kinds = np.empty(cap, np.int8)
-        src = np.empty(cap, np.int32)
-        dst = np.empty(cap, np.int32)
-        n = K.gen_marks(lo, hi, t0, t1, lam, state, times, kinds, src, dst)
-        if n >= 0:
-            break
-        cap *= 2
-    ts = np.empty(n)
-    ks = np.empty(n, np.int8)
-    ss = np.empty(n, np.int32)
-    ds = np.empty(n, np.int32)
-    K.sort_marks(times, kinds, src, dst, n, ts, ks, ss, ds)
-    return ts, ks, ss, ds, n
-
-
 # ===== queries =====
 
 def _as_sites(start, window):

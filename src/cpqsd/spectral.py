@@ -412,16 +412,24 @@ def survival_curve(gen, start, times, rtol=1e-12):
     sigma, P = _uniformization(gen)
     pending = sorted({t for t in times if t > 0})
     accs = {t: np.zeros(gen.nstates) for t in pending}
+    mass = dict.fromkeys(pending, 0.0)
     value = {0.0: 1.0}
     u = np.ones(gen.nstates)
     k = 0
     while pending:
+        u_min = float(u.min())
         for t in list(pending):
             m = sigma * t
+            w = math.exp(_poisson_log_weight(k, m, math.log(m)))
             acc = accs[t]
-            acc += math.exp(_poisson_log_weight(k, m, math.log(m))) * u
+            acc += w * u
+            mass[t] += w
             tail = float(gammainc(k + 1, m))
-            if k >= 1 and np.all(tail * u <= rtol * acc):
+            # u <= 1 makes acc <= mass entrywise, so while tail * u_min
+            # exceeds rtol * mass (doubled against rounding) the entrywise
+            # test cannot pass and is skipped
+            if (k >= 1 and tail * u_min <= 2.0 * rtol * mass[t]
+                    and np.all(tail * u <= rtol * acc)):
                 value[t] = float(np.sum(v * acc))
                 pending.remove(t)
                 del accs[t]

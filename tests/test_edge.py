@@ -12,6 +12,7 @@ from cpqsd.edge import (
     EmpiricalDistribution,
     Finite,
     FullInterval,
+    _stream_state,
     clip_key,
     cylinder_restrict,
     decode_key,
@@ -28,11 +29,8 @@ from cpqsd.edge import (
     tv_distance,
 )
 from cpqsd.errors import ParameterError, ResolutionError
-from cpqsd.graphical import SiteWindow, sample_event_log
+from cpqsd.graphical import SiteWindow, evolve, sample_event_log
 from cpqsd.spectral import build_generator, survival_curve
-
-# the pure-python kernel path is slow; keep Monte Carlo sizes proportionate
-FAST = K.USE_NUMBA
 
 
 class TestRecenterAndKeys:
@@ -201,7 +199,7 @@ class TestSimulateTrajectory:
         # truncated chain; depth-12 truncation bias is far below noise
         gen = build_generator(12, 0.5)
         (p,) = survival_curve(gen, 1, [2.0])
-        n = 30_000 if FAST else 2_000
+        n = 30_000
         dist = sample_edge_distribution(Finite({0}), 0.5, 2.0, 12,
                                         seed=2024, replicas=n)
         phat = 1.0 - dist.weights.get(0, 0.0) / n
@@ -210,7 +208,7 @@ class TestSimulateTrajectory:
 
     def test_full_interval_survival_approaches_one(self):
         # extinction by t = 1 decays exponentially in the interval depth
-        n = 1_500 if FAST else 250
+        n = 1_500
         freqs = []
         for M in (2, 6, 12, 20):
             dist = sample_edge_distribution(FullInterval(M), 0.5, 1.0, 8,
@@ -222,6 +220,51 @@ class TestSimulateTrajectory:
         slope = np.polyfit([2, 6, 12, 20], logs, 1)[0]
         assert slope <= -0.1
         assert freqs[-1] >= 0.98
+
+
+class TestIndependentReference:
+
+    def test_matches_graphical_construction(self):
+        # two-sample check of the direct event simulation against evolve on
+        # fresh graphical logs, which share no code with gillespie_free
+        n_sim, n_ref = 20_000, 20_000
+        sim = EmpiricalDistribution(6)
+        for r in range(n_sim):
+            traj = simulate_edge_trajectory(FullInterval(3), 0.5, 0.5, 6,
+                                            seed=17, stream=r)
+            sim.add(encode_key(traj.final, 6))
+        ref = EmpiricalDistribution(6)
+        window = SiteWindow(-11, 8, 0.5)
+        for r in range(n_ref):
+            log = sample_event_log(window, 0.5, seed=18, stream=r)
+            out = evolve(range(-3, 1), log, 0.0, 0.5)
+            assert not out.censored  # the window is wide enough
+            ref.add(clip_key(recenter(out)[0], 6)[0])
+        # under equal laws, E TV <= (1/2) sum sqrt(p(1-p) (1/n1 + 1/n2)),
+        # and TV exceeds its mean by sqrt(ln(1e4) (1/n1 + 1/n2) / 2) with
+        # probability below 1e-4 (McDiarmid)
+        inv = 1.0 / n_sim + 1.0 / n_ref
+        pooled = sim.merge(ref).normalized()
+        bound = (0.5 * sum(math.sqrt(q * (1.0 - q) * inv)
+                           for q in pooled.values())
+                 + math.sqrt(math.log(1e4) * inv / 2.0))
+        assert tv_distance(sim, ref) < bound
+
+    def test_buffer_growth_resumes_the_same_run(self):
+        # replicas outgrowing the initial site buffer end exactly where one
+        # kernel run in a buffer that never fills ends
+        grown = 0
+        for r in range(40):
+            traj = simulate_edge_trajectory(Finite({0}), 3.0, 6.0, 512,
+                                            seed=4, stream=r)
+            buf = np.zeros(4096, np.int32)
+            n, _ = K.gillespie_free(buf, 1, 3.0, 0.0, 6.0,
+                                    _stream_state(4, r))
+            assert traj.survived == (n > 0)
+            want = recenter(buf[:n])[0]
+            assert traj.final == want and traj.clipped == 0
+            grown += n > 18
+        assert grown >= 10
 
 
 class TestFlowConsistency:
@@ -261,22 +304,20 @@ class TestSampleDistribution:
         assert dist.meta["M"] == 4
         assert dist.meta["lambda"] == 0.5 and dist.meta["t"] == 0.5
         assert dist.meta["seed"] == 5
-        assert 0 <= dist.meta["censored"] <= 20
+        assert dist.meta["censored"] == 0
         assert dist.total == 20.0
 
     def test_reproducible(self):
         a = sample_edge_distribution(Finite({0}), 0.5, 1.5, 8, seed=11,
-                                     replicas=200 if FAST else 30)
+                                     replicas=200)
         b = sample_edge_distribution(Finite({0}), 0.5, 1.5, 8, seed=11,
-                                     replicas=200 if FAST else 30)
+                                     replicas=200)
         assert a.weights == b.weights
 
     def test_surviving_replicas_match_conditioned_law(self):
         # surviving replicas at t = 4, restricted to depth 6, sit near the
         # exact conditioned law at the same t (same-time comparison, so the
         # gap is sampling noise plus a small truncation bias)
-        if not FAST:
-            pytest.skip("needs the compiled kernels to sample enough")
         from cpqsd.spectral import vector_distribution, yaglom_exact
         gen = build_generator(10, 0.5)
         dist = sample_edge_distribution(Finite({0}), 0.5, 4.0, 10,
