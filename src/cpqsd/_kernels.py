@@ -2,8 +2,8 @@
 
 Every kernel is written once as a plain numpy function and compiled with
 numba when available.  Set CPQSD_NUMBA=0 to force the interpreted fallback
-(used by the benchmark and as a safety net on machines without a working
-numba).  Both paths execute the same source, so results are bit-identical.
+(a safety net on machines without a working numba).  Both paths execute
+the same source, so results are bit-identical.
 
 Conventions:
   * marks are struct-of-arrays: times f8, kinds i1 (0=recovery, 1=arrow),
@@ -27,14 +27,6 @@ if USE_NUMBA:
     except ImportError:  # pragma: no cover - numba is a declared dependency
         numba = None
         USE_NUMBA = False
-
-if USE_NUMBA:
-    _threads = os.environ.get("CPQSD_THREADS")
-    if _threads:
-        try:
-            numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-        except (ValueError, RuntimeError):
-            pass
 
 
 def _jit(fn):
@@ -246,176 +238,6 @@ def _jump_dp_py(times, kinds, src, dst, n, J, lo, hi, z, s, t):
 jump_dp = _jit(_jump_dp_py)
 
 
-# ===== rightmost path and break scan =====
-
-def _range_count_py(occ, a, b, lo_idx, hi_idx):
-    """Occupied count on site-index range [a, b] clipped to [lo_idx, hi_idx]."""
-    if a < lo_idx:
-        a = lo_idx
-    if b > hi_idx:
-        b = hi_idx
-    c = 0
-    for i in range(a, b + 1):
-        c += occ[i]
-    return c
-
-
-_range_count = _jit(_range_count_py)
-
-
-def _gamma_break_scan_py(times, kinds, src, dst, n, lo, hi, x_start, w,
-                         delta_site, delta_above, b, f, o,
-                         gamma_out, o_at_break):
-    """Rightmost-path scan with the break predicate, one sweep over the log.
-
-    Inputs: sorted marks on [0, t]; b prefilled by backward_sweep (state on
-    the interval below the first mark) with replay deltas; f, o zeroed.
-    f tracks occupancy from (x_start, 0), o from the fully occupied line.
-    w = break interval width in sites.
-
-    gamma_out[k] (int32, length n+1) gets the rightmost site reachable from
-    (x_start,0) and reaching the top line, on the k-th inter-mark interval.
-    Returns (status, break_k, y_break, max_gamma):
-      status 0 ok, 1 = x_start does not reach the top line, 2 = the
-      rightmost-site scan fell off the window (window too small).
-    break_k = first interval index on which (gamma, gamma+w] held no
-    full-line-reachable site (-1 if none); o restricted state at that moment
-    is copied into o_at_break.  The caller translates break_k to a time and
-    applies the censoring rule via max_gamma.
-    """
-    nsites = hi - lo + 1
-    for i in range(nsites):
-        o[i] = 1
-        f[i] = 0
-    xs = x_start - lo
-    f[xs] = 1
-    if b[xs] == 0:
-        return 1, -1, 0, 0
-    cur = xs
-    # count of full-line-occupied sites in (cur, cur+w]
-    cnt = _range_count(o, cur + 1, cur + w, 0, nsites - 1)
-    gamma_out[0] = cur + lo
-    max_cur = cur
-    break_k = -1
-    y_break = 0
-    for k in range(n):
-        x = src[k] - lo
-        if kinds[k] == 0:
-            # full-line occupancy loses x
-            if o[x] != 0:
-                o[x] = 0
-                if cur < x <= cur + w:
-                    cnt -= 1
-            f[x] = 0
-        else:
-            y = dst[k] - lo
-            if o[x] != 0 and o[y] == 0:
-                o[y] = 1
-                if cur < y <= cur + w:
-                    cnt += 1
-            if f[x] != 0:
-                f[y] = 1
-        ds = delta_site[k]
-        if ds >= 0:
-            b[ds] = delta_above[k]
-        # repair the rightmost reachable site: an arrow may extend it upward
-        # (by one, though the shift below handles any distance), then a lost
-        # f or b at the current site forces a downward rescan
-        new = cur
-        if kinds[k] == 1:
-            y = dst[k] - lo
-            if y > new and f[y] != 0 and b[y] != 0:
-                new = y
-        if f[new] == 0 or b[new] == 0:
-            j = new - 1
-            while j >= 0 and (f[j] == 0 or b[j] == 0):
-                j -= 1
-            if j < 0:
-                return 2, -1, 0, 0
-            new = j
-        if new != cur:
-            # shift the break window from cur to new
-            if new > cur:
-                if new - cur >= w:
-                    cnt = _range_count(o, new + 1, new + w, 0, nsites - 1)
-                else:
-                    cnt -= _range_count(o, cur + 1, new, 0, nsites - 1)
-                    cnt += _range_count(o, cur + w + 1, new + w, 0, nsites - 1)
-            else:
-                if cur - new >= w:
-                    cnt = _range_count(o, new + 1, new + w, 0, nsites - 1)
-                else:
-                    cnt += _range_count(o, new + 1, cur, 0, nsites - 1)
-                    cnt -= _range_count(o, new + w + 1, cur + w, 0, nsites - 1)
-            cur = new
-            if cur > max_cur:
-                max_cur = cur
-        gamma_out[k + 1] = cur + lo
-        if break_k < 0 and cnt == 0:
-            break_k = k + 1
-            y_break = cur + lo
-            for i in range(nsites):
-                o_at_break[i] = o[i]
-    return 0, break_k, y_break, max_cur + lo
-
-
-gamma_break_scan = _jit(_gamma_break_scan_py)
-
-
-# ===== barrier-to-target reach (staircase source) =====
-
-def _staircase_reach_py(times, kinds, src, dst, marku, n, keep, lo, hi,
-                        sqrt_t, four_beta, flat_from, c_lo, c_hi, occ):
-    """Reachability from the descending staircase source to the target row.
-
-    Shifted clock: runs on [0, sqrt_t]; at clock s the staircase sits at
-    floor(four_beta * (sqrt_t - s)).  Sites >= flat_from start occupied.
-    Arrow marks with marku[i] > keep are thinned out (coupled monotonicity
-    in lambda).  occ is int8 scratch.  Returns 1 if any site in [c_lo, c_hi]
-    is occupied at clock sqrt_t.
-    """
-    nsites = hi - lo + 1
-    for i in range(nsites):
-        occ[i] = 0
-    for x in range(flat_from, hi + 1):
-        occ[x - lo] = 1
-    fence = flat_from  # floor(four_beta * sqrt_t) at s=0
-    occ[fence - lo] = 1
-    i = 0
-    while i <= n:
-        if i < n:
-            tm = times[i]
-        else:
-            tm = sqrt_t
-        # advance the fence through its change times up to tm
-        while fence > 0:
-            s_change = sqrt_t - fence / four_beta  # time fence drops to fence-1
-            if s_change <= tm:
-                fence -= 1
-                occ[fence - lo] = 1
-            else:
-                break
-        if i == n:
-            break
-        x = src[i] - lo
-        if kinds[i] == 0:
-            if src[i] != fence:  # the staircase column cannot be vacated
-                occ[x] = 0
-        else:
-            if marku[i] <= keep and occ[x] != 0:
-                occ[dst[i] - lo] = 1
-        i += 1
-    hit = 0
-    for x in range(c_lo, c_hi + 1):
-        if occ[x - lo] != 0:
-            hit = 1
-            break
-    return hit
-
-
-staircase_reach = _jit(_staircase_reach_py)
-
-
 # ===== contact process, direct event simulation =====
 
 def _gillespie_free_py(sites, n, lam, t_now, t_end, state):
@@ -490,7 +312,10 @@ def _gillespie_free_batch_py(sites2d, counts, tnows, lam, t_end, states):
     for i in range(npop):
         if counts[i] > 0:
             st = states[i:i + 1]
-            n2, t2 = gillespie_free(sites2d[i], counts[i], lam, tnows[i], t_end, st)
+            # plain scalars: interpreted arithmetic on numpy scalars is
+            # slower and gives the same values
+            n2, t2 = gillespie_free(sites2d[i], int(counts[i]), lam,
+                                    float(tnows[i]), t_end, st)
             counts[i] = n2
             tnows[i] = t2
     return 0
@@ -574,54 +399,3 @@ def _occupation_run_py(indptr, indices, rates, exits, s, n_jumps, state, occ_tim
 
 
 occupation_run = _jit(_occupation_run_py)
-
-
-# ===== jump-count growth process (good-point tail) =====
-
-def _jump_level_advance_py(J, bounds, t_now, t_end, lam, target, state):
-    """Advance the max-jump-count growth process until the running maximum
-    reaches target or time passes t_end.
-
-    J is int32 over the tube (index = site + m), J[site 0] = 0 initially,
-    -1 elsewhere.  bounds = int32[3]: reached lo index, reached hi index,
-    current max.  Returns (hit, t').
-    """
-    rlo = bounds[0]
-    rhi = bounds[1]
-    cmax = bounds[2]
-    width = J.shape[0]
-    while True:
-        nact = 2 * (rhi - rlo + 1)
-        t_now += exponential(state, lam * nact)
-        if t_now > t_end:
-            bounds[0] = rlo
-            bounds[1] = rhi
-            bounds[2] = cmax
-            return 0, t_end
-        u = int(unit(state) * nact)
-        if u >= nact:
-            u = nact - 1
-        x = rlo + (u >> 1)
-        if u & 1 == 0:
-            y = x + 1
-        else:
-            y = x - 1
-        if y < 0 or y >= width:
-            continue
-        v = J[x] + 1
-        if v > J[y]:
-            J[y] = v
-            if y < rlo:
-                rlo = y
-            elif y > rhi:
-                rhi = y
-            if v > cmax:
-                cmax = v
-                if cmax >= target:
-                    bounds[0] = rlo
-                    bounds[1] = rhi
-                    bounds[2] = cmax
-                    return 1, t_now
-
-
-jump_level_advance = _jit(_jump_level_advance_py)

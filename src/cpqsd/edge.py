@@ -6,11 +6,11 @@ canonical integer keys: bit i set means site -i is infected, so every
 nonempty key is odd and 0 is reserved for the empty set.
 
 Independent trajectories of the free process are simulated event by event
-by the direct kernel K.gillespie_free, which has no spatial window, so
-nothing is censored; they are recentered at read-off time and aggregated
-into empirical distributions that serialize to CSV.  Steps on an existing
-graphical log (edge_evolve) serve couplings, where several configurations
-must share one set of marks.
+by a FreePopulation on the direct kernel K.gillespie_free, which has no
+spatial window, so nothing is censored; they are recentered at read-off
+time and aggregated into empirical distributions that serialize to CSV.
+Steps on an existing graphical log (edge_evolve) serve couplings, where
+several configurations must share one set of marks.
 """
 
 from __future__ import annotations
@@ -282,16 +282,69 @@ def _stream_state(seed, stream):
     return np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)
 
 
+class FreePopulation:
+    """N replicas of the contact process on Z from one finite configuration,
+    as sorted site buffers advanced by the direct event kernel.
+
+    words holds one uint64 kernel state per replica.  A replica whose
+    buffer fills is resumed in a buffer of twice the width, which continues
+    the same run exactly, so nothing is ever cut off.
+    """
+
+    def __init__(self, sites, lam, n, words):
+        base = np.asarray(sorted(sites), np.int32)
+        cap = 64
+        while cap < 2 * base.size + 16:
+            cap *= 2
+        self.sites = np.zeros((n, cap), np.int32)
+        self.sites[:, :base.size] = base
+        self.counts = np.full(n, base.size, np.int64)
+        self.tnows = np.zeros(n)
+        self.states = words.copy()
+        self.lam = float(lam)
+
+    def advance_to(self, t_end):
+        K.gillespie_free_batch(self.sites, self.counts, self.tnows,
+                               self.lam, float(t_end), self.states)
+        while True:
+            flagged = np.nonzero(self.counts == -2)[0]
+            if flagged.size == 0:
+                return
+            old_cap = self.sites.shape[1]
+            bigger = np.zeros((self.sites.shape[0], 2 * old_cap), np.int32)
+            bigger[:, :old_cap] = self.sites
+            self.sites = bigger
+            for i in flagged:
+                n2, t2 = K.gillespie_free(self.sites[i], old_cap, self.lam,
+                                          self.tnows[i], float(t_end),
+                                          self.states[i:i + 1])
+                self.counts[i] = n2
+                self.tnows[i] = t2
+
+    def alive_mask(self):
+        return self.counts > 0
+
+    def copy(self, src, dst):
+        self.sites[dst] = self.sites[src]
+        self.counts[dst] = self.counts[src]
+        self.tnows[dst] = self.tnows[src]
+
+    def final_key(self, i, depth):
+        """(key, clipped) of replica i's edge configuration, which must be
+        nonempty, truncated to depth."""
+        n = self.counts[i]
+        row = self.sites[i, :n]
+        return clip_key((row - row[n - 1]).tolist(), depth)
+
+
 def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0):
     """One replica of the edge process: run the contact process on Z from
     init to time t, recenter, truncate to depth.
 
-    The free process is simulated event by event (K.gillespie_free) on a
-    sorted buffer of the occupied sites, grown whenever it fills, so there
-    is no spatial window and nothing is ever cut off: `censored` is always
-    False.  The run is a pure function of (seed, stream).  Offsets falling
-    at or below -depth are counted in `clipped` rather than silently
-    dropped.
+    The free process is a one-replica FreePopulation, so there is no
+    spatial window and nothing is ever cut off: `censored` is always False.
+    The run is a pure function of (seed, stream).  Offsets falling at or
+    below -depth are counted in `clipped` rather than silently dropped.
     """
     if not lam > 0:
         raise ParameterError(f"lambda must be > 0, got {lam}")
@@ -306,22 +359,12 @@ def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0):
         zeta, _ = recenter(sites)
         key, clipped = clip_key(zeta, depth)
         return EdgeTrajectory(decode_key(key, depth), True, False, clipped)
-    buf = np.zeros(2 * len(sites) + 16, np.int32)
-    buf[:len(sites)] = sites
-    state = _stream_state(seed, stream)
-    n, t_now = K.gillespie_free(buf, len(sites), float(lam), 0.0, float(t),
-                                state)
-    while n == -2:
-        # full before its next event: resume the same run in a larger buffer
-        n = buf.size
-        buf = np.concatenate([buf, np.zeros_like(buf)])
-        n, t_now = K.gillespie_free(buf, n, float(lam), t_now, float(t), state)
-    if n == 0:
+    pop = FreePopulation(sites, lam, 1, _stream_state(seed, stream))
+    pop.advance_to(t)
+    if not pop.counts[0]:
         return EdgeTrajectory(EdgeConfiguration(), False, False, 0)
-    offsets = buf[:n] - buf[n - 1]
-    clipped = int(np.count_nonzero(offsets <= -depth))
-    final = EdgeConfiguration(int(o) for o in offsets if o > -depth)
-    return EdgeTrajectory(final, True, False, clipped)
+    key, clipped = pop.final_key(0, depth)
+    return EdgeTrajectory(decode_key(key, depth), True, False, clipped)
 
 
 def edge_evolve(zeta, offset, log, s, t):

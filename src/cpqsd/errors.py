@@ -1,8 +1,4 @@
-"""Exception types shared across the package.
-
-Exit-code mapping for the command line lives in cli.py: ParameterError -> 2,
-ResolutionError -> 3. Everything else is a plain bug and may propagate.
-"""
+"""Exception types shared across the package."""
 
 
 class ParameterError(ValueError):

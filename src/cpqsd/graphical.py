@@ -284,9 +284,20 @@ def evolve(start, log, s, t):
     occ = np.zeros(w.nsites, np.int8)
     for x in sites:
         occ[x - w.lo] = 1
-    touched = K.evolve_sweep(log.times, log.kinds, log.src, log.dst,
-                             len(log), occ, w.lo, w.hi, float(s), float(t))
-    out = np.nonzero(occ)[0] + w.lo
+    touched = _sweep(log, occ, s, t)
+    return _configuration(occ, w, touched)
+
+
+def _sweep(log, occ, s, t):
+    """Transport the occupancy occ (int8 over the window) by the marks with
+    time in (s, t]; returns 1 if it ever touched the window boundary."""
+    w = log.window
+    return K.evolve_sweep(log.times, log.kinds, log.src, log.dst, len(log),
+                          occ, w.lo, w.hi, float(s), float(t))
+
+
+def _configuration(occ, window, touched=0):
+    out = np.nonzero(occ)[0] + window.lo
     return Configuration((int(x) for x in out), censored=bool(touched))
 
 
@@ -294,47 +305,43 @@ class ReachProfile:
     """Forward reachability from a set of space-time sources, queryable at
     any time up to t_end.
 
-    `times` holds the event times (marks and source activations merged);
-    at(u) returns the configuration reached at time u.  `censored` is True
-    when the reached set ever touched the window boundary up to t_end.
+    sources are (time, site) pairs sorted by time.  at(u) returns the
+    configuration reached at time u.  `censored` is True when the reached
+    set ever touched the window boundary up to t_end.
     """
 
-    def __init__(self, window, events, t_end):
-        self.window = window
+    def __init__(self, log, sources, t_end):
+        self.log = log
         self.t_end = t_end
-        self.times = np.array([e[0] for e in events])
-        self._events = events
-        final, touched = self._replay(len(events))
-        self.final = Configuration(final, censored=touched)
-        self.censored = touched
+        self._sources = sources
+        occ, touched = self._occupancy(t_end)
+        self.final = _configuration(occ, log.window, touched)
+        self.censored = bool(touched)
 
-    def _replay(self, upto):
-        cur = set()
-        touched = False
-        w = self.window
-        for e in self._events[:upto]:
-            kind = e[1]
-            if kind == "S":
-                cur.add(e[2])
-                if e[2] in (w.lo, w.hi):
-                    touched = True
-            elif kind == "R":
-                cur.discard(e[2])
-            else:
-                if e[2] in cur and e[3] not in cur:
-                    cur.add(e[3])
-                    if e[3] in (w.lo, w.hi):
-                        touched = True
-        return cur, touched
+    def _occupancy(self, u):
+        """Occupancy at time u: the log is swept in segments between source
+        times, each source joining after the marks at its own time."""
+        log = self.log
+        w = log.window
+        occ = np.zeros(w.nsites, np.int8)
+        touched = 0
+        s = 0.0
+        for tau, site in self._sources:
+            if tau > u:
+                break
+            touched |= _sweep(log, occ, s, tau)
+            occ[site - w.lo] = 1
+            s = tau
+        touched |= _sweep(log, occ, s, u)
+        return occ, touched
 
     def at(self, u):
         """Configuration reached at time u (marks at exactly u applied,
         sources activated at exactly u included)."""
         if not (0 <= u <= self.t_end):
             raise ParameterError(f"query time {u} outside [0, {self.t_end}]")
-        k = int(np.searchsorted(self.times, u, side="right"))
-        cur, _ = self._replay(k)
-        return Configuration(cur)
+        occ, _ = self._occupancy(u)
+        return _configuration(occ, self.log.window)
 
 
 def reach_forward(sources, log, t_end):
@@ -355,22 +362,8 @@ def reach_forward(sources, log, t_end):
             raise ParameterError(f"source site {site} outside window")
         if not 0 <= time <= t_end:
             raise ParameterError(f"source time {time} outside [0, t_end]")
-        acts.append((float(time), "S", int(site)))
-    acts.sort()
-    events = []
-    ai = 0
-    n = int(np.searchsorted(log.times, t_end, side="right"))
-    for i in range(n):
-        tm = float(log.times[i])
-        while ai < len(acts) and acts[ai][0] < tm:
-            events.append(acts[ai])
-            ai += 1
-        if log.kinds[i] == 0:
-            events.append((tm, "R", int(log.src[i])))
-        else:
-            events.append((tm, "A", int(log.src[i]), int(log.dst[i])))
-    events.extend(acts[ai:])
-    return ReachProfile(w, events, t_end)
+        acts.append((float(time), int(site)))
+    return ReachProfile(log, sorted(acts), float(t_end))
 
 
 class BackwardReach:
@@ -427,9 +420,7 @@ class BackwardReach:
         if not (0 <= s <= self.t):
             raise ParameterError(f"query time {s} outside [0, {self.t}]")
         k = int(np.searchsorted(self.times, s, side="right"))
-        b = self._state_at(k)
-        out = np.nonzero(b)[0] + self.window.lo
-        return Configuration(int(x) for x in out)
+        return _configuration(self._state_at(k), self.window)
 
 
 def reach_backward(log, t):

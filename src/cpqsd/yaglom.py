@@ -24,7 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels as K
-from .edge import EmpiricalDistribution, clip_key, recenter
+from .edge import (EmpiricalDistribution, FreePopulation, _init_sites,
+                   clip_key, recenter)
 from .errors import ParameterError, ResolutionError
 from .spectral import build_generator, dominant_eigenpair, index_to_key, key_to_index
 
@@ -58,63 +59,19 @@ def _words(seed_tuple, n):
 
 # ===== populations =====
 
-class _FreePopulation:
-    """N replicas of the contact process on Z from one finite configuration,
-    as sorted site buffers advanced by the direct event kernel."""
-
-    def __init__(self, sites, lam, n, words):
-        base = np.asarray(sorted(sites), np.int32)
-        cap = 64
-        while cap < 2 * base.size + 16:
-            cap *= 2
-        self.sites = np.zeros((n, cap), np.int32)
-        self.sites[:, :base.size] = base
-        self.counts = np.full(n, base.size, np.int64)
-        self.tnows = np.zeros(n)
-        self.states = words.copy()
-        self.lam = float(lam)
-
-    def advance_to(self, t_end):
-        K.gillespie_free_batch(self.sites, self.counts, self.tnows,
-                               self.lam, float(t_end), self.states)
-        while True:
-            flagged = np.nonzero(self.counts == -2)[0]
-            if flagged.size == 0:
-                return
-            old_cap = self.sites.shape[1]
-            bigger = np.zeros((self.sites.shape[0], 2 * old_cap), np.int32)
-            bigger[:, :old_cap] = self.sites
-            self.sites = bigger
-            for i in flagged:
-                n2, t2 = K.gillespie_free(self.sites[i], old_cap, self.lam,
-                                          self.tnows[i], float(t_end),
-                                          self.states[i:i + 1])
-                self.counts[i] = n2
-                self.tnows[i] = t2
-
-    def alive_mask(self):
-        return self.counts > 0
-
-    def copy(self, src, dst):
-        self.sites[dst] = self.sites[src]
-        self.counts[dst] = self.counts[src]
-        self.tnows[dst] = self.tnows[src]
-
-    def final_key(self, i, depth):
-        n = self.counts[i]
-        row = self.sites[i, :n]
-        return clip_key((row - row[n - 1]).tolist(), depth)
-
-
-def _chain_arrays(gen):
+def _off_diagonal(gen, h=None):
+    """(indptr, int64 indices, rates, row sums) of the off-diagonal rates of
+    gen.Q in CSR order; with h, each rate Q(x, y) is scaled by h(y) / h(x).
+    Row sums accumulate in row order, as the chain-walk kernels do."""
     coo = gen.Q.tocoo()
     off = coo.row != coo.col
-    Qoff = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])),
-                         shape=gen.Q.shape)
-    exits = np.zeros(gen.nstates)
-    K.row_sums(Qoff.indptr, Qoff.data, exits)
-    exits += gen.absorption
-    return Qoff.indptr, Qoff.indices.astype(np.int64), Qoff.data, exits
+    rows, cols, rates = coo.row[off], coo.col[off], coo.data[off]
+    if h is not None:
+        rates = rates * h[cols] / h[rows]
+    csr = sp.csr_matrix((rates, (rows, cols)), shape=gen.Q.shape)
+    sums = np.zeros(gen.nstates)
+    K.row_sums(csr.indptr, csr.data, sums)
+    return csr.indptr, csr.indices.astype(np.int64), csr.data, sums
 
 
 class _ChainPopulation:
@@ -122,7 +79,8 @@ class _ChainPopulation:
 
     def __init__(self, gen, start_key, n, words):
         self.gen = gen
-        self.indptr, self.indices, self.rates, self.exits = _chain_arrays(gen)
+        self.indptr, self.indices, self.rates, self.exits = _off_diagonal(gen)
+        self.exits += gen.absorption
         self.idxs = np.full(n, key_to_index(start_key), np.int64)
         self.tnows = np.zeros(n)
         self.states = words.copy()
@@ -148,7 +106,7 @@ class _ChainPopulation:
 def _make_population(init_sites, lam, n, words, gen, start_key):
     if gen is not None:
         return _ChainPopulation(gen, start_key, n, words)
-    return _FreePopulation(init_sites, lam, n, words)
+    return FreePopulation(init_sites, lam, n, words)
 
 
 # ===== splitting core =====
@@ -215,11 +173,16 @@ def _run_splitting(pop, n, t, dt0, resample_rng, record_times=()):
     return alive, log_w, stages, survivor_counts, records, ess
 
 
-def _init_site_list(init):
-    sites = sorted(int(x) for x in init)
+def _start(init, gen):
+    """(sites, start key) of init: a canonical key of gen's chain, else a
+    nonempty finite set of sites of the free process."""
+    if gen is not None:
+        key = int(init)
+        return sorted(-i for i in range(gen.L) if key >> i & 1), key
+    sites = _init_sites(init)
     if not sites:
         raise ParameterError("initial configuration must be nonempty")
-    return sites
+    return sites, None
 
 
 # ===== conditioned-law estimation =====
@@ -246,12 +209,7 @@ def yaglom_estimate(init, lam, t, target_survivors, strategy, depth, seed,
         raise ParameterError(f"depth must be >= 1, got {depth}")
     if not isinstance(strategy, (Rejection, Splitting)):
         raise ParameterError(f"unknown strategy {strategy!r}")
-    if gen is not None:
-        start_key = int(init)
-        sites = sorted(-i for i in range(gen.L) if start_key >> i & 1)
-    else:
-        sites = _init_site_list(init)
-        start_key = None
+    sites, start_key = _start(init, gen)
 
     if t == 0:
         zeta, _ = recenter(sites)
@@ -352,12 +310,7 @@ def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None,
         raise ParameterError(f"replicas must be >= 2, got {replicas}")
     if not lam > 0:
         raise ParameterError(f"lambda must be > 0, got {lam}")
-    if gen is not None:
-        start_key = int(init)
-        sites = None
-    else:
-        sites = _init_site_list(init)
-        start_key = None
+    sites, start_key = _start(init, gen)
     n = int(replicas)
     dt0 = checkpoint_dt if checkpoint_dt is not None else 1.0 / _rough_alpha(lam)
     pop = _make_population(sites, lam, n, _words((seed, 1, 0), n), gen,
@@ -448,27 +401,22 @@ def q_process_simulate(spectral, gen, n_steps, seed):
             f"{spectral.residual_left:.2e}, {spectral.residual_right:.2e}")
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    if spectral.L != gen.L or spectral.policy != gen.policy:
+    if ((spectral.L, spectral.policy, spectral.lam)
+            != (gen.L, gen.policy, gen.lam)):
         raise ParameterError("spectral result and generator disagree")
     h = spectral.h
-    coo = gen.Q.tocoo()
-    off = coo.row != coo.col
-    qdata = coo.data[off] * h[coo.col[off]] / h[coo.row[off]]
-    if np.any(~np.isfinite(qdata)) or np.any(qdata < 0):
+    indptr, indices, rates, exits = _off_diagonal(gen, h)
+    if np.any(~np.isfinite(rates)) or np.any(rates < 0):
         raise ResolutionError("negative transformed rate; h is not positive "
                               "to working precision")
-    Qh = sp.csr_matrix((qdata, (coo.row[off], coo.col[off])),
-                       shape=gen.Q.shape)
-    exits = np.zeros(gen.nstates)
-    K.row_sums(Qh.indptr, Qh.data, exits)
     if np.any(exits <= 0):
         raise ResolutionError("transformed chain has a rateless state; the "
                               "truncated chain admits no surviving motion")
     start = int(np.argmax(spectral.nu * h))
     occ = np.zeros(gen.nstates)
     state = _words((seed, 3, 0), 1)
-    final = K.occupation_run(Qh.indptr, Qh.indices.astype(np.int64), Qh.data,
-                             exits, start, int(n_steps), state, occ)
+    final = K.occupation_run(indptr, indices, rates, exits, start,
+                             int(n_steps), state, occ)
     if final < 0:
         raise ResolutionError("transformed chain absorbed; rounding broke "
                               "row conservation")

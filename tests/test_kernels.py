@@ -1,8 +1,15 @@
-"""Tests for the direct event kernel's site-buffer protocol."""
+"""Tests for the direct event kernel's site-buffer protocol, and a guard
+that every kernel has a caller."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 
 from cpqsd import _kernels as K
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run_growing(sites, lam, t_end, seed, cap):
@@ -32,3 +39,29 @@ def test_resume_after_full_buffer_is_exact():
         assert tight == roomy, seed
         overflowed += grown > 1
     assert overflowed >= 20  # the comparison covers growth mid-run
+
+
+def test_every_kernel_has_a_caller():
+    # a kernel is live when another module of the package calls it through
+    # `K.<name>`, the benchmark's tracer wraps it, or a live kernel calls it
+    src = ROOT / "src" / "cpqsd"
+    kernels_py = src / "_kernels.py"
+    tree = ast.parse(kernels_py.read_text())
+    jitted = {node.targets[0].id: node.value.args[0].id
+              for node in tree.body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "id", None) == "_jit"}
+    bodies = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    users = "".join(p.read_text() for p in src.glob("*.py") if p != kernels_py)
+    live = set(re.findall(r"\bK\.(\w+)", users))
+    layers = (ROOT / "perfbench" / "layers.py").read_text()
+    live |= set(re.findall(r'\(K, "(\w+)"', layers))
+    todo = list(live & set(jitted))
+    while todo:
+        for node in ast.walk(bodies[jitted[todo.pop()]]):
+            if (isinstance(node, ast.Name) and node.id in jitted
+                    and node.id not in live):
+                live.add(node.id)
+                todo.append(node.id)
+    assert sorted(set(jitted) - live) == []
