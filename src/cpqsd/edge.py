@@ -355,10 +355,6 @@ def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0):
     sites = _init_sites(init)
     if not sites:
         return EdgeTrajectory(EdgeConfiguration(), False, False, 0)
-    if t == 0:
-        zeta, _ = recenter(sites)
-        key, clipped = clip_key(zeta, depth)
-        return EdgeTrajectory(decode_key(key, depth), True, False, clipped)
     pop = FreePopulation(sites, lam, 1, _stream_state(seed, stream))
     pop.advance_to(t)
     if not pop.counts[0]:

@@ -222,15 +222,12 @@ def load_spectral(path):
         return SpectralResult.from_dict(json.load(fh))
 
 
-def _uniformization(gen):
-    """(sigma, P) with P = I + Q/sigma.  sigma sits 25% above the largest
-    exit rate so P has positive diagonal everywhere: with sigma exactly at
-    the maximum the two-state chain alternates and power iteration cycles."""
-    exits = gen.exit_rates()
-    sigma = 1.25 * float(exits.max())
-    P = gen.Q.multiply(1.0 / sigma).tocsr()
-    P = (P + sp.identity(gen.nstates, format="csr")).tocsr()
-    return sigma, P
+def _sigma(gen):
+    """Uniformization rate for P = I + Q/sigma.  sigma sits 25% above the
+    largest exit rate so P has positive diagonal everywhere: with sigma
+    exactly at the maximum the two-state chain alternates and power
+    iteration cycles."""
+    return 1.25 * float(gen.exit_rates().max())
 
 
 def dominant_eigenpair(gen, tol=1e-10, max_iters=200_000):
@@ -277,7 +274,7 @@ def _power_eigenpair(gen, tol, max_iters):
     """Left and right power iteration on the uniformized kernel."""
     n = gen.nstates
     QT = gen.Q.T.tocsr()
-    sigma, _ = _uniformization(gen)
+    sigma = _sigma(gen)
 
     # left and right vectors advance together, so neither residual is
     # floored by the other side's
@@ -351,33 +348,49 @@ def _arpack_eigenpair(gen, tol, max_iters):
 
 # ===== uniformized semigroup series =====
 
-def _poisson_log_weight(k, m, logm):
-    return -m + k * logm - gammaln(k + 1)
+def _times(times):
+    times = [float(t) for t in times]
+    for t in times:
+        if not 0 <= t < math.inf:
+            raise ParameterError(f"time must be finite and >= 0, got {t}")
+    return times
 
 
-def _series_left(gen, v0, t, rtol):
-    """v0 e^{Qt} by the uniformized Poisson series; tail bounded in l1."""
-    sigma, P = _uniformization(gen)
-    PT = P.T.tocsr()
-    m = sigma * t
-    if m == 0:
-        return v0.copy()
-    logm = math.log(m)
-    u = v0.astype(float).copy()
-    acc = np.zeros_like(u)
+def _series(gen, v, times, rtol):
+    """{t: v e^{Qt}} for each distinct t > 0 in times, by one pass of the
+    uniformized Poisson series.
+
+    u_k = v P^k is computed once and each t adds e^{-m} m^k / k! u_k
+    (m = sigma t) to its own row.  sum(u_k) does not increase with k (P is
+    substochastic), so the l1 norm of the tail after K terms is at most
+    P(Poisson(m) > K) * sum(u_K); a time's series closes once that bound
+    is below rtol times the mass of its row.
+    """
+    sigma = _sigma(gen)
+    PT = (gen.Q.T / sigma + sp.identity(gen.nstates, format="csr")).tocsr()
+    pending = sorted({t for t in times if t > 0})
+    rows = {t: np.zeros(gen.nstates) for t in pending}
+    mass = dict.fromkeys(pending, 0.0)
+    u = v
     k = 0
-    k_max = int(m + 60.0 * math.sqrt(m + 1) + 1000)
-    while True:
-        acc += math.exp(_poisson_log_weight(k, m, logm)) * u
-        tail = float(gammainc(k + 1, m))
-        if tail * float(u.sum()) <= rtol * float(acc.sum()) and k >= 1:
-            break
-        if k > k_max:
-            raise ResolutionError(
-                f"semigroup series did not close by k={k} (tail {tail:.3e})")
-        u = PT @ u
-        k += 1
-    return acc
+    while pending:
+        u_sum = float(u.sum())
+        for t in list(pending):
+            m = sigma * t
+            w = math.exp(-m + k * math.log(m) - gammaln(k + 1))
+            rows[t] += w * u
+            mass[t] += w * u_sum
+            tail = float(gammainc(k + 1, m))
+            if k >= 1 and tail * u_sum <= rtol * mass[t]:
+                pending.remove(t)
+            elif k > int(m + 60.0 * math.sqrt(m + 1) + 1000):
+                raise ResolutionError(
+                    f"semigroup series for t={t} did not close by k={k} "
+                    f"(tail {tail:.3e})")
+        if pending:
+            u = PT @ u
+            k += 1
+    return rows
 
 
 def _start_vector(gen, start):
@@ -397,59 +410,28 @@ def _start_vector(gen, start):
 def survival_curve(gen, start, times, rtol=1e-12):
     """P(tau > t) for each t, from a canonical key or a mixture vector.
 
-    Exact up to the series tolerance.  One pass of the uniformized Poisson
-    series serves every time: u_k = P^k 1 is computed once and each t > 0
-    adds e^{-m} m^k / k! u_k (m = sigma t) to its own accumulator.  P^k 1 is
-    entrywise decreasing in k (P is substochastic), so the tail after K
-    terms is bounded entrywise by P(Poisson > K) * P^K 1; a time's series
-    closes once that bound is below rtol times its accumulated value.
+    One pass of the uniformized series serves every time.  Each value is
+    the mass of v e^{Qt} with its series truncated where the tail's l1
+    bound falls below rtol times the mass kept, so it lies within relative
+    rtol below the exact survival probability (up to rounding).
     """
     v = _start_vector(gen, start)
-    times = [float(t) for t in times]
-    for t in times:
-        if not 0 <= t < math.inf:
-            raise ParameterError(f"time must be finite and >= 0, got {t}")
-    sigma, P = _uniformization(gen)
-    pending = sorted({t for t in times if t > 0})
-    accs = {t: np.zeros(gen.nstates) for t in pending}
-    mass = dict.fromkeys(pending, 0.0)
-    value = {0.0: 1.0}
-    u = np.ones(gen.nstates)
-    k = 0
-    while pending:
-        u_min = float(u.min())
-        for t in list(pending):
-            m = sigma * t
-            w = math.exp(_poisson_log_weight(k, m, math.log(m)))
-            acc = accs[t]
-            acc += w * u
-            mass[t] += w
-            tail = float(gammainc(k + 1, m))
-            # u <= 1 makes acc <= mass entrywise, so while tail * u_min
-            # exceeds rtol * mass (doubled against rounding) the entrywise
-            # test cannot pass and is skipped
-            if (k >= 1 and tail * u_min <= 2.0 * rtol * mass[t]
-                    and np.all(tail * u <= rtol * acc)):
-                value[t] = float(np.sum(v * acc))
-                pending.remove(t)
-                del accs[t]
-            elif k > int(m + 60.0 * math.sqrt(m + 1) + 1000):
-                raise ResolutionError(
-                    f"survival series for t={t} did not close by k={k} "
-                    f"(tail {tail:.3e})")
-        if pending:
-            u = P @ u
-            k += 1
-    return [value[t] for t in times]
+    times = _times(times)
+    rows = _series(gen, v, times, rtol)
+    return [float(rows[t].sum()) if t > 0 else 1.0 for t in times]
 
 
 def yaglom_exact(gen, start, t, rtol=1e-12):
     """Law of the state at time t conditioned on survival, as a probability
-    vector over nonempty states."""
-    if t < 0:
-        raise ParameterError(f"negative time {t}")
+    vector over nonempty states.
+
+    The row v e^{Qt} is summed until its truncated tail has l1 norm below
+    rtol times the mass kept, so the normalized law is within 2 rtol of the
+    exact one in l1 (up to rounding).
+    """
+    (t,) = _times([t])
     v = _start_vector(gen, start)
-    row = _series_left(gen, v, float(t), rtol)
+    row = _series(gen, v, [t], rtol)[t] if t > 0 else v
     total = row.sum()
     if total <= 0:
         raise ResolutionError("no surviving mass in the conditioned law")

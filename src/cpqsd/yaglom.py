@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from . import _kernels as K
 from .edge import (EmpiricalDistribution, FreePopulation, _init_sites,
-                   clip_key, recenter)
+                   clip_key, decode_key, recenter)
 from .errors import ParameterError, ResolutionError
 from .spectral import build_generator, dominant_eigenpair, index_to_key, key_to_index
 
@@ -103,12 +103,6 @@ class _ChainPopulation:
         return key & ((1 << depth) - 1), clipped
 
 
-def _make_population(init_sites, lam, n, words, gen, start_key):
-    if gen is not None:
-        return _ChainPopulation(gen, start_key, n, words)
-    return FreePopulation(init_sites, lam, n, words)
-
-
 # ===== splitting core =====
 
 def _grouped_ess(members):
@@ -173,16 +167,34 @@ def _run_splitting(pop, n, t, dt0, resample_rng, record_times=()):
     return alive, log_w, stages, survivor_counts, records, ess
 
 
-def _start(init, gen):
-    """(sites, start key) of init: a canonical key of gen's chain, else a
-    nonempty finite set of sites of the free process."""
-    if gen is not None:
+def _start(init, lam, gen):
+    """(sites, populate) of init: a canonical key of gen's chain, else a
+    nonempty finite set of sites of the free process.  populate(n, words)
+    makes n replicas started from init, one kernel word each."""
+    if gen is None:
+        sites = _init_sites(init)
+        populate = functools.partial(FreePopulation, sites, lam)
+    else:
         key = int(init)
-        return sorted(-i for i in range(gen.L) if key >> i & 1), key
-    sites = _init_sites(init)
+        sites = sorted(decode_key(key, gen.L))
+        populate = functools.partial(_ChainPopulation, gen, key)
     if not sites:
         raise ParameterError("initial configuration must be nonempty")
-    return sites, None
+    return sites, populate
+
+
+def _split(populate, lam, n, t, dt0, seeds, record_times=()):
+    """Splitting run of n replicas to time t: the population's kernel words
+    come from the stream seeds + (0,), its resampler from seeds + (1,), and
+    dt0 = None picks the rough guess 1/alpha.  Returns the population and
+    _run_splitting's results."""
+    if dt0 is None:
+        dt0 = 1.0 / _rough_alpha(lam)
+    if not dt0 > 0:
+        raise ParameterError(f"checkpoint_dt must be > 0, got {dt0}")
+    pop = populate(n, _words(seeds + (0,), n))
+    rng = np.random.default_rng(np.random.SeedSequence(seeds + (1,)))
+    return pop, _run_splitting(pop, n, t, dt0, rng, record_times)
 
 
 # ===== conditioned-law estimation =====
@@ -201,44 +213,36 @@ def yaglom_estimate(init, lam, t, target_survivors, strategy, depth, seed,
     """
     if not lam > 0:
         raise ParameterError(f"lambda must be > 0, got {lam}")
-    if t < 0:
-        raise ParameterError(f"duration must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ParameterError(f"duration must be finite and >= 0, got {t}")
     if target_survivors < 1:
         raise ParameterError(f"target_survivors must be >= 1, got {target_survivors}")
     if depth < 1:
         raise ParameterError(f"depth must be >= 1, got {depth}")
     if not isinstance(strategy, (Rejection, Splitting)):
         raise ParameterError(f"unknown strategy {strategy!r}")
-    sites, start_key = _start(init, gen)
+    sites, populate = _start(init, lam, gen)
+    meta = {"lambda": lam, "t": t, "seed": seed}
 
     if t == 0:
         zeta, _ = recenter(sites)
         key, clipped = clip_key(zeta, depth)
         dist = EmpiricalDistribution(depth, {key: float(target_survivors)},
-                                     replica_count=target_survivors,
-                                     meta={"lambda": lam, "t": t, "seed": seed})
+                                     replica_count=target_survivors, meta=meta)
         diag = {"strategy": _strategy_name(strategy), "stages": [],
                 "survivor_counts": [], "weight": 1.0,
                 "ess": float(target_survivors),
-                "clipped": clipped * target_survivors}
+                "clipped": target_survivors if clipped else 0}
         return dist, diag
 
     if isinstance(strategy, Rejection):
-        return _rejection_estimate(sites, lam, t, target_survivors, depth,
-                                   seed, gen, start_key)
+        return _rejection_estimate(populate, t, target_survivors, depth, seed,
+                                   meta)
 
     n = int(target_survivors)
-    dt0 = strategy.checkpoint_dt
-    if dt0 is None:
-        dt0 = 1.0 / _rough_alpha(lam)
-    if not dt0 > 0:
-        raise ParameterError(f"checkpoint_dt must be > 0, got {dt0}")
-    pop = _make_population(sites, lam, n, _words((seed, 0, 0), n), gen,
-                           start_key)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 1)))
-    alive, log_w, stages, counts, _, ess = _run_splitting(pop, n, t, dt0, rng)
-    dist = EmpiricalDistribution(depth, replica_count=n,
-                                 meta={"lambda": lam, "t": t, "seed": seed})
+    pop, (alive, log_w, stages, counts, _, ess) = _split(
+        populate, lam, n, t, strategy.checkpoint_dt, (seed, 0))
+    dist = EmpiricalDistribution(depth, replica_count=n, meta=meta)
     clipped = 0
     for i in alive:
         key, c = pop.final_key(i, depth)
@@ -259,17 +263,22 @@ def _strategy_name(strategy):
     return repr(strategy)
 
 
-def _rejection_estimate(sites, lam, t, target, depth, seed, gen, start_key):
+def _rejection_estimate(populate, t, target, depth, seed, meta):
+    # batch b takes the words after those of batches 0..b-1 in one stream;
+    # generate_state(m) is a prefix of generate_state(n) for m <= n, so a
+    # pool grown by doubling holds the same words
     ss = np.random.SeedSequence((seed, 0, 0))
-    dist = EmpiricalDistribution(depth,
-                                 meta={"lambda": lam, "t": t, "seed": seed})
+    pool = np.empty(0, np.uint64)
+    dist = EmpiricalDistribution(depth, meta=meta)
     total = 0
     got = 0
     clipped = 0
     while got < target:
         batch = max(1024, 2 * (target - got))
-        words = ss.generate_state(total + batch, np.uint64)[total:]
-        pop = _make_population(sites, lam, batch, words, gen, start_key)
+        if pool.size < total + batch:
+            pool = ss.generate_state(max(2 * pool.size, total + batch),
+                                     np.uint64)
+        pop = populate(batch, pool[total:total + batch])
         pop.advance_to(t)
         for i in np.nonzero(pop.alive_mask())[0]:
             key, c = pop.final_key(i, depth)
@@ -304,20 +313,17 @@ def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None,
     grid = [float(x) for x in t_grid]
     if len(grid) < 3:
         raise ParameterError(f"t_grid needs >= 3 points, got {len(grid)}")
-    if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] <= 0:
-        raise ParameterError("t_grid must be positive and increasing")
+    if not (0 < grid[0] and grid[-1] < math.inf
+            and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise ParameterError("t_grid must be finite, positive and increasing")
     if replicas < 2:
         raise ParameterError(f"replicas must be >= 2, got {replicas}")
     if not lam > 0:
         raise ParameterError(f"lambda must be > 0, got {lam}")
-    sites, start_key = _start(init, gen)
-    n = int(replicas)
-    dt0 = checkpoint_dt if checkpoint_dt is not None else 1.0 / _rough_alpha(lam)
-    pop = _make_population(sites, lam, n, _words((seed, 1, 0), n), gen,
-                           start_key)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 1, 1)))
-    _, _, _, _, records, _ = _run_splitting(pop, n, grid[-1], dt0, rng,
-                                            record_times=grid)
+    _, populate = _start(init, lam, gen)
+    _, (_, _, _, _, records, _) = _split(populate, lam, int(replicas),
+                                         grid[-1], checkpoint_dt, (seed, 1),
+                                         record_times=grid)
     pts = [records[tk] for tk in grid]
     num = 0.0
     den = 0.0
@@ -356,24 +362,17 @@ def h_estimate(states, alpha, t, replicas, *, lam=None, depth=None, seed=0,
         depth = gen.L
     if lam is None or depth is None:
         raise ParameterError("free-process h_estimate needs lam and depth")
-    if t < 0:
-        raise ParameterError(f"duration must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ParameterError(f"duration must be finite and >= 0, got {t}")
     keys = [int(k) for k in states]
-    out = np.zeros(len(keys))
+    out = np.ones(len(keys))
     for j, key in enumerate(keys):
-        if t == 0:
-            out[j] = 1.0
-            continue
-        sites = sorted(-i for i in range(depth) if key >> i & 1)
-        if not sites:
-            raise ParameterError(f"key {key} is empty")
-        n = int(replicas)
-        pop = _make_population(sites, lam, n, _words((seed, 2, j, 0), n),
-                               gen, key)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 2, j, 1)))
-        _, log_w, _, _, _, _ = _run_splitting(pop, n, float(t),
-                                              1.0 / _rough_alpha(lam), rng)
-        out[j] = math.exp(alpha * t + log_w)
+        _, populate = _start(key if gen is not None else decode_key(key, depth),
+                             lam, gen)
+        if t > 0:
+            _, (_, log_w, _, _, _, _) = _split(populate, lam, int(replicas),
+                                               t, None, (seed, 2, j))
+            out[j] = math.exp(alpha * t + log_w)
     if nu is not None:
         lookup = nu.normalized() if hasattr(nu, "normalized") else dict(nu)
         mass = np.array([lookup.get(k, 0.0) for k in keys])

@@ -433,8 +433,9 @@ class TestSemigroup:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ParameterError):
                 survival_curve(gen, 1, [1.0, 2.0, bad])
-        with pytest.raises(ParameterError):
-            yaglom_exact(gen, 1, -0.5)
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                yaglom_exact(gen, 1, bad)
         with pytest.raises(ParameterError):
             survival_curve(gen, np.ones(3), [1.0])
         with pytest.raises(ParameterError):

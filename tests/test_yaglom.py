@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cpqsd import yaglom
-from cpqsd.edge import FreePopulation, tv_distance
+from cpqsd.edge import FreePopulation, FullInterval, tv_distance
 from cpqsd.errors import ParameterError
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
                             dominant_eigenpair, survival_curve,
@@ -86,6 +86,35 @@ def test_empty_start_is_rejected():
         yaglom.alpha_estimate(set(), 0.5, (1.0, 2.0, 3.0), 10, 0)
 
 
+def test_time_zero_counts_replicas_with_clipped_offsets():
+    # `clipped` counts replicas, not offsets, at t = 0 as at t > 0
+    start = FullInterval(20)
+    for t in (0.0, 1e-9):
+        _, diag = yaglom.yaglom_estimate(start, 0.5, t, 100,
+                                         yaglom.Splitting(), 8, 0)
+        assert diag["clipped"] == 100
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+def test_bad_checkpoint_spacing_is_rejected(dt):
+    with pytest.raises(ParameterError):
+        yaglom.yaglom_estimate({0}, 0.5, 1.0, 10, yaglom.Splitting(dt), 4, 0)
+    with pytest.raises(ParameterError):
+        yaglom.alpha_estimate({0}, 0.5, (1.0, 2.0, 3.0), 10, 0,
+                              checkpoint_dt=dt)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_times_are_rejected(bad):
+    gen = build_generator(4, 0.5)
+    with pytest.raises(ParameterError):
+        yaglom.yaglom_estimate({0}, 0.5, bad, 10, yaglom.Splitting(), 4, 0)
+    with pytest.raises(ParameterError):
+        yaglom.alpha_estimate({0}, 0.5, (1.0, 2.0, bad), 10, 0)
+    with pytest.raises(ParameterError):
+        yaglom.h_estimate([1], 0.4, bad, 10, gen=gen)
+
+
 # ===== survival weights against the exact chain =====
 
 def _log_weight_sd(diag, n):
@@ -128,6 +157,37 @@ def test_free_splitting_weight_within_the_depth_14_bracket(seed):
     w = diag["weight"]
     sd = w * _log_weight_sd(diag, n)
     assert lo - K_SIGMA * sd < w < hi + K_SIGMA * sd
+
+
+# ===== h against the exact chain =====
+
+# standard deviation of log h_hat at L = 8, lambda 0.5, t = 4 with 300
+# replicas, measured over seeds 0-39 for the keys 1, 5 and 255 (the largest
+# deviation seen was 2.5 of them)
+_H_LOG_SD = {1: 0.127, 5: 0.089, 255: 0.054}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chain_h_estimate_matches_scaled_survival(seed):
+    gen = build_generator(8, 0.5)
+    alpha = dominant_eigenpair(gen).alpha
+    keys = sorted(_H_LOG_SD)
+    got = yaglom.h_estimate(keys, alpha, 4.0, 300, seed=seed, gen=gen)
+    for key, h in zip(keys, got):
+        want = math.exp(alpha * 4.0) * survival_curve(gen, key, [4.0])[0]
+        assert abs(math.log(h / want)) < K_SIGMA * _H_LOG_SD[key]
+
+
+def test_h_estimate_nu_rescaling():
+    gen = build_generator(8, 0.5)
+    keys = [1, 5, 255]
+    nu = {1: 0.4, 5: 0.3, 255: 0.1, 7: 0.2}
+    # the rescaling holds for any alpha passed in, here one 10 % off
+    alpha = 1.1 * dominant_eigenpair(gen).alpha
+    got = yaglom.h_estimate(keys, alpha, 2.0, 100, seed=0, gen=gen, nu=nu)
+    assert sum(nu[k] * h for k, h in zip(keys, got)) == pytest.approx(0.8)
+    raw = yaglom.h_estimate(keys, alpha, 2.0, 100, seed=0, gen=gen)
+    assert np.allclose(got / raw, got[0] / raw[0])
 
 
 # ===== h-transformed chain =====
