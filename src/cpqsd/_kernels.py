@@ -1,22 +1,33 @@
 """Hot loops shared by the simulation modules.
 
-Every kernel is written once as a plain numpy function and compiled with
-numba when available.  Set CPQSD_NUMBA=0 to force the interpreted fallback
-(a safety net on machines without a working numba).  Both paths execute
-the same source, so results are bit-identical.
+Two kinds of kernel live here:
+  * scalar loops (u64, unit, exponential, the mark generator and sorter,
+    the forward/backward sweeps, jump_dp, gillespie_free and its batch
+    driver, row_sums, _chain_step and occupation_run) are written once as
+    plain numpy functions and compiled by _jit with numba when available.
+    Set CPQSD_NUMBA=0 to force the interpreted fallback (a safety net on
+    machines without a working numba).  Both paths execute the same
+    source, so results are bit-identical.  The interpreted path enters
+    np.errstate(over="ignore") once, on the outermost kernel call of each
+    thread: kernels called from inside a kernel run their plain function.
+  * gillespie_chain_batch, the depth-L chain walk of a whole population,
+    is plain numpy and never compiled: it moves every live replica one
+    jump per step, in lockstep, and array arithmetic wraps silently.
 
 Conventions:
   * marks are struct-of-arrays: times f8, kinds i1 (0=recovery, 1=arrow),
     src i4, dst i4 (dst==src for recoveries), sorted by time;
   * occupancy arrays are int8 over window sites, index = site - lo;
   * in-kernel randomness is splitmix64 seeded from a uint64 per replica,
-    state passed as a one-element uint64 array so calls can mutate it.
+    state passed as a one-element uint64 array so calls can mutate it (the
+    lockstep walk advances a whole array of such words at once).
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
 
 import numpy as np
 
@@ -29,15 +40,26 @@ if USE_NUMBA:
         USE_NUMBA = False
 
 
+_in_kernel = threading.local()
+
+
 def _jit(fn):
     if USE_NUMBA:
         return numba.njit(cache=True)(fn)
 
-    # interpreted path: uint64 scalar arithmetic overflows by design
+    # interpreted path: uint64 scalar arithmetic overflows by design.
+    # Entering errstate costs more than a random draw, so only the outermost
+    # kernel call of a thread enters it; nested calls run fn as it is.
     @functools.wraps(fn)
     def wrapper(*args):
-        with np.errstate(over="ignore"):
+        if getattr(_in_kernel, "on", False):
             return fn(*args)
+        _in_kernel.on = True
+        try:
+            with np.errstate(over="ignore"):
+                return fn(*args)
+        finally:
+            _in_kernel.on = False
 
     return wrapper
 
@@ -74,6 +96,18 @@ def _exponential_py(state, rate):
 
 
 exponential = _jit(_exponential_py)
+
+
+def _units(words):
+    """Advance every splitmix64 word of the array in place and return one
+    uniform on (0, 1] per word: the value unit() draws from that word."""
+    words += _SM_GAMMA
+    z = words ^ (words >> np.uint64(30))
+    z *= _SM_M1
+    z ^= z >> np.uint64(27)
+    z *= _SM_M2
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
 
 
 # ===== mark generation =====
@@ -353,38 +387,44 @@ def _chain_step_py(indptr, indices, rates, exits, s, state):
 _chain_step = _jit(_chain_step_py)
 
 
-def _gillespie_chain_py(indptr, indices, rates, exits, s, t_now, t_end, state):
-    """Continuous-time walk on a CSR-encoded chain with absorption.
+def gillespie_chain_batch(indptr, indices, cum, base, off, exits, idxs,
+                          tnows, t_end, states):
+    """Advance every replica with idxs[i] >= 0 to t_end, or to absorption
+    (idxs[i] = -1, tnows[i] = absorption time), in lockstep.
 
-    exits[s] = total exit rate of s including absorption; row entries are the
-    non-absorbing rates.  Returns (state', t') with state' = -1 if absorbed
-    (t' = absorption time), else t' = t_end.
+    CSR rows hold the non-absorbing rates; cum is their cumulative sum over
+    the whole matrix, base[s] its value before row s starts, off[s] the row's
+    sum in row order and exits[s] = off[s] + absorption rate.  One step
+    draws, for every live replica from its own word, a holding time and then
+    r = unit * exits[s]: r >= off[s] is absorption, otherwise the target is
+    the first entry of the row whose running sum exceeds r.  A replica
+    draws from its word alone, clock then target, as _chain_step's walk
+    does, so its path does not depend on the other replicas.
     """
-    while True:
-        t_now += exponential(state, exits[s])
-        if t_now > t_end:
-            return s, t_end
-        s = _chain_step(indptr, indices, rates, exits, s, state)
-        if s < 0:
-            return -1, t_now
-
-
-gillespie_chain = _jit(_gillespie_chain_py)
-
-
-def _gillespie_chain_batch_py(indptr, indices, rates, exits, idxs, tnows, t_end, states):
-    npop = idxs.shape[0]
-    for i in range(npop):
-        if idxs[i] >= 0:
-            st = states[i:i + 1]
-            s2, t2 = gillespie_chain(indptr, indices, rates, exits,
-                                     idxs[i], tnows[i], t_end, st)
-            idxs[i] = s2
-            tnows[i] = t2
+    pos = np.nonzero(idxs >= 0)[0]
+    s = idxs[pos]
+    t = tnows[pos]
+    w = states[pos]
+    while pos.size:
+        t = t - np.log(_units(w)) / exits[s]
+        held = t > t_end
+        if held.any():
+            idxs[pos[held]] = s[held]
+            tnows[pos[held]] = t_end
+            states[pos[held]] = w[held]
+            go = ~held
+            pos, s, t, w = pos[go], s[go], t[go], w[go]
+        r = _units(w) * exits[s]
+        dead = r >= off[s]
+        if dead.any():
+            idxs[pos[dead]] = -1
+            tnows[pos[dead]] = t[dead]
+            states[pos[dead]] = w[dead]
+            go = ~dead
+            pos, s, t, w, r = pos[go], s[go], t[go], w[go], r[go]
+        k = np.searchsorted(cum, base[s] + r, side="right")
+        s = indices[np.minimum(k, indptr[s + 1] - 1)]
     return 0
-
-
-gillespie_chain_batch = _jit(_gillespie_chain_batch_py)
 
 
 def _occupation_run_py(indptr, indices, rates, exits, s, n_jumps, state, occ_time):

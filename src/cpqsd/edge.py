@@ -336,6 +336,21 @@ class FreePopulation:
         row = self.sites[i, :n]
         return clip_key((row - row[n - 1]).tolist(), depth)
 
+    def final_keys(self, idx, depth):
+        """(keys, number of them that lost offsets) of the surviving
+        replicas idx, as final_key reads them."""
+        pairs = [self.final_key(i, depth) for i in idx]
+        return [key for key, _ in pairs], sum(c > 0 for _, c in pairs)
+
+
+def _check_run(lam, t, depth):
+    if not lam > 0:
+        raise ParameterError(f"lambda must be > 0, got {lam}")
+    if not 0 <= t < math.inf:
+        raise ParameterError(f"duration must be finite and >= 0, got {t}")
+    if depth < 1:
+        raise ParameterError(f"depth must be >= 1, got {depth}")
+
 
 def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0):
     """One replica of the edge process: run the contact process on Z from
@@ -346,12 +361,7 @@ def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0):
     The run is a pure function of (seed, stream).  Offsets falling at or
     below -depth are counted in `clipped` rather than silently dropped.
     """
-    if not lam > 0:
-        raise ParameterError(f"lambda must be > 0, got {lam}")
-    if t < 0:
-        raise ParameterError(f"duration must be >= 0, got {t}")
-    if depth < 1:
-        raise ParameterError(f"depth must be >= 1, got {depth}")
+    _check_run(lam, t, depth)
     sites = _init_sites(init)
     if not sites:
         return EdgeTrajectory(EdgeConfiguration(), False, False, 0)
@@ -383,6 +393,9 @@ def sample_edge_distribution(init, lam, t, depth, seed, replicas):
     and a `censored` count, which is always 0: the direct event simulation
     has no window to leave.
     """
+    _check_run(lam, t, depth)
+    if replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {replicas}")
     dist = EmpiricalDistribution(depth)
     clipped = 0
     for r in range(replicas):

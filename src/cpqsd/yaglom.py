@@ -12,6 +12,12 @@ fractions, which is itself the survival-probability estimate.
 Randomness discipline: every kernel stream is derived from a seed tuple, the
 resampler has its own stream, and resampling is done by a single generator
 in replica order, so results are reproducible and independent of threading.
+Each replica owns one uint64 word of its population's stream and draws from
+it with splitmix64: the free process in the scalar event kernel, one
+replica after the other; the depth-L chain in a lockstep walk that draws
+for all live replicas at once, each from its own word.  Either way a
+replica's path is a function of its word, and of the resampling that copies
+another replica's state (never its word) onto it.
 """
 
 from __future__ import annotations
@@ -74,20 +80,29 @@ def _off_diagonal(gen, h=None):
     return csr.indptr, csr.indices.astype(np.int64), csr.data, sums
 
 
-class _ChainPopulation:
-    """N replicas of the depth-L truncated chain, walked on its CSR rows."""
+def _chain_walk(gen):
+    """The arrays K.gillespie_chain_batch walks gen's chain on: CSR row
+    pointers and targets of the off-diagonal rates, their cumulative sum
+    over the matrix and its value before each row, the row sums and the
+    total exit rates."""
+    indptr, indices, rates, off = _off_diagonal(gen)
+    cum = np.cumsum(rates)
+    base = np.concatenate(([0.0], cum))[indptr[:-1]]
+    return indptr, indices, cum, base, off, off + gen.absorption
 
-    def __init__(self, gen, start_key, n, words):
-        self.gen = gen
-        self.indptr, self.indices, self.rates, self.exits = _off_diagonal(gen)
-        self.exits += gen.absorption
+
+class _ChainPopulation:
+    """N replicas of the depth-L truncated chain, walked in lockstep on the
+    arrays of _chain_walk."""
+
+    def __init__(self, walk, start_key, n, words):
+        self.walk = walk
         self.idxs = np.full(n, key_to_index(start_key), np.int64)
         self.tnows = np.zeros(n)
         self.states = words.copy()
 
     def advance_to(self, t_end):
-        K.gillespie_chain_batch(self.indptr, self.indices, self.rates,
-                                self.exits, self.idxs, self.tnows,
+        K.gillespie_chain_batch(*self.walk, self.idxs, self.tnows,
                                 float(t_end), self.states)
 
     def alive_mask(self):
@@ -97,10 +112,13 @@ class _ChainPopulation:
         self.idxs[dst] = self.idxs[src]
         self.tnows[dst] = self.tnows[src]
 
-    def final_key(self, i, depth):
-        key = index_to_key(int(self.idxs[i]))
-        clipped = bin(key >> depth).count("1")
-        return key & ((1 << depth) - 1), clipped
+    def final_keys(self, idx, depth):
+        """(keys truncated to depth, number of them that lost offsets) of
+        the surviving replicas idx."""
+        keys = index_to_key(self.idxs[idx])
+        cut = min(depth, 62)  # keys are below 2**62
+        return ((keys & ((1 << cut) - 1)).tolist(),
+                int(np.count_nonzero(keys >> cut)))
 
 
 # ===== splitting core =====
@@ -156,10 +174,11 @@ def _run_splitting(pop, n, t, dt0, resample_rng, record_times=()):
             dead = np.nonzero(~mask)[0]
             ancestors = np.arange(n)
             if dead.size:
+                # dead and alive are disjoint, so one fancy-indexed copy
+                # does what a copy per replica would
                 src = alive[resample_rng.integers(0, alive.size, dead.size)]
-                for d, s in zip(dead, src):
-                    pop.copy(s, d)
-                    ancestors[d] = s
+                pop.copy(src, dead)
+                ancestors[dead] = src
             if frac < _MIN_STAGE_FRACTION:
                 dt = max(dt / 2.0, t / 1024.0)
         t_now = t_next
@@ -167,20 +186,27 @@ def _run_splitting(pop, n, t, dt0, resample_rng, record_times=()):
     return alive, log_w, stages, survivor_counts, records, ess
 
 
-def _start(init, lam, gen):
-    """(sites, populate) of init: a canonical key of gen's chain, else a
-    nonempty finite set of sites of the free process.  populate(n, words)
-    makes n replicas started from init, one kernel word each."""
-    if gen is None:
-        sites = _init_sites(init)
-        populate = functools.partial(FreePopulation, sites, lam)
-    else:
-        key = int(init)
-        sites = sorted(decode_key(key, gen.L))
-        populate = functools.partial(_ChainPopulation, gen, key)
-    if not sites:
-        raise ParameterError("initial configuration must be nonempty")
-    return sites, populate
+def _starter(lam, gen):
+    """start(init) -> (sites, populate) for gen's chain, or for the free
+    process when gen is None.  init is a canonical key of the chain, else a
+    nonempty finite set of sites; populate(n, words) makes n replicas
+    started from init, one kernel word each.  The chain's walk arrays are
+    built here, once for every start."""
+    walk = None if gen is None else _chain_walk(gen)
+
+    def start(init):
+        if walk is None:
+            sites = _init_sites(init)
+            populate = functools.partial(FreePopulation, sites, lam)
+        else:
+            key = int(init)
+            sites = sorted(decode_key(key, gen.L))
+            populate = functools.partial(_ChainPopulation, walk, key)
+        if not sites:
+            raise ParameterError("initial configuration must be nonempty")
+        return sites, populate
+
+    return start
 
 
 def _split(populate, lam, n, t, dt0, seeds, record_times=()):
@@ -221,7 +247,7 @@ def yaglom_estimate(init, lam, t, target_survivors, strategy, depth, seed,
         raise ParameterError(f"depth must be >= 1, got {depth}")
     if not isinstance(strategy, (Rejection, Splitting)):
         raise ParameterError(f"unknown strategy {strategy!r}")
-    sites, populate = _start(init, lam, gen)
+    sites, populate = _starter(lam, gen)(init)
     meta = {"lambda": lam, "t": t, "seed": seed}
 
     if t == 0:
@@ -243,11 +269,9 @@ def yaglom_estimate(init, lam, t, target_survivors, strategy, depth, seed,
     pop, (alive, log_w, stages, counts, _, ess) = _split(
         populate, lam, n, t, strategy.checkpoint_dt, (seed, 0))
     dist = EmpiricalDistribution(depth, replica_count=n, meta=meta)
-    clipped = 0
-    for i in alive:
-        key, c = pop.final_key(i, depth)
+    keys, clipped = pop.final_keys(alive, depth)
+    for key in keys:
         dist.add(key)
-        clipped += c > 0
     diag = {"strategy": _strategy_name(strategy), "stages": stages,
             "survivor_counts": counts, "weight": math.exp(log_w),
             "ess": ess, "clipped": clipped}
@@ -280,10 +304,10 @@ def _rejection_estimate(populate, t, target, depth, seed, meta):
                                      np.uint64)
         pop = populate(batch, pool[total:total + batch])
         pop.advance_to(t)
-        for i in np.nonzero(pop.alive_mask())[0]:
-            key, c = pop.final_key(i, depth)
+        keys, c = pop.final_keys(np.nonzero(pop.alive_mask())[0], depth)
+        for key in keys:
             dist.add(key)
-            clipped += c > 0
+        clipped += c
         got = int(dist.total)
         total += batch
         if (got == 0 and total >= 2_000_000) or total >= 50_000_000:
@@ -320,7 +344,7 @@ def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None,
         raise ParameterError(f"replicas must be >= 2, got {replicas}")
     if not lam > 0:
         raise ParameterError(f"lambda must be > 0, got {lam}")
-    _, populate = _start(init, lam, gen)
+    _, populate = _starter(lam, gen)(init)
     _, (_, _, _, _, records, _) = _split(populate, lam, int(replicas),
                                          grid[-1], checkpoint_dt, (seed, 1),
                                          record_times=grid)
@@ -366,9 +390,9 @@ def h_estimate(states, alpha, t, replicas, *, lam=None, depth=None, seed=0,
         raise ParameterError(f"duration must be finite and >= 0, got {t}")
     keys = [int(k) for k in states]
     out = np.ones(len(keys))
+    start = _starter(lam, gen)
     for j, key in enumerate(keys):
-        _, populate = _start(key if gen is not None else decode_key(key, depth),
-                             lam, gen)
+        _, populate = start(key if gen is not None else decode_key(key, depth))
         if t > 0:
             _, (_, log_w, _, _, _, _) = _split(populate, lam, int(replicas),
                                                t, None, (seed, 2, j))

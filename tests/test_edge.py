@@ -194,6 +194,13 @@ class TestSimulateTrajectory:
         with pytest.raises(ParameterError):
             simulate_edge_trajectory(Finite({0}), 0.5, 1.0, 0, seed=1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_times_are_rejected(self, t):
+        # a NaN time used to pass the t < 0 check and return an extinct
+        # trajectory
+        with pytest.raises(ParameterError):
+            simulate_edge_trajectory(Finite({0}), 0.5, t, 8, seed=1)
+
     def test_survival_matches_spectral(self):
         # free-process survival from {0} at t = 2 against the exact
         # truncated chain; depth-12 truncation bias is far below noise
@@ -306,6 +313,19 @@ class TestSampleDistribution:
         assert dist.meta["seed"] == 5
         assert dist.meta["censored"] == 0
         assert dist.total == 20.0
+
+    # bad lambda, time or depth must raise even with no replica to notice
+    @pytest.mark.parametrize("args", [
+        (0.5, 1.0, 8, 0), (0.5, 1.0, 8, -3), (0.0, 1.0, 8, 0),
+        (0.5, math.nan, 8, 0), (0.5, -1.0, 8, 0), (0.5, 1.0, 0, 0),
+        (0.5, math.nan, 8, 5),
+    ], ids=["no-replicas", "negative-replicas", "zero-lambda", "nan-time",
+            "negative-time", "zero-depth", "nan-time-5-replicas"])
+    def test_parameter_validation(self, args):
+        lam, t, depth, replicas = args
+        with pytest.raises(ParameterError):
+            sample_edge_distribution(Finite({0}), lam, t, depth, seed=1,
+                                     replicas=replicas)
 
     def test_reproducible(self):
         a = sample_edge_distribution(Finite({0}), 0.5, 1.5, 8, seed=11,

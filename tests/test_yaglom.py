@@ -11,7 +11,7 @@ from cpqsd.edge import FreePopulation, FullInterval, tv_distance
 from cpqsd.errors import ParameterError
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
                             dominant_eigenpair, survival_curve,
-                            vector_distribution)
+                            vector_distribution, yaglom_exact)
 
 # statistical checks allow K_SIGMA standard deviations
 K_SIGMA = 4.0
@@ -133,6 +133,28 @@ def test_chain_splitting_weight_matches_survival_curve(seed):
     assert len(diag["stages"]) > 1
     z = math.log(diag["weight"] / p) / _log_weight_sd(diag, n)
     assert abs(z) < K_SIGMA
+
+
+def _tv_bound(p, ess):
+    """TV distance an empirical law of `ess` effective draws from p stays
+    under except with probability about 1e-4: the mean bound
+    (1/2) sum sqrt(p(1-p)/n) plus a McDiarmid deviation sqrt(ln(1e4)/(2n))."""
+    mean = 0.5 * sum(math.sqrt(q * (1.0 - q) / ess) for q in p.values())
+    return mean + math.sqrt(math.log(1e4) / (2.0 * ess))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chain_splitting_law_matches_yaglom_exact(seed):
+    # the conditioned law of the lockstep walk at L = 8 against the exact
+    # law, within the TV bound of its grouped effective sample size
+    gen = build_generator(8, 0.5)
+    t = 6.0
+    dist, diag = yaglom.yaglom_estimate(1, 0.5, t, 2000, yaglom.Splitting(),
+                                        8, seed, gen=gen)
+    exact = vector_distribution(gen, yaglom_exact(gen, 1, t))
+    assert diag["clipped"] == 0
+    assert tv_distance(dist, exact) < _tv_bound(exact.normalized(),
+                                                diag["ess"])
 
 
 def test_chain_rejection_weight_matches_survival_curve():
