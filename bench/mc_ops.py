@@ -6,13 +6,16 @@ replicas; chain: the depth-12 chain from key 1 to t 8, 2000 replicas;
 alpha: alpha_estimate on the grid 2..10, 1000 replicas) and the two
 sampling ops of the edge_log workload (point: sample_edge_distribution of
 20 replicas from Finite({0}); interval: 10 replicas from FullInterval(20),
-both at lambda 0.5 to t 2).  Each op runs --repeats times on the seeds
+both at lambda 0.5 to t 2), and three chain-walk ops (walk_L12 and
+walk_L14: building the walk arrays of the depth-12 and depth-14 chains;
+q_process: 20 000 jumps of the h-transformed depth-10 chain).  Each op
+runs --repeats times on the seeds
 --seed, --seed + 1, ...; the record holds the median and quartiles of its
 seconds.  Output checks are the benchmark's business, not this script's.
 With --out the record is merged into that JSON file under --key, so runs
 of two commits can sit side by side:
 
-    PYTHONPATH=src python bench/mc_ops.py --out BENCH_6.json --key change
+    PYTHONPATH=src python bench/mc_ops.py --out BENCH_7.json --key change
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ LAM = 0.5
 
 def ops():
     g12 = S.build_generator(12, LAM, S.POLICY_CLIP)
+    g14 = S.build_generator(14, LAM, S.POLICY_CLIP)
+    g10 = S.build_generator(10, LAM, S.POLICY_CLIP)
+    res10 = S.dominant_eigenpair(g10)
     split = Y.Splitting()
     return {
         "qsd_mc/free": lambda s: Y.yaglom_estimate({0}, LAM, 8.0, 1000, split,
@@ -52,6 +58,10 @@ def ops():
             E.Finite({0}), LAM, 2.0, 12, s, 20),
         "edge_log/interval": lambda s: E.sample_edge_distribution(
             E.FullInterval(20), LAM, 2.0, 8, s, 10),
+        "chain/walk_L12": lambda s: Y._chain_walk(g12),
+        "chain/walk_L14": lambda s: Y._chain_walk(g14),
+        "chain/q_process": lambda s: Y.q_process_simulate(res10, g10, 20_000,
+                                                          s),
     }
 
 
@@ -94,8 +104,9 @@ def main(argv=None):
         sys.stdout.write(json.dumps(entry, indent=1) + "\n")
         return
     record = json.loads(args.out.read_text()) if args.out.exists() else {
-        "what": "seconds per op of the qsd_mc ops and the edge_log sampling "
-                "ops, median and quartiles over --repeats seeds"}
+        "what": "seconds per op of the qsd_mc ops, the edge_log sampling "
+                "ops and the chain-walk ops, median and quartiles over "
+                "--repeats seeds"}
     record[args.key] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 

@@ -3,16 +3,17 @@
 Two kinds of kernel live here:
   * scalar loops (u64, unit, exponential, the mark generator and sorter,
     the forward/backward sweeps, jump_dp, gillespie_free and its batch
-    driver, row_sums, _chain_step and occupation_run) are written once as
-    plain numpy functions and compiled by _jit with numba when available.
-    Set CPQSD_NUMBA=0 to force the interpreted fallback (a safety net on
-    machines without a working numba).  Both paths execute the same
-    source, so results are bit-identical.  The interpreted path enters
-    np.errstate(over="ignore") once, on the outermost kernel call of each
-    thread: kernels called from inside a kernel run their plain function.
-  * gillespie_chain_batch, the depth-L chain walk of a whole population,
-    is plain numpy and never compiled: it moves every live replica one
-    jump per step, in lockstep, and array arithmetic wraps silently.
+    driver) are written once as plain numpy functions and compiled by _jit
+    with numba when available.  Set CPQSD_NUMBA=0 to force the interpreted
+    fallback (a safety net on machines without a working numba).  Both
+    paths execute the same source, so results are bit-identical.  The
+    interpreted path enters np.errstate(over="ignore") once, on the
+    outermost kernel call of each thread: kernels called from inside a
+    kernel run their plain function.
+  * the depth-L chain walks, gillespie_chain_batch (a population, in
+    lockstep) and occupation_run (one long path), are plain numpy and never
+    compiled, and array arithmetic wraps silently.  Both pick targets by
+    the one rule of _chain_jump.
 
 Conventions:
   * marks are struct-of-arrays: times f8, kinds i1 (0=recovery, 1=arrow),
@@ -205,34 +206,32 @@ def _evolve_sweep_py(times, kinds, src, dst, n, occ, lo, hi, s, t):
 evolve_sweep = _jit(_evolve_sweep_py)
 
 
-def _backward_sweep_py(times, kinds, src, dst, n, b, lo, record, delta_site, delta_above):
+def _backward_sweep_py(times, kinds, src, dst, n, b, lo, delta_site, delta_above):
     """Backward reachability to the top line.
 
     On entry b must be all ones (state on the interval above the last mark).
     On exit b[x] == 1 iff (x, s) reaches the top line for s just below the
     first mark (equivalently: for s = 0 when the log starts at 0).
 
-    With record != 0, stores per-event replay deltas: crossing event k
-    upward in time, set b[delta_site[k]] = delta_above[k] (site -1 = none).
+    Stores per-event replay deltas: crossing event k upward in time, set
+    b[delta_site[k]] = delta_above[k] (site -1 = none).
     """
     for k in range(n - 1, -1, -1):
         x = src[k] - lo
         if kinds[k] == 0:
-            if record != 0:
-                if b[x] != 0:
-                    delta_site[k] = x
-                    delta_above[k] = 1
-                else:
-                    delta_site[k] = -1
+            if b[x] != 0:
+                delta_site[k] = x
+                delta_above[k] = 1
+            else:
+                delta_site[k] = -1
             b[x] = 0
         else:
             y = dst[k] - lo
             if b[x] == 0 and b[y] != 0:
-                if record != 0:
-                    delta_site[k] = x
-                    delta_above[k] = 0
+                delta_site[k] = x
+                delta_above[k] = 0
                 b[x] = 1
-            elif record != 0:
+            else:
                 delta_site[k] = -1
     return 0
 
@@ -360,31 +359,16 @@ gillespie_free_batch = _jit(_gillespie_free_batch_py)
 
 # ===== truncated-chain walks (CSR) =====
 
-def _row_sums_py(indptr, rates, out):
-    """Sequential per-row sums, same accumulation order as _chain_step."""
-    for s in range(indptr.shape[0] - 1):
-        acc = 0.0
-        for k in range(indptr[s], indptr[s + 1]):
-            acc += rates[k]
-        out[s] = acc
-    return 0
-
-
-row_sums = _jit(_row_sums_py)
-
-
-def _chain_step_py(indptr, indices, rates, exits, s, state):
-    """One jump from state index s.  Returns target index, -1 if absorbed."""
-    r = unit(state) * exits[s]
-    acc = 0.0
-    for k in range(indptr[s], indptr[s + 1]):
-        acc += rates[k]
-        if r < acc:
-            return indices[k]
-    return -1
-
-
-_chain_step = _jit(_chain_step_py)
+def _chain_jump(indptr, indices, cum, base, off, exits, s, u):
+    """The target rule of both chain walks, for one state index s and its
+    target draw u, or for arrays of them.  Returns (target, absorbed):
+    with r = u * exits[s], the jump is absorbed if r >= off[s]; otherwise
+    the target is the first entry of the row whose running sum over the
+    whole matrix exceeds base[s] + r, clamped to the row against rounding.
+    """
+    r = u * exits[s]
+    k = cum.searchsorted(base[s] + r, side="right")
+    return indices[np.minimum(k, indptr[s + 1] - 1)], r >= off[s]
 
 
 def gillespie_chain_batch(indptr, indices, cum, base, off, exits, idxs,
@@ -396,10 +380,8 @@ def gillespie_chain_batch(indptr, indices, cum, base, off, exits, idxs,
     the whole matrix, base[s] its value before row s starts, off[s] the row's
     sum in row order and exits[s] = off[s] + absorption rate.  One step
     draws, for every live replica from its own word, a holding time and then
-    r = unit * exits[s]: r >= off[s] is absorption, otherwise the target is
-    the first entry of the row whose running sum exceeds r.  A replica
-    draws from its word alone, clock then target, as _chain_step's walk
-    does, so its path does not depend on the other replicas.
+    a target (_chain_jump), so a replica's path is the one its word alone
+    would walk, whatever the other replicas do.
     """
     pos = np.nonzero(idxs >= 0)[0]
     s = idxs[pos]
@@ -414,28 +396,47 @@ def gillespie_chain_batch(indptr, indices, cum, base, off, exits, idxs,
             states[pos[held]] = w[held]
             go = ~held
             pos, s, t, w = pos[go], s[go], t[go], w[go]
-        r = _units(w) * exits[s]
-        dead = r >= off[s]
+        s, dead = _chain_jump(indptr, indices, cum, base, off, exits, s,
+                              _units(w))
         if dead.any():
             idxs[pos[dead]] = -1
             tnows[pos[dead]] = t[dead]
             states[pos[dead]] = w[dead]
             go = ~dead
-            pos, s, t, w, r = pos[go], s[go], t[go], w[go], r[go]
-        k = np.searchsorted(cum, base[s] + r, side="right")
-        s = indices[np.minimum(k, indptr[s + 1] - 1)]
+            pos, s, t, w = pos[go], s[go], t[go], w[go]
     return 0
 
 
-def _occupation_run_py(indptr, indices, rates, exits, s, n_jumps, state, occ_time):
-    """Jump n_jumps times on an honest chain, accumulating holding times."""
-    for _ in range(n_jumps):
-        occ_time[s] += exponential(state, exits[s])
-        s2 = _chain_step(indptr, indices, rates, exits, s, state)
-        if s2 < 0:
+_PATH_BLOCK = 4096  # jumps whose draws occupation_run takes in one go
+
+
+def occupation_run(indptr, indices, cum, base, off, exits, s, n_jumps, state,
+                   occ_time):
+    """Jump n_jumps times from state index s on the arrays of
+    gillespie_chain_batch, adding each holding time to occ_time.  Returns
+    the final state index, or -1 if the path is absorbed.
+
+    splitmix64 is a counter (draw k of word w mixes w + (k + 1) gamma), so
+    one _units call gives a block of jumps their draws, clock then target,
+    in the order and with the end word of jump-by-jump drawing.  Only the
+    targets need a loop; np.add.at adds the holding times in path order.
+    """
+    walk = (indptr, indices, cum, base, off, exits)
+    while n_jumps > 0:
+        m = min(n_jumps, _PATH_BLOCK)
+        words = state[0] + np.arange(2 * m, dtype=np.uint64) * _SM_GAMMA
+        u = _units(words)
+        picks = u[1::2].tolist()
+        path = np.empty(m, np.int64)
+        for i in range(m):
+            path[i] = s
+            s, dead = _chain_jump(*walk, s, picks[i])
+            if dead:
+                m = i + 1
+                break
+        state[0] = words[2 * m - 1]
+        np.add.at(occ_time, path[:m], -np.log(u[:2 * m:2]) / exits[path[:m]])
+        if dead:
             return -1
-        s = s2
-    return s
-
-
-occupation_run = _jit(_occupation_run_py)
+        n_jumps -= m
+    return int(s)

@@ -377,13 +377,12 @@ class BackwardReach:
         self.window = w
         self.t = float(t)
         n = int(np.searchsorted(log.times, t, side="right"))
-        self._n = n
         self.times = log.times[:n]
         b = np.ones(w.nsites, np.int8)
         self._delta_site = np.full(n, -1, np.int32)
         self._delta_above = np.zeros(n, np.int8)
         K.backward_sweep(log.times, log.kinds, log.src, log.dst, n, b,
-                         w.lo, 1, self._delta_site, self._delta_above)
+                         w.lo, self._delta_site, self._delta_above)
         self._b0 = b
         self._cache_k = 0
         self._cache_b = b.copy()

@@ -17,7 +17,10 @@ it with splitmix64: the free process in the scalar event kernel, one
 replica after the other; the depth-L chain in a lockstep walk that draws
 for all live replicas at once, each from its own word.  Either way a
 replica's path is a function of its word, and of the resampling that copies
-another replica's state (never its word) onto it.
+another replica's state (never its word) onto it.  The h-transformed chain
+is one path on one word, by the same target rule; splitmix64 is a counter,
+so the path jumps its word ahead a block of jumps at a time, drawing what a
+jump-by-jump walk would, in the same order.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels as K
-from .edge import (EmpiricalDistribution, FreePopulation, _init_sites,
-                   clip_key, decode_key, recenter)
+from .edge import (EmpiricalDistribution, FreePopulation, _check_run,
+                   _init_sites, clip_key, decode_key, recenter)
 from .errors import ParameterError, ResolutionError
 from .spectral import build_generator, dominant_eigenpair, index_to_key, key_to_index
 
@@ -65,30 +68,32 @@ def _words(seed_tuple, n):
 
 # ===== populations =====
 
-def _off_diagonal(gen, h=None):
-    """(indptr, int64 indices, rates, row sums) of the off-diagonal rates of
-    gen.Q in CSR order; with h, each rate Q(x, y) is scaled by h(y) / h(x).
-    Row sums accumulate in row order, as the chain-walk kernels do."""
+def _chain_walk(gen, h=None):
+    """The arrays K's chain walks run on: CSR row pointers and int64
+    targets of the off-diagonal rates of gen.Q, their cumulative sum over
+    the matrix and its value before each row, the row sums (in row order:
+    pass j adds the j-th entry of every longer row) and the exit rates.
+    With h, each rate Q(x, y) is scaled by h(y) / h(x): the h-transformed
+    chain is honest, so its exit rates are its row sums."""
     coo = gen.Q.tocoo()
-    off = coo.row != coo.col
-    rows, cols, rates = coo.row[off], coo.col[off], coo.data[off]
+    keep = coo.row != coo.col
+    rows, cols, rates = coo.row[keep], coo.col[keep], coo.data[keep]
     if h is not None:
         rates = rates * h[cols] / h[rows]
+        if np.any(~np.isfinite(rates)) or np.any(rates < 0):
+            raise ResolutionError("negative transformed rate; h is not "
+                                  "positive to working precision")
     csr = sp.csr_matrix((rates, (rows, cols)), shape=gen.Q.shape)
-    sums = np.zeros(gen.nstates)
-    K.row_sums(csr.indptr, csr.data, sums)
-    return csr.indptr, csr.indices.astype(np.int64), csr.data, sums
-
-
-def _chain_walk(gen):
-    """The arrays K.gillespie_chain_batch walks gen's chain on: CSR row
-    pointers and targets of the off-diagonal rates, their cumulative sum
-    over the matrix and its value before each row, the row sums and the
-    total exit rates."""
-    indptr, indices, rates, off = _off_diagonal(gen)
+    indptr, rates = csr.indptr, csr.data
+    lengths = np.diff(indptr)
+    off = np.zeros(gen.nstates)
+    for j in range(int(lengths.max(initial=0))):
+        long_rows = np.nonzero(lengths > j)[0]
+        off[long_rows] += rates[indptr[long_rows] + j]
     cum = np.cumsum(rates)
     base = np.concatenate(([0.0], cum))[indptr[:-1]]
-    return indptr, indices, cum, base, off, off + gen.absorption
+    exits = off if h is not None else off + gen.absorption
+    return indptr, csr.indices.astype(np.int64), cum, base, off, exits
 
 
 class _ChainPopulation:
@@ -237,14 +242,9 @@ def yaglom_estimate(init, lam, t, target_survivors, strategy, depth, seed,
     estimate (`weight`), and a conservative effective sample size that
     counts replicas sharing an ancestor since the last resampling as one.
     """
-    if not lam > 0:
-        raise ParameterError(f"lambda must be > 0, got {lam}")
-    if not 0 <= t < math.inf:
-        raise ParameterError(f"duration must be finite and >= 0, got {t}")
+    _check_run(lam, t, depth)
     if target_survivors < 1:
         raise ParameterError(f"target_survivors must be >= 1, got {target_survivors}")
-    if depth < 1:
-        raise ParameterError(f"depth must be >= 1, got {depth}")
     if not isinstance(strategy, (Rejection, Splitting)):
         raise ParameterError(f"unknown strategy {strategy!r}")
     sites, populate = _starter(lam, gen)(init)
@@ -386,8 +386,11 @@ def h_estimate(states, alpha, t, replicas, *, lam=None, depth=None, seed=0,
         depth = gen.L
     if lam is None or depth is None:
         raise ParameterError("free-process h_estimate needs lam and depth")
-    if not 0 <= t < math.inf:
-        raise ParameterError(f"duration must be finite and >= 0, got {t}")
+    _check_run(lam, t, depth)
+    if replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    if not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
     keys = [int(k) for k in states]
     out = np.ones(len(keys))
     start = _starter(lam, gen)
@@ -428,18 +431,14 @@ def q_process_simulate(spectral, gen, n_steps, seed):
             != (gen.L, gen.policy, gen.lam)):
         raise ParameterError("spectral result and generator disagree")
     h = spectral.h
-    indptr, indices, rates, exits = _off_diagonal(gen, h)
-    if np.any(~np.isfinite(rates)) or np.any(rates < 0):
-        raise ResolutionError("negative transformed rate; h is not positive "
-                              "to working precision")
-    if np.any(exits <= 0):
+    walk = _chain_walk(gen, h)
+    if np.any(walk[5] <= 0):
         raise ResolutionError("transformed chain has a rateless state; the "
                               "truncated chain admits no surviving motion")
     start = int(np.argmax(spectral.nu * h))
     occ = np.zeros(gen.nstates)
-    state = _words((seed, 3, 0), 1)
-    final = K.occupation_run(indptr, indices, rates, exits, start,
-                             int(n_steps), state, occ)
+    final = K.occupation_run(*walk, start, int(n_steps),
+                             _words((seed, 3, 0), 1), occ)
     if final < 0:
         raise ResolutionError("transformed chain absorbed; rounding broke "
                               "row conservation")

@@ -1,6 +1,8 @@
 """Tests for the direct event kernel's site-buffer protocol, the interpreted
-wrapper's errstate handling, the lockstep chain walk against the exact
-semigroup, and a guard that every kernel has a caller."""
+wrapper's errstate handling, the chain walks (the lockstep walk against the
+exact semigroup, both walks and the walk arrays' row sums against a
+reference built from the generator's rows), and a guard that every kernel
+has a caller."""
 
 import ast
 import re
@@ -13,7 +15,8 @@ from scipy.linalg import expm
 
 from cpqsd import _kernels as K
 from cpqsd import yaglom
-from cpqsd.spectral import build_generator, key_to_index
+from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
+                            dominant_eigenpair, index_to_key, key_to_index)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,21 +143,65 @@ def test_lockstep_walk_matches_the_semigroup(L, key):
         assert np.all(np.abs(got - p) <= 4.0 * sd), (t, got, p)
 
 
-def _scalar_walk(gen, s, t_end, word):
-    """Reference: one replica walked alone by the scalar helpers, clock
-    then target from its word, each target found by a sequential scan of
-    its row.  Returns (state index or -1, time, word)."""
-    indptr, indices, rates, off = yaglom._off_diagonal(gen)
-    exits = off + gen.absorption
-    state = np.array([word], np.uint64)
-    t_now = 0.0
-    while True:
-        t_now += K.exponential(state, exits[s])
-        if t_now > t_end:
-            return s, t_end, state[0]
-        s = K._chain_step(indptr, indices, rates, exits, s, state)
-        if s < 0:
-            return -1, t_now, state[0]
+class _ReferenceChain:
+    """Reference for the chain walks, sharing no code with
+    yaglom._chain_walk: gen.Q read one row at a time, its off-diagonal
+    entries kept in row order (each rate scaled by h(y) / h(x) when h is
+    given), row sums added up entry by entry, and each target found by a
+    sequential scan of its row."""
+
+    def __init__(self, gen, h=None):
+        Q = gen.Q
+        self.rows = []
+        self.off = []
+        for x in range(gen.nstates):
+            lo, hi = Q.indptr[x], Q.indptr[x + 1]
+            row = [(y, q if h is None else q * h[y] / h[x])
+                   for y, q in zip(Q.indices[lo:hi].tolist(),
+                                   Q.data[lo:hi].tolist()) if y != x]
+            acc = 0.0
+            for _, q in row:
+                acc += q
+            self.rows.append(row)
+            self.off.append(acc)
+        # the h-transformed chain is honest: no absorption
+        self.exits = (self.off if h is not None else
+                      [a + b for a, b in zip(self.off, gen.absorption)])
+
+    def step(self, s, state):
+        """One jump's target from s, -1 if absorbed."""
+        r = K.unit(state) * self.exits[s]
+        acc = 0.0
+        for y, q in self.rows[s]:
+            acc += q
+            if r < acc:
+                return y
+        return -1
+
+    def walk(self, s, t_end, word):
+        """One replica alone to t_end, clock then target from its word.
+        Returns (state index or -1, time, word)."""
+        state = np.array([word], np.uint64)
+        t_now = 0.0
+        while True:
+            t_now += K.exponential(state, self.exits[s])
+            if t_now > t_end:
+                return s, t_end, state[0]
+            s = self.step(s, state)
+            if s < 0:
+                return -1, t_now, state[0]
+
+    def path(self, s, n_jumps, word):
+        """n_jumps jumps from s, each holding time added to the occupation
+        of its state.  Returns (state index or -1, occupation, word)."""
+        state = np.array([word], np.uint64)
+        occ = np.zeros(len(self.rows))
+        for _ in range(n_jumps):
+            occ[s] += K.exponential(state, self.exits[s])
+            s = self.step(s, state)
+            if s < 0:
+                break
+        return s, occ, state[0]
 
 
 def test_lockstep_walk_equals_the_scalar_walk():
@@ -162,6 +209,7 @@ def test_lockstep_walk_equals_the_scalar_walk():
     # walk of its word alone ends, whatever the other replicas do (a target
     # could differ only if a draw fell within rounding of an entry's bound)
     gen, walk = _chain(8)
+    ref = _ReferenceChain(gen)
     n = 300
     start = key_to_index(5)
     words = np.random.SeedSequence(9).generate_state(n, np.uint64)
@@ -170,6 +218,59 @@ def test_lockstep_walk_equals_the_scalar_walk():
     got = words.copy()
     K.gillespie_chain_batch(*walk, idxs, tnows, 2.0, got)
     for i in range(n):
-        assert (idxs[i], tnows[i], got[i]) == _scalar_walk(gen, start, 2.0,
-                                                           words[i])
+        assert (idxs[i], tnows[i], got[i]) == ref.walk(start, 2.0, words[i])
     assert 0 < np.count_nonzero(idxs >= 0) < n
+
+
+@pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+@pytest.mark.parametrize("transformed", [True, False])
+def test_chain_walk_row_sums_are_sequential(policy, transformed):
+    # the vectorised passes add each row's entries in row order, so the
+    # row sums equal a per-row Python sum bit for bit
+    gen = build_generator(8, 0.5, policy)
+    h = dominant_eigenpair(gen).h if transformed else None
+    ref = _ReferenceChain(gen, h)
+    *_, off, exits = yaglom._chain_walk(gen, h)
+    assert off.tolist() == ref.off
+    assert exits.tolist() == ref.exits
+
+
+@pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+def test_q_process_path_equals_the_scalar_path(policy):
+    # the block-drawn path takes the draws of a jump-by-jump walk, so its
+    # state, occupation and word equal the reference's bit for bit; the
+    # run crosses two block boundaries
+    gen = build_generator(6, 0.5, policy)
+    res = dominant_eigenpair(gen)
+    ref = _ReferenceChain(gen, res.h)
+    walk = yaglom._chain_walk(gen, res.h)
+    start = int(np.argmax(res.nu * res.h))
+    n_steps = 2 * K._PATH_BLOCK + 123
+    seed = 4
+    word = yaglom._words((seed, 3, 0), 1)
+    state = word.copy()
+    occ = np.zeros(gen.nstates)
+    final = K.occupation_run(*walk, start, n_steps, state, occ)
+    want_final, want_occ, want_word = ref.path(start, n_steps, word[0])
+    assert (final, state[0]) == (want_final, want_word)
+    assert np.array_equal(occ, want_occ)
+    got = yaglom.q_process_simulate(res, gen, n_steps, seed)
+    assert got.weights == {index_to_key(i): float(w)
+                           for i, w in enumerate(want_occ) if w > 0}
+
+
+def test_absorbed_path_stops_where_the_scalar_path_stops():
+    # on the untransformed chain the path is absorbed mid-block: the run
+    # returns -1 with the occupation and word of the jumps made so far
+    gen, walk = _chain(6)
+    ref = _ReferenceChain(gen)
+    for seed in range(5):
+        word = np.random.SeedSequence(seed).generate_state(1, np.uint64)
+        state = word.copy()
+        occ = np.zeros(gen.nstates)
+        final = K.occupation_run(*walk, key_to_index(1), 10_000, state, occ)
+        want_final, want_occ, want_word = ref.path(key_to_index(1), 10_000,
+                                                   word[0])
+        assert final == want_final == -1
+        assert state[0] == want_word
+        assert np.array_equal(occ, want_occ)
