@@ -1,21 +1,29 @@
-"""Seconds per op of the Monte Carlo ops of the benchmark's workloads.
+"""Seconds per op of the Monte Carlo ops, for one or more src/ trees.
 
-Times the four ops of the qsd_mc workload (free: yaglom_estimate from {0}
+The ops: the four of the qsd_mc workload (free: yaglom_estimate from {0}
 at lambda 0.5 to t 8, 1000 replicas; dense: lambda 1 to t 16, 300
 replicas; chain: the depth-12 chain from key 1 to t 8, 2000 replicas;
-alpha: alpha_estimate on the grid 2..10, 1000 replicas) and the two
-sampling ops of the edge_log workload (point: sample_edge_distribution of
-20 replicas from Finite({0}); interval: 10 replicas from FullInterval(20),
-both at lambda 0.5 to t 2), and three chain-walk ops (walk_L12 and
-walk_L14: building the walk arrays of the depth-12 and depth-14 chains;
-q_process: 20 000 jumps of the h-transformed depth-10 chain).  Each op
-runs --repeats times on the seeds
---seed, --seed + 1, ...; the record holds the median and quartiles of its
-seconds.  Output checks are the benchmark's business, not this script's.
-With --out the record is merged into that JSON file under --key, so runs
-of two commits can sit side by side:
+alpha: alpha_estimate on the grid 2..10, 1000 replicas); the two sampling
+ops of the edge_log workload (point: sample_edge_distribution of 20
+replicas from Finite({0}); interval: 10 replicas from FullInterval(20),
+both at lambda 0.5 to t 2); two one-replica ops (one/point and
+one/interval: 100 calls of simulate_edge_trajectory from Finite({0}) and
+from FullInterval(20), lambda 0.5, t 2, depth 12); the stragglers op
+(free/interval_1440: a FreePopulation of 20 replicas from FullInterval(1440)
+advanced to t 20 at lambda 0.5, where late steps carry few replicas); and
+three chain-walk ops (walk_L12 and walk_L14: building the walk arrays of
+the depth-12 and depth-14 chains; q_process: 20 000 jumps of the
+h-transformed depth-10 chain).
 
-    PYTHONPATH=src python bench/mc_ops.py --out BENCH_7.json --key change
+Each repeat runs one fresh child process per tree, in an order that
+alternates between repeats, and the child times every op once on the
+repeat's seed (--seed, --seed + 1, ...) after a warm-up.  So drift of the
+machine's speed lands on every tree alike.  The record holds, per tree,
+the median and quartiles of each op's seconds.  Output checks are the
+benchmark's business, not this script's.
+
+    python bench/mc_ops.py --tree parent=../parent/src --tree change=src \\
+        --out BENCH_8.json
 """
 
 from __future__ import annotations
@@ -24,27 +32,37 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
-import scipy
-
-from cpqsd import _kernels
-from cpqsd import edge as E
-from cpqsd import spectral as S
-from cpqsd import yaglom as Y
 
 LAM = 0.5
 
 
 def ops():
+    """name -> call(seed), on the cpqsd found on sys.path."""
+    import numpy as np
+
+    from cpqsd import edge as E
+    from cpqsd import spectral as S
+    from cpqsd import yaglom as Y
+
     g12 = S.build_generator(12, LAM, S.POLICY_CLIP)
     g14 = S.build_generator(14, LAM, S.POLICY_CLIP)
     g10 = S.build_generator(10, LAM, S.POLICY_CLIP)
     res10 = S.dominant_eigenpair(g10)
     split = Y.Splitting()
+
+    def one(init):
+        def call(s):
+            for r in range(100):
+                E.simulate_edge_trajectory(init, LAM, 2.0, 12, s, stream=r)
+        return call
+
+    def stragglers(s):
+        words = np.random.SeedSequence((s, 0)).generate_state(20, np.uint64)
+        E.FreePopulation(range(-1440, 1), LAM, 20, words).advance_to(20.0)
+
     return {
         "qsd_mc/free": lambda s: Y.yaglom_estimate({0}, LAM, 8.0, 1000, split,
                                                    12, s),
@@ -58,6 +76,9 @@ def ops():
             E.Finite({0}), LAM, 2.0, 12, s, 20),
         "edge_log/interval": lambda s: E.sample_edge_distribution(
             E.FullInterval(20), LAM, 2.0, 8, s, 10),
+        "one/point": one(E.Finite({0})),
+        "one/interval": one(E.FullInterval(20)),
+        "free/interval_1440": stragglers,
         "chain/walk_L12": lambda s: Y._chain_walk(g12),
         "chain/walk_L14": lambda s: Y._chain_walk(g14),
         "chain/q_process": lambda s: Y.q_process_simulate(res10, g10, 20_000,
@@ -65,50 +86,95 @@ def ops():
     }
 
 
-def measure(call, repeats, seed):
-    secs = []
-    for s in range(seed, seed + repeats):
+def child(seed):
+    """Time every op once on `seed`, after a warm-up, and print one JSON
+    line: the op seconds and USE_NUMBA."""
+    import time
+
+    from cpqsd import _kernels
+    from cpqsd import yaglom as Y
+
+    table = ops()
+    # warm-up: the rough-alpha cache of both rates and every first call
+    for lam in (LAM, 1.0):
+        Y.yaglom_estimate({0}, lam, 1.0, 64, Y.Splitting(), 4, 0)
+    for name, call in table.items():
+        if name != "free/interval_1440":
+            call(0)
+    secs = {}
+    for name, call in table.items():
         t0 = time.perf_counter()
-        call(s)
-        secs.append(time.perf_counter() - t0)
+        call(seed)
+        secs[name] = time.perf_counter() - t0
+    print(json.dumps({"USE_NUMBA": bool(_kernels.USE_NUMBA), "seconds": secs}))
+
+
+def run_child(src, seed):
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    done = subprocess.run([sys.executable, __file__, "--child", str(seed)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summary(secs):
+    import numpy as np
+
     q1, med, q3 = np.quantile(secs, [0.25, 0.5, 0.75])
-    return {"repeats": repeats, "seconds": {"median": float(med),
-                                            "q1": float(q1), "q3": float(q3)}}
+    return {"repeats": len(secs), "seconds": {"median": float(med),
+                                              "q1": float(q1), "q3": float(q3)}}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tree", action="append", default=[],
+                    help="NAME=SRC_DIR, a src/ tree to time (repeatable; "
+                         "default change=src)")
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", type=Path, default=None,
-                    help="JSON file to merge into (default stdout)")
-    ap.add_argument("--key", default="run", help="entry name in --out")
+                    help="JSON file to write (default stdout)")
+    ap.add_argument("--child", type=int, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.child is not None:
+        child(args.child)
+        return
 
-    table = ops()
-    for call in table.values():  # warm-up: rough-alpha cache, first calls
-        call(0)
-    results = {}
-    for name, call in table.items():
-        results[name] = measure(call, args.repeats, args.seed)
-        print(name, json.dumps(results[name]), file=sys.stderr, flush=True)
-    entry = {
-        "command": "PYTHONPATH=src python bench/mc_ops.py "
-                   f"--repeats {args.repeats} --seed {args.seed}",
-        "USE_NUMBA": bool(_kernels.USE_NUMBA),
+    trees = dict(t.split("=", 1) for t in args.tree) or {"change": "src"}
+    names = list(trees)
+    runs = {name: [] for name in names}
+    for r in range(args.repeats):
+        order = names if r % 2 == 0 else names[::-1]
+        for name in order:
+            runs[name].append(run_child(trees[name], args.seed + r))
+            print(name, args.seed + r, json.dumps(runs[name][-1]["seconds"]),
+                  file=sys.stderr, flush=True)
+    import numpy as np
+    import scipy
+
+    record = {
+        "what": "seconds per op of the qsd_mc ops, the edge_log sampling "
+                "ops, the one-replica and stragglers ops of the free "
+                "process and the chain-walk ops, median and quartiles over "
+                "--repeats seeds; each repeat times every tree in a fresh "
+                "child process, in alternating order",
+        "command": "python bench/mc_ops.py "
+                   + " ".join(f"--tree {n}=<{n}>/src" for n in names)
+                   + f" --repeats {args.repeats} --seed {args.seed}",
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__},
-        "ops": results,
     }
+    for name in names:
+        ops_seen = runs[name][0]["seconds"]
+        record[name] = {
+            "USE_NUMBA": runs[name][0]["USE_NUMBA"],
+            "ops": {op: summary([run["seconds"][op] for run in runs[name]])
+                    for op in ops_seen},
+        }
+    text = json.dumps(record, indent=1) + "\n"
     if args.out is None:
-        sys.stdout.write(json.dumps(entry, indent=1) + "\n")
-        return
-    record = json.loads(args.out.read_text()) if args.out.exists() else {
-        "what": "seconds per op of the qsd_mc ops, the edge_log sampling "
-                "ops and the chain-walk ops, median and quartiles over "
-                "--repeats seeds"}
-    record[args.key] = entry
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text)
 
 
 if __name__ == "__main__":

@@ -2,18 +2,20 @@
 
 Two kinds of kernel live here:
   * scalar loops (u64, unit, exponential, the mark generator and sorter,
-    the forward/backward sweeps, jump_dp, gillespie_free and its batch
-    driver) are written once as plain numpy functions and compiled by _jit
-    with numba when available.  Set CPQSD_NUMBA=0 to force the interpreted
-    fallback (a safety net on machines without a working numba).  Both
-    paths execute the same source, so results are bit-identical.  The
-    interpreted path enters np.errstate(over="ignore") once, on the
-    outermost kernel call of each thread: kernels called from inside a
-    kernel run their plain function.
-  * the depth-L chain walks, gillespie_chain_batch (a population, in
-    lockstep) and occupation_run (one long path), are plain numpy and never
-    compiled, and array arithmetic wraps silently.  Both pick targets by
-    the one rule of _chain_jump.
+    the forward/backward sweeps, jump_dp) are written once as plain numpy
+    functions and compiled by _jit with numba when available.  Set
+    CPQSD_NUMBA=0 to force the interpreted fallback (a safety net on
+    machines without a working numba).  Both paths execute the same
+    source, so results are bit-identical.  The interpreted path enters
+    np.errstate(over="ignore") once, on the outermost kernel call of each
+    thread: kernels called from inside a kernel run their plain function.
+  * the walks are plain numpy and never compiled, and array arithmetic
+    wraps silently.  Each comes as a population moved in lockstep and as
+    one path that takes a block of draws at a time, and the two make the
+    same draws by the same rule: for the contact process on Z,
+    gillespie_free_batch and free_run (thinning at rate n (1 + 2 lam) over
+    an unordered site list); for the depth-L chain, gillespie_chain_batch
+    and occupation_run (targets by _chain_jump).
 
 Conventions:
   * marks are struct-of-arrays: times f8, kinds i1 (0=recovery, 1=arrow),
@@ -21,7 +23,7 @@ Conventions:
   * occupancy arrays are int8 over window sites, index = site - lo;
   * in-kernel randomness is splitmix64 seeded from a uint64 per replica,
     state passed as a one-element uint64 array so calls can mutate it (the
-    lockstep walk advances a whole array of such words at once).
+    lockstep walks advance a whole array of such words at once).
 """
 
 from __future__ import annotations
@@ -103,12 +105,27 @@ def _units(words):
     """Advance every splitmix64 word of the array in place and return one
     uniform on (0, 1] per word: the value unit() draws from that word."""
     words += _SM_GAMMA
-    z = words ^ (words >> np.uint64(30))
+    z = words >> 30
+    z ^= words
     z *= _SM_M1
-    z ^= z >> np.uint64(27)
+    z ^= z >> 27
     z *= _SM_M2
-    z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
+    z ^= z >> 31
+    z >>= 11
+    z += 1
+    return z.astype(np.float64) * _U53
+
+
+_STEPS = np.arange(8192, dtype=np.uint64) * _SM_GAMMA
+
+
+def _block(state, m):
+    """(words, units) of the next m <= 8192 draws of the word state[0]:
+    splitmix64 is a counter (draw k mixes state[0] + (k + 1) gamma), so one
+    _units call makes them in order, and words[k] is the word after draw
+    k."""
+    words = state[0] + _STEPS[:m]
+    return words, _units(words)
 
 
 # ===== mark generation =====
@@ -273,88 +290,166 @@ jump_dp = _jit(_jump_dp_py)
 
 # ===== contact process, direct event simulation =====
 
-def _gillespie_free_py(sites, n, lam, t_now, t_end, state):
-    """Contact process on Z from a sorted site list, run on (t_now, t_end].
+_FREE_BLOCK = 256  # events whose draws free_run takes in one go
+_ALONE = 32  # most live replicas that gillespie_free_batch hands to free_run
 
-    Mutates sites in place.  Returns (n', t'):
-      n' >= 0  survived to t_end (t' = t_end) or died (n' = 0, t' = death time)
-      n' = -2  the buffer is full (n == capacity) before the next event.  No
-               draw has been made for that event, so copying the n sites into
-               a larger buffer and calling again with (n, t') continues the
-               same run exactly.
+
+def free_run(sites, lam, t_now, t_end, state):
+    """Run one replica of the contact process on Z from the site list
+    `sites` (distinct, in any order) on (t_now, t_end].  Mutates sites and
+    state; returns the end time: t_end, or the death time with sites empty.
+
+    Thinning: events come at total rate n (1 + 2 lam), and each one draws a
+    clock and then u, which picks entry j = int(u n) of the list and, from
+    f = (u n - j)(1 + 2 lam), a recovery (f < 1), an arrow to the right
+    (f < 1 + lam) or an arrow to the left.  A recovery moves the last entry
+    into slot j; an arrow onto an infected site does nothing.  A block of
+    events takes its draws from one _block call, so the run ends with the
+    word event-by-event drawing would leave.  gillespie_free_batch makes the
+    same draws with the same arithmetic, so each of its replicas ends where
+    this run of its word alone ends.
     """
-    cap = sites.shape[0]
-    if n >= cap:
-        return -2, t_now
-    while n > 0:
-        adj = 0
-        for i in range(n - 1):
-            if sites[i + 1] - sites[i] == 1:
-                adj += 1
-        slots = 2 * n - 2 * adj
-        total = n + lam * slots
-        t_now += exponential(state, total)
-        if t_now > t_end:
-            return n, t_end
-        r = unit(state) * total
-        if r < n:
-            idx = int(r)
-            if idx >= n:
-                idx = n - 1
-            for i in range(idx, n - 1):
-                sites[i] = sites[i + 1]
-            n -= 1
+    c = 1.0 + 2.0 * lam
+    right = 1.0 + lam
+    occupied = set(sites)
+    n = len(sites)
+    m = 16  # blocks double up to _FREE_BLOCK events: most runs are short
+    while n:
+        words, u = _block(state, 2 * m)
+        logs = np.log(u[::2]).tolist()
+        picks = u[1::2].tolist()
+        for i in range(m):
+            t_now = t_now - logs[i] / (n * c)
+            if t_now > t_end:
+                state[0] = words[2 * i]
+                return t_end
+            q = picks[i] * n
+            j = min(int(q), n - 1)
+            f = (q - j) * c
+            if f < 1.0:
+                occupied.discard(sites[j])
+                last = sites.pop()
+                n -= 1
+                if j < n:
+                    sites[j] = last
+                elif not n:
+                    state[0] = words[2 * i + 1]
+                    return t_now
+            else:
+                y = sites[j] + 1 if f < right else sites[j] - 1
+                if y not in occupied:
+                    occupied.add(y)
+                    sites.append(y)
+                    n += 1
+        state[0] = words[-1]
+        m = min(2 * m, _FREE_BLOCK)
+    return t_now
+
+
+def gillespie_free_batch(sites, occ, lo, counts, tnows, lam, t_end, states):
+    """Advance every replica with counts[i] > 0 to t_end, or to death
+    (counts[i] = 0, tnows[i] = death time), in lockstep.
+
+    Replica i holds its counts[i] infected sites, unordered, in
+    sites[i, :counts[i]], and occ[i, x - lo] = 1 marks each of them.  One
+    step draws, for every live replica from its own word, a clock and then
+    a pick, by free_run's rule and arithmetic.  The bitmap window and the
+    site capacity are doubled before an arrow would leave them, so no event
+    is lost and the result does not depend on the sizes.  Once at most
+    _ALONE replicas are live, and fewer than the events the largest of them
+    expects before t_end, a step costs more than their events would alone:
+    free_run finishes each of them, which changes nothing but the time
+    taken.  Returns (sites, occ, lo), reallocated if they grew.
+    """
+    c = 1.0 + 2.0 * lam
+    right = 1.0 + lam
+    pos = np.nonzero(counts > 0)[0]
+    n = counts[pos]
+    t = tnows[pos]
+    w = states[pos]
+    while pos.size:
+        if (pos.size <= _ALONE
+                and pos.size < n.max() * c * (t_end - t.min())):
+            break
+        t = t - np.log(_units(w)) / (n * c)
+        held = t > t_end
+        if held.any():
+            counts[pos[held]] = n[held]
+            tnows[pos[held]] = t_end
+            states[pos[held]] = w[held]
+            go = ~held
+            pos, n, t, w = pos[go], n[go], t[go], w[go]
+            if not pos.size:
+                break
+        q = _units(w) * n
+        j = np.minimum(q.astype(np.int64), n - 1)
+        f = (q - j) * c
+        rec = f < 1.0
+        row = pos * sites.shape[1]
+        x = sites.ravel()[row + j]
+        y = x + np.where(f < right, 1, -1) * ~rec
+        if y.min() < lo or y.max() >= lo + occ.shape[1]:
+            occ, lo = _grow_window(occ, lo, y.min(), y.max())
+        cell = pos * occ.shape[1] + (y - lo)
+        born = occ.ravel()[cell] == 0
+        occ.ravel()[cell] = ~rec
+        # a recovery moves the last entry into slot j; an arrow writes
+        # slot n, which counts only if the site was born
+        col = np.where(rec, j, n)
+        if col.max() >= sites.shape[1]:
+            sites = _grow_capacity(sites, col.max() + 1)
+            row = pos * sites.shape[1]
+        flat = sites.ravel()
+        flat[row + col] = np.where(rec, flat[row + n - 1], y)
+        n = n + born - rec
+        dead = n == 0
+        if dead.any():
+            counts[pos[dead]] = 0
+            tnows[pos[dead]] = t[dead]
+            states[pos[dead]] = w[dead]
+            go = ~dead
+            pos, n, t, w = pos[go], n[go], t[go], w[go]
+    for i, n_i, t_i, word in zip(pos.tolist(), n.tolist(), t.tolist(), w):
+        alone = sites[i, :n_i].tolist()
+        occ[i, sites[i, :n_i] - lo] = 0
+        state = np.array([word])
+        tnows[i] = free_run(alone, lam, t_i, t_end, state)
+        states[i] = state[0]
+        counts[i] = len(alone)
+        if alone:
+            got = np.array(alone)
+            if got.min() < lo or got.max() >= lo + occ.shape[1]:
+                occ, lo = _grow_window(occ, lo, got.min(), got.max())
+            if got.size > sites.shape[1]:
+                sites = _grow_capacity(sites, got.size)
+            sites[i, :got.size] = got
+            occ[i, got - lo] = 1
+    return sites, occ, lo
+
+
+def _grow_window(occ, lo, y_min, y_max):
+    """occ and lo with the window doubled, as often as it takes to hold
+    sites y_min..y_max; the new half goes on the side that needs it."""
+    while y_min < lo or y_max >= lo + occ.shape[1]:
+        width = occ.shape[1]
+        bigger = np.zeros((occ.shape[0], 2 * width), np.int8)
+        if y_min < lo:
+            bigger[:, width:] = occ
+            lo -= width
         else:
-            k = int((r - n) / lam)
-            if k >= slots:
-                k = slots - 1
-            target = 0
-            found = 0
-            for i in range(n):
-                if found == 0 and (i == 0 or sites[i - 1] != sites[i] - 1):
-                    if k == 0:
-                        target = sites[i] - 1
-                        found = 1
-                    else:
-                        k -= 1
-                if found == 0 and (i == n - 1 or sites[i + 1] != sites[i] + 1):
-                    if k == 0:
-                        target = sites[i] + 1
-                        found = 1
-                    else:
-                        k -= 1
-                if found != 0:
-                    break
-            j = n
-            while j > 0 and sites[j - 1] > target:
-                sites[j] = sites[j - 1]
-                j -= 1
-            sites[j] = target
-            n += 1
-            if n >= cap:
-                return -2, t_now
-    return 0, t_now
+            bigger[:, :width] = occ
+        occ = bigger
+    return occ, lo
 
 
-gillespie_free = _jit(_gillespie_free_py)
-
-
-def _gillespie_free_batch_py(sites2d, counts, tnows, lam, t_end, states):
-    """Advance every replica with counts[i] > 0 to t_end (or death)."""
-    npop = counts.shape[0]
-    for i in range(npop):
-        if counts[i] > 0:
-            st = states[i:i + 1]
-            # plain scalars: interpreted arithmetic on numpy scalars is
-            # slower and gives the same values
-            n2, t2 = gillespie_free(sites2d[i], int(counts[i]), lam,
-                                    float(tnows[i]), t_end, st)
-            counts[i] = n2
-            tnows[i] = t2
-    return 0
-
-
-gillespie_free_batch = _jit(_gillespie_free_batch_py)
+def _grow_capacity(sites, need):
+    """sites with its capacity doubled until it holds `need` entries."""
+    cap = sites.shape[1]
+    while cap < need:
+        cap *= 2
+    bigger = np.zeros((sites.shape[0], cap), sites.dtype)
+    bigger[:, :sites.shape[1]] = sites
+    return bigger
 
 
 # ===== truncated-chain walks (CSR) =====
@@ -416,16 +511,14 @@ def occupation_run(indptr, indices, cum, base, off, exits, s, n_jumps, state,
     gillespie_chain_batch, adding each holding time to occ_time.  Returns
     the final state index, or -1 if the path is absorbed.
 
-    splitmix64 is a counter (draw k of word w mixes w + (k + 1) gamma), so
-    one _units call gives a block of jumps their draws, clock then target,
+    One _block call gives a block of jumps their draws, clock then target,
     in the order and with the end word of jump-by-jump drawing.  Only the
     targets need a loop; np.add.at adds the holding times in path order.
     """
     walk = (indptr, indices, cum, base, off, exits)
     while n_jumps > 0:
         m = min(n_jumps, _PATH_BLOCK)
-        words = state[0] + np.arange(2 * m, dtype=np.uint64) * _SM_GAMMA
-        u = _units(words)
+        words, u = _block(state, 2 * m)
         picks = u[1::2].tolist()
         path = np.empty(m, np.int64)
         for i in range(m):

@@ -5,12 +5,15 @@ An edge configuration is a finite set of nonpositive offsets containing 0
 canonical integer keys: bit i set means site -i is infected, so every
 nonempty key is odd and 0 is reserved for the empty set.
 
-Independent trajectories of the free process are simulated event by event
-by a FreePopulation on the direct kernel K.gillespie_free, which has no
-spatial window, so nothing is censored; they are recentered at read-off
-time and aggregated into empirical distributions that serialize to CSV.
-Steps on an existing graphical log (edge_evolve) serve couplings, where
-several configurations must share one set of marks.
+Independent trajectories of the free process are simulated event by event,
+by thinning at rate n (1 + 2 lambda) over an unordered site list: many
+replicas at once by a FreePopulation (K.gillespie_free_batch, in lockstep,
+with an occupancy bitmap whose window grows on demand), one alone by
+K.free_run, which makes the same draws by the same rule.  Neither has a
+fixed spatial window, so nothing is censored.  Trajectories are recentered
+at read-off time and aggregated into empirical distributions that
+serialize to CSV.  Steps on an existing graphical log (edge_evolve) serve
+couplings, where several configurations must share one set of marks.
 """
 
 from __future__ import annotations
@@ -284,63 +287,65 @@ def _stream_state(seed, stream):
 
 class FreePopulation:
     """N replicas of the contact process on Z from one finite configuration,
-    as sorted site buffers advanced by the direct event kernel.
+    advanced in lockstep by K.gillespie_free_batch.
 
-    words holds one uint64 kernel state per replica.  A replica whose
-    buffer fills is resumed in a buffer of twice the width, which continues
-    the same run exactly, so nothing is ever cut off.
+    Replica i holds its counts[i] infected sites, unordered, in
+    sites[i, :counts[i]], and occ[i, x - lo] = 1 marks each of them; words
+    holds one uint64 kernel state per replica.  The window and the site
+    capacity start small and double when an arrow would leave them, which
+    continues the same run exactly, so nothing is ever cut off.
     """
 
     def __init__(self, sites, lam, n, words):
-        base = np.asarray(sorted(sites), np.int32)
-        cap = 64
-        while cap < 2 * base.size + 16:
+        base = np.asarray(sites, np.int64)
+        cap = 16
+        while cap <= base.size:
             cap *= 2
+        span = int(base.max() - base.min()) + 1
+        width = 32
+        while width < 2 * span:
+            width *= 2
+        self.lo = int(base.min()) - (width - span) // 2
         self.sites = np.zeros((n, cap), np.int32)
         self.sites[:, :base.size] = base
+        self.occ = np.zeros((n, width), np.int8)
+        self.occ[:, base - self.lo] = 1
         self.counts = np.full(n, base.size, np.int64)
         self.tnows = np.zeros(n)
         self.states = words.copy()
         self.lam = float(lam)
 
     def advance_to(self, t_end):
-        K.gillespie_free_batch(self.sites, self.counts, self.tnows,
-                               self.lam, float(t_end), self.states)
-        while True:
-            flagged = np.nonzero(self.counts == -2)[0]
-            if flagged.size == 0:
-                return
-            old_cap = self.sites.shape[1]
-            bigger = np.zeros((self.sites.shape[0], 2 * old_cap), np.int32)
-            bigger[:, :old_cap] = self.sites
-            self.sites = bigger
-            for i in flagged:
-                n2, t2 = K.gillespie_free(self.sites[i], old_cap, self.lam,
-                                          self.tnows[i], float(t_end),
-                                          self.states[i:i + 1])
-                self.counts[i] = n2
-                self.tnows[i] = t2
+        self.sites, self.occ, self.lo = K.gillespie_free_batch(
+            self.sites, self.occ, self.lo, self.counts, self.tnows, self.lam,
+            float(t_end), self.states)
 
     def alive_mask(self):
         return self.counts > 0
 
     def copy(self, src, dst):
         self.sites[dst] = self.sites[src]
+        self.occ[dst] = self.occ[src]
         self.counts[dst] = self.counts[src]
         self.tnows[dst] = self.tnows[src]
 
-    def final_key(self, i, depth):
-        """(key, clipped) of replica i's edge configuration, which must be
-        nonempty, truncated to depth."""
-        n = self.counts[i]
-        row = self.sites[i, :n]
-        return clip_key((row - row[n - 1]).tolist(), depth)
-
     def final_keys(self, idx, depth):
-        """(keys, number of them that lost offsets) of the surviving
-        replicas idx, as final_key reads them."""
-        pairs = [self.final_key(i, depth) for i in idx]
-        return [key for key, _ in pairs], sum(c > 0 for _, c in pairs)
+        """(keys truncated to depth, number of them that lost offsets) of
+        the surviving replicas idx, read from the bitmap: bit d of a key is
+        the site d below the replica's rightmost one."""
+        rows = self.occ[idx]
+        width = rows.shape[1]
+        right = width - 1 - np.argmax(rows[:, ::-1], axis=1)
+        below = right[:, None] - np.arange(depth)
+        bits = np.take_along_axis(rows, np.maximum(below, 0), axis=1)
+        bits[below < 0] = 0
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        size = packed.shape[1]
+        raw = packed.tobytes()
+        keys = [int.from_bytes(raw[i:i + size], "little")
+                for i in range(0, len(raw), size)]
+        clipped = np.count_nonzero(self.counts[idx] > bits.sum(axis=1))
+        return keys, int(clipped)
 
 
 def _check_run(lam, t, depth):
@@ -356,20 +361,19 @@ def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0):
     """One replica of the edge process: run the contact process on Z from
     init to time t, recenter, truncate to depth.
 
-    The free process is a one-replica FreePopulation, so there is no
-    spatial window and nothing is ever cut off: `censored` is always False.
-    The run is a pure function of (seed, stream).  Offsets falling at or
-    below -depth are counted in `clipped` rather than silently dropped.
+    The free process runs alone on K.free_run, the rule of
+    FreePopulation's lockstep walk, so there is no spatial window and
+    nothing is ever cut off: `censored` is always False.  The run is a pure
+    function of (seed, stream).  Offsets falling at or below -depth are
+    counted in `clipped` rather than silently dropped.
     """
     _check_run(lam, t, depth)
     sites = _init_sites(init)
+    K.free_run(sites, lam, 0.0, t, _stream_state(seed, stream))
     if not sites:
         return EdgeTrajectory(EdgeConfiguration(), False, False, 0)
-    pop = FreePopulation(sites, lam, 1, _stream_state(seed, stream))
-    pop.advance_to(t)
-    if not pop.counts[0]:
-        return EdgeTrajectory(EdgeConfiguration(), False, False, 0)
-    key, clipped = pop.final_key(0, depth)
+    zeta, _ = recenter(sites)
+    key, clipped = clip_key(zeta, depth)
     return EdgeTrajectory(decode_key(key, depth), True, False, clipped)
 
 

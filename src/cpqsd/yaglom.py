@@ -13,18 +13,18 @@ Randomness discipline: every kernel stream is derived from a seed tuple, the
 resampler has its own stream, and resampling is done by a single generator
 in replica order, so results are reproducible and independent of threading.
 Each replica owns one uint64 word of its population's stream and draws from
-it with splitmix64: the free process in the scalar event kernel, one
-replica after the other; the depth-L chain in a lockstep walk that draws
-for all live replicas at once, each from its own word.  Either way a
-replica's path is a function of its word, and of the resampling that copies
-another replica's state (never its word) onto it.  The h-transformed chain
-is one path on one word, by the same target rule; splitmix64 is a counter,
-so the path jumps its word ahead a block of jumps at a time, drawing what a
-jump-by-jump walk would, in the same order.
+it with splitmix64.  The free process and the depth-L chain both move in
+lockstep walks that draw for all live replicas at once, each from its own
+word, so a replica's path is a function of its word, and of the resampling
+that copies another replica's state (never its word) onto it.  The
+h-transformed chain is one path on one word, by the chain walk's target
+rule; splitmix64 is a counter, so the path jumps its word ahead a block of
+jumps at a time, drawing what a jump-by-jump walk would, in the same order.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -268,10 +268,14 @@ def yaglom_estimate(init, lam, t, target_survivors, strategy, depth, seed,
     n = int(target_survivors)
     pop, (alive, log_w, stages, counts, _, ess) = _split(
         populate, lam, n, t, strategy.checkpoint_dt, (seed, 0))
-    dist = EmpiricalDistribution(depth, replica_count=n, meta=meta)
     keys, clipped = pop.final_keys(alive, depth)
-    for key in keys:
-        dist.add(key)
+    # equal counts share one float, so a law holds a float per distinct
+    # count rather than one per key
+    tally = collections.Counter(keys)
+    as_float = {c: float(c) for c in set(tally.values())}
+    dist = EmpiricalDistribution(
+        depth, {key: as_float[c] for key, c in tally.items()},
+        replica_count=n, meta=meta)
     diag = {"strategy": _strategy_name(strategy), "stages": stages,
             "survivor_counts": counts, "weight": math.exp(log_w),
             "ess": ess, "clipped": clipped}

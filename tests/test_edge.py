@@ -6,13 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from cpqsd import _kernels as K
 from cpqsd.edge import (
     EdgeConfiguration,
     EmpiricalDistribution,
     Finite,
     FullInterval,
-    _stream_state,
     clip_key,
     cylinder_restrict,
     decode_key,
@@ -233,7 +231,7 @@ class TestIndependentReference:
 
     def test_matches_graphical_construction(self):
         # two-sample check of the direct event simulation against evolve on
-        # fresh graphical logs, which share no code with gillespie_free
+        # fresh graphical logs, which share no code with the event walk
         n_sim, n_ref = 20_000, 20_000
         sim = EmpiricalDistribution(6)
         for r in range(n_sim):
@@ -256,22 +254,6 @@ class TestIndependentReference:
                            for q in pooled.values())
                  + math.sqrt(math.log(1e4) * inv / 2.0))
         assert tv_distance(sim, ref) < bound
-
-    def test_buffer_growth_resumes_the_same_run(self):
-        # replicas outgrowing the initial site buffer end exactly where one
-        # kernel run in a buffer that never fills ends
-        grown = 0
-        for r in range(40):
-            traj = simulate_edge_trajectory(Finite({0}), 8.0, 5.0, 512,
-                                            seed=4, stream=r)
-            buf = np.zeros(4096, np.int32)
-            n, _ = K.gillespie_free(buf, 1, 8.0, 0.0, 5.0,
-                                    _stream_state(4, r))
-            assert traj.survived == (n > 0)
-            want = recenter(buf[:n])[0]
-            assert traj.final == want and traj.clipped == 0
-            grown += n > 64  # a FreePopulation starts with 64 slots
-        assert grown >= 10
 
 
 class TestFlowConsistency:

@@ -1,8 +1,9 @@
-"""Tests for the direct event kernel's site-buffer protocol, the interpreted
-wrapper's errstate handling, the chain walks (the lockstep walk against the
-exact semigroup, both walks and the walk arrays' row sums against a
-reference built from the generator's rows), and a guard that every kernel
-has a caller."""
+"""Tests for the interpreted wrapper's errstate handling, the chain walks
+(the lockstep walk against the exact semigroup, both walks and the walk
+arrays' row sums against a reference built from the generator's rows), the
+free-process walks (each lockstep replica against the one-replica path on
+its word, window and capacity growth, keys read from the bitmap), and a
+guard that every public kernel has a caller."""
 
 import ast
 import re
@@ -15,65 +16,44 @@ from scipy.linalg import expm
 
 from cpqsd import _kernels as K
 from cpqsd import yaglom
+from cpqsd.edge import (FreePopulation, FullInterval, _stream_state, clip_key,
+                        encode_key, recenter, simulate_edge_trajectory)
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
                             dominant_eigenpair, index_to_key, key_to_index)
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_growing(sites, lam, t_end, seed, cap):
-    """gillespie_free from a cap-slot buffer, doubled on every -2."""
-    buf = np.zeros(cap, np.int32)
-    buf[:len(sites)] = sites
-    state = np.random.SeedSequence(seed).generate_state(1, np.uint64)
-    n, t_now = K.gillespie_free(buf, len(sites), lam, 0.0, t_end, state)
-    grown = 0
-    while n == -2:
-        n = buf.size
-        buf = np.concatenate([buf, np.zeros_like(buf)])
-        n, t_now = K.gillespie_free(buf, n, lam, t_now, t_end, state)
-        grown += 1
-    return (buf[:n].tolist(), int(n), float(t_now), int(state[0])), grown
-
-
-def test_resume_after_full_buffer_is_exact():
-    # a buffer that fills must not cost the run its next event: resuming in
-    # a larger buffer gives the run a buffer that never fills would give
-    sites = [0, 1, 2, 3]
-    overflowed = 0
-    for seed in range(200):
-        tight, grown = _run_growing(sites, 1.2, 6.0, seed, cap=len(sites))
-        roomy, never = _run_growing(sites, 1.2, 6.0, seed, cap=256)
-        assert never == 0
-        assert tight == roomy, seed
-        overflowed += grown > 1
-    assert overflowed >= 20  # the comparison covers growth mid-run
-
-
 def test_every_kernel_has_a_caller():
-    # a kernel is live when another module of the package calls it through
-    # `K.<name>`, the benchmark's tracer wraps it, or a live kernel calls it
+    # a public function of _kernels is live when another module of the
+    # package calls it through `K.<name>`, the benchmark's tracer wraps it,
+    # or a live kernel calls it; a _jit kernel is read through its source
+    # function
     src = ROOT / "src" / "cpqsd"
     kernels_py = src / "_kernels.py"
     tree = ast.parse(kernels_py.read_text())
-    jitted = {node.targets[0].id: node.value.args[0].id
-              for node in tree.body
-              if isinstance(node, ast.Assign)
-              and isinstance(node.value, ast.Call)
-              and getattr(node.value.func, "id", None) == "_jit"}
     bodies = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    public = {name: body for name, body in bodies.items()
+              if not name.startswith("_")}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "_jit"):
+            public[node.targets[0].id] = bodies[node.value.args[0].id]
     users = "".join(p.read_text() for p in src.glob("*.py") if p != kernels_py)
     live = set(re.findall(r"\bK\.(\w+)", users))
     layers = (ROOT / "perfbench" / "layers.py").read_text()
     live |= set(re.findall(r'\(K, "(\w+)"', layers))
-    todo = list(live & set(jitted))
+    todo = list(live & set(public))
     while todo:
-        for node in ast.walk(bodies[jitted[todo.pop()]]):
-            if (isinstance(node, ast.Name) and node.id in jitted
+        for node in ast.walk(public[todo.pop()]):
+            if (isinstance(node, ast.Name) and node.id in public
                     and node.id not in live):
                 live.add(node.id)
                 todo.append(node.id)
-    assert sorted(set(jitted) - live) == []
+    assert {"free_run", "gillespie_free_batch", "gillespie_chain_batch",
+            "occupation_run", "gen_marks"} <= set(public)
+    assert sorted(set(public) - live) == []
 
 
 # ===== errstate of the interpreted wrapper =====
@@ -83,7 +63,9 @@ def test_kernels_raise_no_overflow_warning_and_restore_errstate():
     # must leave the caller's floating-point error settings as they were
     before = np.geterr()
     words = np.random.SeedSequence(5).generate_state(50, np.uint64)
-    sites = np.zeros((50, 64), np.int32)
+    sites = np.zeros((50, 16), np.int64)
+    occ = np.zeros((50, 32), np.int8)
+    occ[:, 16] = 1
     counts = np.ones(50, np.int64)
     tnows = np.zeros(50)
     cap = 4096
@@ -91,8 +73,12 @@ def test_kernels_raise_no_overflow_warning_and_restore_errstate():
              np.zeros(cap, np.int32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        K.gillespie_free_batch(sites, counts, tnows, 0.5, 2.0, words)
+        K.gillespie_free_batch(sites, occ, -16, counts, tnows, 0.5, 2.0,
+                               words)
         assert np.geterr() == before
+        one = list(range(-20, 1))
+        K.free_run(one, 0.5, 0.0, 2.0, words[:1])
+        assert one and np.geterr() == before
         n = K.gen_marks(-10, 10, 0.0, 2.0, 0.5, words[:1], *marks)
         assert n > 0 and np.geterr() == before
     assert np.count_nonzero(counts) > 0
@@ -274,3 +260,105 @@ def test_absorbed_path_stops_where_the_scalar_path_stops():
         assert final == want_final == -1
         assert state[0] == want_word
         assert np.array_equal(occ, want_occ)
+
+
+# ===== lockstep free walk =====
+
+def _one_replica(pop, i, t_end, word):
+    """Replica i of a FreePopulation run on by free_run alone, from its
+    sites and time with the given word.  Returns (sites, count, time,
+    word)."""
+    sites = pop.sites[i, :pop.counts[i]].tolist()
+    state = np.array([word], np.uint64)
+    t_now = K.free_run(sites, pop.lam, float(pop.tnows[i]), t_end, state)
+    return sites, len(sites), t_now, state[0]
+
+
+def _replica(pop, i):
+    """(sites, count, time, word) of replica i, after checking that its
+    bitmap marks exactly its sites."""
+    sites = pop.sites[i, :pop.counts[i]].tolist()
+    marked = (np.nonzero(pop.occ[i])[0] + pop.lo).tolist()
+    assert sorted(sites) == marked
+    return sites, int(pop.counts[i]), float(pop.tnows[i]), pop.states[i]
+
+
+@pytest.mark.parametrize("alone", [0, K._ALONE], ids=["lockstep", "tail"])
+@pytest.mark.parametrize("init, lam", [
+    ([0], 0.5), ([0, 1, 2, 3], 1.2), (list(range(-20, 1)), 0.5)],
+    ids=["point", "block-1.2", "interval-20"])
+def test_lockstep_replicas_equal_the_one_replica_path(init, lam, alone,
+                                                      monkeypatch):
+    # each replica makes free_run's draws with free_run's arithmetic, so
+    # over two stages, with a resampling copy in between, it ends with the
+    # sites (in list order), count, time and word of free_run on its own
+    # word, whatever the other replicas do; with alone = 0 no replica is
+    # handed to free_run at the tail of a stage
+    monkeypatch.setattr(K, "_ALONE", alone)
+    n = 300
+    pop = FreePopulation(init, lam, n, yaglom._words((11, 0, 0), n))
+    words = pop.states.copy()
+    want = [_one_replica(pop, i, 1.5, words[i]) for i in range(n)]
+    pop.advance_to(1.5)
+    assert [_replica(pop, i) for i in range(n)] == want
+    alive = np.nonzero(pop.alive_mask())[0]
+    dead = np.nonzero(~pop.alive_mask())[0]
+    assert 0 < alive.size
+    rng = np.random.default_rng(3)
+    src = alive[rng.integers(0, alive.size, dead.size)]
+    pop.copy(src, dead)
+    words = pop.states.copy()
+    want = [_one_replica(pop, i, 3.0, words[i]) for i in range(n)]
+    pop.advance_to(3.0)
+    assert [_replica(pop, i) for i in range(n)] == want
+
+
+@pytest.mark.parametrize("n", [200, 20])
+def test_smallest_window_and_capacity_equal_a_roomy_population(n):
+    # growing the bitmap window and the site capacity mid-run is invisible:
+    # a population started with both as small as its start allows ends bit
+    # for bit where one that never grows ends.  200 replicas grow in
+    # lockstep steps, 20 as they are handed to free_run
+    words = yaglom._words((3, 0, 0), n)
+    tight = FreePopulation([0, 1, 2, 3], 1.2, n, words)
+    roomy = FreePopulation([0, 1, 2, 3], 1.2, n, words)
+    tight.sites = tight.sites[:, :4].copy()
+    tight.occ = tight.occ[:, -tight.lo:4 - tight.lo].copy()
+    tight.lo = 0
+    roomy.sites = np.zeros((n, 1024), np.int32)
+    roomy.sites[:, :4] = [0, 1, 2, 3]
+    roomy.occ = np.zeros((n, 4096), np.int8)
+    roomy.lo = -2048
+    roomy.occ[:, 2048:2052] = 1
+    for t_end in (3.0, 6.0):
+        tight.advance_to(t_end)
+        roomy.advance_to(t_end)
+    # both grew from the start's exact fit, so mid-run
+    assert tight.sites.shape[1] > 4 and tight.occ.shape[1] > 4
+    assert roomy.sites.shape == (n, 1024) and roomy.occ.shape == (n, 4096)
+    assert [_replica(tight, i) for i in range(n)] == [
+        _replica(roomy, i) for i in range(n)]
+
+
+def test_final_keys_read_the_bitmap_as_clip_key_reads_the_sites():
+    # the keys read from the bitmap at once equal clip_key of each
+    # survivor's recentered sites, and so equal simulate_edge_trajectory
+    # run on the same words; depth 6 clips most survivors of [-20, 0]
+    n = 200
+    words = np.concatenate([_stream_state(8, r) for r in range(n)])
+    pop = FreePopulation(range(-20, 1), 0.5, n, words)
+    pop.advance_to(2.0)
+    alive = np.nonzero(pop.alive_mask())[0]
+    clipped_at = {}
+    for depth in (6, 40):
+        keys, clipped = pop.final_keys(alive, depth)
+        want = [clip_key(recenter(pop.sites[i, :pop.counts[i]])[0], depth)
+                for i in alive]
+        assert keys == [k for k, _ in want]
+        assert clipped == sum(c > 0 for _, c in want)
+        clipped_at[depth] = clipped
+        trajs = [simulate_edge_trajectory(FullInterval(20), 0.5, 2.0, depth,
+                                          8, stream=r) for r in range(n)]
+        assert [t.survived for t in trajs] == pop.alive_mask().tolist()
+        assert keys == [encode_key(trajs[i].final, depth) for i in alive]
+    assert 0 < clipped_at[6] and clipped_at[40] < clipped_at[6]
