@@ -1,5 +1,6 @@
-"""Tests for yaglom: its module-level state, its start configurations, and
-its estimates checked against the exact truncated chain."""
+"""Tests for yaglom: its module-level state, the free population's growth,
+its start configurations, and its estimates checked against the exact
+truncated chain."""
 
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from cpqsd import yaglom
-from cpqsd.edge import FullInterval, cylinder_restrict, tv_distance
+from cpqsd.edge import (FreePopulation, FullInterval, cylinder_restrict,
+                        tv_distance)
 from cpqsd.errors import ParameterError
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
                             dominant_eigenpair, key_to_index, survival_curve,
@@ -42,6 +44,40 @@ def test_rough_alpha_is_the_depth_8_decay_rate():
 
     want = dominant_eigenpair(build_generator(8, 0.5)).alpha
     assert yaglom._rough_alpha(0.5) == want
+
+
+def test_free_population_growth_resumes_exactly():
+    # 20 replicas are handed to free_run at once, and their grown site
+    # lists are written back into a window and a capacity that grow to
+    # hold them: the population ends exactly as one that never grows
+    n = 20
+    words = yaglom._words((3, 0, 0), n)
+    tight = FreePopulation([0, 1, 2, 3], 1.2, n, words)
+    roomy = FreePopulation([0, 1, 2, 3], 1.2, n, words)
+    tight.sites = tight.sites[:, :4].copy()
+    tight.occ = tight.occ[:, -tight.lo:4 - tight.lo].copy()
+    tight.lo = 0
+    roomy.sites = np.zeros((n, 1024), np.int32)
+    roomy.sites[:, :4] = [0, 1, 2, 3]
+    roomy.occ = np.zeros((n, 4096), np.int8)
+    roomy.lo = -2048
+    roomy.occ[:, 2048:2052] = 1
+    for t_end in (3.0, 6.0):
+        tight.advance_to(t_end)
+        roomy.advance_to(t_end)
+    assert tight.sites.shape[1] > 4 and tight.occ.shape[1] > 4
+    assert roomy.sites.shape == (n, 1024) and roomy.occ.shape == (n, 4096)
+    assert np.array_equal(tight.counts, roomy.counts)
+    assert np.array_equal(tight.tnows, roomy.tnows)
+    assert np.array_equal(tight.states, roomy.states)
+    for pop in (tight, roomy):
+        for i in range(n):
+            marked = np.nonzero(pop.occ[i])[0] + pop.lo
+            assert np.array_equal(np.sort(pop.sites[i, :pop.counts[i]]),
+                                  marked)
+    for i in range(n):
+        c = roomy.counts[i]
+        assert np.array_equal(tight.sites[i, :c], roomy.sites[i, :c])
 
 
 # ===== start configurations =====
