@@ -1,4 +1,5 @@
-"""Seconds per op of the Monte Carlo ops, for one or more src/ trees.
+"""Seconds per op of the Monte Carlo and exact-chain ops, for one or more
+src/ trees.
 
 The ops: the four of the qsd_mc workload (free: yaglom_estimate from {0}
 at lambda 0.5 to t 8, 1000 replicas; dense: lambda 1 to t 16, 300
@@ -13,7 +14,10 @@ from FullInterval(20), lambda 0.5, t 2, depth 12); the stragglers op
 advanced to t 20 at lambda 0.5, where late steps carry few replicas); and
 three chain-walk ops (walk_L12 and walk_L14: building the walk arrays of
 the depth-12 and depth-14 chains; q_process: 20 000 jumps of the
-h-transformed depth-10 chain).
+h-transformed depth-10 chain); and the three ops of the exact_chain
+workload at depth 16 and lambda 0.5 (solve_clip and solve_kill: build and
+solve the chain under each policy; law: survival_curve from key 1 at
+t = 1..16 and yaglom_exact from key 1 at t = 8).
 
 Each repeat runs one fresh child process per tree, in an order that
 alternates between repeats, and the child times every op once on the
@@ -23,7 +27,7 @@ the median and quartiles of each op's seconds.  Output checks are the
 benchmark's business, not this script's.
 
     python bench/mc_ops.py --tree parent=../parent/src --tree change=src \\
-        --out BENCH_8.json
+        --out BENCH_9.json
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ def ops():
     g12 = S.build_generator(12, LAM, S.POLICY_CLIP)
     g14 = S.build_generator(14, LAM, S.POLICY_CLIP)
     g10 = S.build_generator(10, LAM, S.POLICY_CLIP)
+    g16 = S.build_generator(16, LAM, S.POLICY_CLIP)
     res10 = S.dominant_eigenpair(g10)
     split = Y.Splitting()
 
@@ -58,6 +63,14 @@ def ops():
             for r in range(100):
                 E.simulate_edge_trajectory(init, LAM, 2.0, 12, s, stream=r)
         return call
+
+    def solve(policy):
+        return lambda s: S.dominant_eigenpair(S.build_generator(16, LAM,
+                                                                policy))
+
+    def law(s):
+        S.survival_curve(g16, 1, [float(t) for t in range(1, 17)])
+        S.yaglom_exact(g16, 1, 8.0)
 
     def stragglers(s):
         words = np.random.SeedSequence((s, 0)).generate_state(20, np.uint64)
@@ -83,6 +96,9 @@ def ops():
         "chain/walk_L14": lambda s: Y._chain_walk(g14),
         "chain/q_process": lambda s: Y.q_process_simulate(res10, g10, 20_000,
                                                           s),
+        "exact_chain/solve_clip": solve(S.POLICY_CLIP),
+        "exact_chain/solve_kill": solve(S.POLICY_KILL),
+        "exact_chain/law": law,
     }
 
 
@@ -154,7 +170,8 @@ def main(argv=None):
     record = {
         "what": "seconds per op of the qsd_mc ops, the edge_log sampling "
                 "ops, the one-replica and stragglers ops of the free "
-                "process and the chain-walk ops, median and quartiles over "
+                "process, the chain-walk ops and the exact_chain ops, "
+                "median and quartiles over "
                 "--repeats seeds; each repeat times every tree in a fresh "
                 "child process, in alternating order",
         "command": "python bench/mc_ops.py "

@@ -31,8 +31,9 @@ POLICY_KILL = "kill"
 # states, 45M nonzeros, 1.7 GB peak, 80 s; each further L doubles both
 _MAX_L = 22
 # largest chain solved by power iteration (L <= 12); ARPACK above.  Measured
-# crossover: at L = 12 power iteration takes 0.12 s, ARPACK 0.03 s plus
-# 0.13 s to import scipy.sparse.linalg, which small chains thus never load
+# crossover (2-core VM): at L = 12 power iteration takes 0.09-0.10 s, ARPACK
+# at tol / 1000 0.02 s plus 0.09 s to import scipy.sparse.linalg, which
+# small chains thus never load
 _POWER_MAX_STATES = 2048
 
 
@@ -71,8 +72,8 @@ class TruncatedGenerator:
         """Off-diagonal transitions out of `key` as [(target_key, rate)]."""
         i = key_to_index(key)
         row = self.Q.getrow(i).tocoo()
-        return sorted((index_to_key(j), r) for j, r in zip(row.col, row.data)
-                      if j != i)
+        return sorted((index_to_key(int(j)), float(r))
+                      for j, r in zip(row.col, row.data) if j != i)
 
     def absorption_rate_of(self, key):
         return float(self.absorption[key_to_index(key)])
@@ -223,10 +224,11 @@ def load_spectral(path):
 
 
 def _sigma(gen):
-    """Uniformization rate for P = I + Q/sigma.  sigma sits 25% above the
-    largest exit rate so P has positive diagonal everywhere: with sigma
-    exactly at the maximum the two-state chain alternates and power
-    iteration cycles."""
+    """Uniformization rate of the power iteration's step v + vQ/sigma.
+    sigma sits 25% above the largest exit rate so the step's kernel has
+    positive diagonal everywhere: with sigma exactly at the maximum the
+    two-state chain alternates and power iteration cycles.  The semigroup
+    series needs no such margin and uniformizes at the maximum itself."""
     return 1.25 * float(gen.exit_rates().max())
 
 
@@ -304,8 +306,16 @@ class _Exhausted(Exception):
 
 
 def _arpack_eigenpair(gen, tol, max_iters):
-    """Rightmost eigenvector of Q and of Q.T by ARPACK, at full precision
-    (tol=0) from the fixed start vector 1, so reruns are bit-identical."""
+    """Rightmost eigenvector of Q.T and of Q by ARPACK, from fixed start
+    vectors, so reruns are bit-identical.
+
+    ARPACK's relative Ritz tolerance is tol / 1000: the certificate asks
+    for residuals of tol, and running to machine precision (ARPACK's
+    tol=0) took a fifth to three quarters more operator applications at
+    L = 13-20 for digits the certificate discards.  The left solve starts
+    from the singleton state, whose Krylov space holds the laws started
+    there; the right one from 1, whose Krylov space holds the survival
+    functions P^k 1."""
     # imported here: scipy.sparse.linalg costs several MB and tens of ms,
     # which small chains never need
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
@@ -314,7 +324,7 @@ def _arpack_eigenpair(gen, tol, max_iters):
     QT = gen.Q.T.tocsr()
     applied = 0
 
-    def rightmost(M):
+    def rightmost(M, v0):
         def matvec(x):
             nonlocal applied
             if applied >= max_iters:
@@ -323,12 +333,13 @@ def _arpack_eigenpair(gen, tol, max_iters):
             return M @ x
 
         op = LinearOperator((n, n), matvec=matvec, dtype=float)
-        _, vecs = eigs(op, k=1, which="LR", tol=0, v0=np.ones(n))
+        _, vecs = eigs(op, k=1, which="LR", tol=1e-3 * tol, v0=v0)
         return np.real(vecs[:, 0])
 
     try:
-        v = rightmost(QT)
-        h = rightmost(gen.Q)
+        # the left solve starts from the singleton state (index 0, key 1)
+        v = rightmost(QT, np.eye(1, n)[0])
+        h = rightmost(gen.Q, np.ones(n))
     except (_Exhausted, ArpackNoConvergence):
         raise ResolutionError(
             f"ARPACK did not converge in {max_iters} operator applications "
@@ -357,40 +368,53 @@ def _times(times):
 
 
 def _series(gen, v, times, rtol):
-    """{t: v e^{Qt}} for each distinct t > 0 in times, by one pass of the
-    uniformized Poisson series.
+    """Masses of v e^{Qt} for each distinct t > 0 in times, and the row
+    v e^{Qt} itself at the largest of them, by one pass of the uniformized
+    Poisson series.
 
-    u_k = v P^k is computed once and each t adds e^{-m} m^k / k! u_k
-    (m = sigma t) to its own row.  sum(u_k) does not increase with k (P is
-    substochastic), so the l1 norm of the tail after K terms is at most
-    P(Poisson(m) > K) * sum(u_K); a time's series closes once that bound
-    is below rtol times the mass of its row.
+    With sigma the largest exit rate, P = I + Q/sigma is nonnegative and
+    substochastic, and v e^{Qt} = sum_k e^{-m} m^k / k! u_k with m = sigma t
+    and u_k = v P^k.  u_k is computed once; each time adds its Poisson
+    weight times sum(u_k) to its mass, and the largest time adds its
+    weighted u_k to the row.  sum(u_k) does not increase with k, so the l1
+    norm of the tail after K terms is at most P(Poisson(m) > K) sum(u_K); a
+    time's series closes once that bound is below rtol times its mass.
+    Returns ({t: mass}, row), the row all zeros when no time is positive.
     """
-    sigma = _sigma(gen)
-    PT = (gen.Q.T / sigma + sp.identity(gen.nstates, format="csr")).tocsr()
-    pending = sorted({t for t in times if t > 0})
-    rows = {t: np.zeros(gen.nstates) for t in pending}
-    mass = dict.fromkeys(pending, 0.0)
+    sigma = float(gen.exit_rates().max())
+    # P^T from a transposed copy: Q stores every diagonal entry, so adding
+    # 1 there keeps the sparsity pattern
+    PT = gen.Q.T.tocsr()
+    PT.data /= sigma
+    PT.setdiag(PT.diagonal() + 1.0)
+    ts = np.array(sorted({t for t in times if t > 0}))
+    m = sigma * ts
+    log_m = np.log(m)
+    k_max = m + 60.0 * np.sqrt(m + 1) + 1000
+    mass = np.zeros(len(ts))
+    open_ = np.ones(len(ts), dtype=bool)
+    row = np.zeros(gen.nstates)
     u = v
     k = 0
-    while pending:
-        u_sum = float(u.sum())
-        for t in list(pending):
-            m = sigma * t
-            w = math.exp(-m + k * math.log(m) - gammaln(k + 1))
-            rows[t] += w * u
-            mass[t] += w * u_sum
-            tail = float(gammainc(k + 1, m))
-            if k >= 1 and tail * u_sum <= rtol * mass[t]:
-                pending.remove(t)
-            elif k > int(m + 60.0 * math.sqrt(m + 1) + 1000):
-                raise ResolutionError(
-                    f"semigroup series for t={t} did not close by k={k} "
-                    f"(tail {tail:.3e})")
-        if pending:
+    while open_.any():
+        if k:
             u = PT @ u
-            k += 1
-    return rows
+        u_sum = float(u.sum())
+        w = np.exp(-m + k * log_m - gammaln(k + 1))
+        mass[open_] += w[open_] * u_sum
+        if open_[-1]:
+            row += w[-1] * u
+        tail = gammainc(k + 1, m)
+        if k >= 1:
+            open_ &= tail * u_sum > rtol * mass
+        stuck = np.flatnonzero(open_ & (k > k_max))
+        if stuck.size:
+            i = stuck[0]
+            raise ResolutionError(
+                f"semigroup series for t={ts[i]} did not close by k={k} "
+                f"(tail {tail[i]:.3e})")
+        k += 1
+    return dict(zip(ts.tolist(), mass.tolist())), row
 
 
 def _start_vector(gen, start):
@@ -410,15 +434,16 @@ def _start_vector(gen, start):
 def survival_curve(gen, start, times, rtol=1e-12):
     """P(tau > t) for each t, from a canonical key or a mixture vector.
 
-    One pass of the uniformized series serves every time.  Each value is
-    the mass of v e^{Qt} with its series truncated where the tail's l1
-    bound falls below rtol times the mass kept, so it lies within relative
-    rtol below the exact survival probability (up to rounding).
+    One pass of the uniformized series serves every time, carrying one
+    scalar mass per time.  Each value is the mass of v e^{Qt} with its
+    series truncated where the tail's l1 bound falls below rtol times the
+    mass kept, so it lies within relative rtol below the exact survival
+    probability (up to rounding).
     """
     v = _start_vector(gen, start)
     times = _times(times)
-    rows = _series(gen, v, times, rtol)
-    return [float(rows[t].sum()) if t > 0 else 1.0 for t in times]
+    mass, _ = _series(gen, v, times, rtol)
+    return [mass[t] if t > 0 else 1.0 for t in times]
 
 
 def yaglom_exact(gen, start, t, rtol=1e-12):
@@ -431,7 +456,7 @@ def yaglom_exact(gen, start, t, rtol=1e-12):
     """
     (t,) = _times([t])
     v = _start_vector(gen, start)
-    row = _series(gen, v, [t], rtol)[t] if t > 0 else v
+    row = _series(gen, v, [t], rtol)[1] if t > 0 else v
     total = row.sum()
     if total <= 0:
         raise ResolutionError("no surviving mass in the conditioned law")

@@ -7,6 +7,7 @@ implementation uses.  At lambda = 0.5 every rate is a small multiple of
 the comparison is literal equality.
 """
 
+import inspect
 import itertools
 import math
 import os
@@ -15,6 +16,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cpqsd
 from cpqsd.edge import EmpiricalDistribution, cylinder_restrict, decode_key, tv_distance
@@ -182,6 +184,12 @@ class TestGeneratorOracle:
         assert np.all(exits > 0)
         assert exits[key_to_index(1)] == 1.0 + 2 * 0.5
 
+    def test_row_of_returns_python_numbers(self):
+        row = build_generator(6, 0.5, POLICY_KILL).row_of(5)
+        assert row
+        for key, rate in row:
+            assert type(key) is int and type(rate) is float
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             build_generator(0, 0.5)
@@ -288,7 +296,7 @@ class TestArpackEigenpair:
     iteration, run on the same chain, is the reference."""
 
     @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
-    @pytest.mark.parametrize("L", [13, 14])
+    @pytest.mark.parametrize("L", [13, 14, 15])
     def test_agrees_with_power_iteration(self, L, policy):
         gen = build_generator(L, 0.5, policy)
         assert gen.nstates > _POWER_MAX_STATES
@@ -301,6 +309,16 @@ class TestArpackEigenpair:
         assert res.residual_right <= 1e-10
         assert res.nu.sum() == pytest.approx(1.0, abs=1e-14)
         assert float(res.nu @ res.h) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    @pytest.mark.parametrize("L", [13, 14, 15])
+    def test_residuals_keep_a_tenfold_margin(self, L, policy):
+        # ARPACK stops at a relative Ritz tolerance derived from tol, so
+        # the certificate must pass with room to spare, not by a hair
+        tol = inspect.signature(dominant_eigenpair).parameters["tol"].default
+        res = spectral(L, policy=policy)
+        assert res.residual_left <= tol / 10
+        assert res.residual_right <= tol / 10
 
     @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
     def test_positive_vectors(self, policy):
@@ -440,6 +458,38 @@ class TestSemigroup:
             survival_curve(gen, np.ones(3), [1.0])
         with pytest.raises(ParameterError):
             survival_curve(gen, -np.ones(gen.nstates), [1.0])
+
+
+class TestSemigroupAgainstExpm:
+    """survival_curve and yaglom_exact against rows of the dense matrix
+    exponential scipy.linalg.expm(Q t), which shares no code with the
+    uniformized series."""
+
+    # unsorted, with a repeat and t = 0 twice
+    TIMES = [2.5, 0.0, 0.3, 2.5, 6.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("lam", [0.5, 1.3])
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    def test_matches_dense_expm(self, L, policy, lam):
+        gen = build_generator(L, lam, policy)
+        n = gen.nstates
+        Q = gen.Q.toarray()
+        expm = {t: scipy.linalg.expm(Q * t) for t in set(self.TIMES)}
+        mixture = np.linspace(1.0, 2.0, n)
+        starts = [(1, np.eye(n)[0]), (index_to_key(n - 1), np.eye(n)[n - 1]),
+                  (mixture, mixture / mixture.sum())]
+        for start, v in starts:
+            got = survival_curve(gen, start, self.TIMES)
+            for t, p in zip(self.TIMES, got):
+                row = v @ expm[t]
+                want = float(row.sum())
+                assert abs(p - want) <= 1e-11 * want, (start, t)
+                # the truncated series lies below the exact value; 1e-14
+                # allows for expm's own rounding
+                assert p <= want * (1 + 1e-14), (start, t)
+                law = yaglom_exact(gen, start, t)
+                assert np.abs(law - row / want).sum() <= 1e-11, (start, t)
 
 
 class TestSerialization:
