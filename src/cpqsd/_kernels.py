@@ -1,21 +1,15 @@
 """Hot loops shared by the simulation modules.
 
-Two kinds of kernel live here:
-  * scalar loops (u64, unit, exponential, the mark generator and sorter,
-    the forward/backward sweeps, jump_dp) are written once as plain numpy
-    functions and compiled by _jit with numba when available.  Set
-    CPQSD_NUMBA=0 to force the interpreted fallback (a safety net on
-    machines without a working numba).  Both paths execute the same
-    source, so results are bit-identical.  The interpreted path enters
-    np.errstate(over="ignore") once, on the outermost kernel call of each
-    thread: kernels called from inside a kernel run their plain function.
-  * the walks are plain numpy and never compiled, and array arithmetic
-    wraps silently.  Each comes as a population moved in lockstep and as
-    one path that takes a block of draws at a time, and the two make the
-    same draws by the same rule: for the contact process on Z,
-    gillespie_free_batch and free_run (thinning at rate n (1 + 2 lam) over
-    an unordered site list); for the depth-L chain, gillespie_chain_batch
-    and occupation_run (targets by _chain_jump).
+Every kernel is a plain Python function over numpy arrays, never compiled:
+  * the graphical-log loops (the mark generator and sorter, the
+    forward/backward sweeps, jump_dp) run one mark at a time over the
+    struct-of-arrays marks;
+  * the walks each come as a population moved in lockstep and as one path
+    that takes a block of draws at a time, and the two make the same draws
+    by the same rule: for the contact process on Z, gillespie_free_batch
+    and free_run (thinning at rate n (1 + 2 lam) over an unordered site
+    list); for the depth-L chain, gillespie_chain_batch and occupation_run
+    (targets by _chain_jump).
 
 Conventions:
   * marks are struct-of-arrays: times f8, kinds i1 (0=recovery, 1=arrow),
@@ -23,48 +17,18 @@ Conventions:
   * occupancy arrays are int8 over window sites, index = site - lo;
   * in-kernel randomness is splitmix64 seeded from a uint64 per replica,
     state passed as a one-element uint64 array so calls can mutate it (the
-    lockstep walks advance a whole array of such words at once).
+    lockstep walks advance a whole array of such words at once).  Every
+    draw goes through the one splitmix64, _units, which mixes whole uint64
+    arrays, whose arithmetic wraps silently: no kernel does scalar uint64
+    arithmetic, so none depends on numpy's floating-point error state.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-import threading
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("CPQSD_NUMBA", "1") != "0"
-if USE_NUMBA:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        numba = None
-        USE_NUMBA = False
-
-
-_in_kernel = threading.local()
-
-
-def _jit(fn):
-    if USE_NUMBA:
-        return numba.njit(cache=True)(fn)
-
-    # interpreted path: uint64 scalar arithmetic overflows by design.
-    # Entering errstate costs more than a random draw, so only the outermost
-    # kernel call of a thread enters it; nested calls run fn as it is.
-    @functools.wraps(fn)
-    def wrapper(*args):
-        if getattr(_in_kernel, "on", False):
-            return fn(*args)
-        _in_kernel.on = True
-        try:
-            with np.errstate(over="ignore"):
-                return fn(*args)
-        finally:
-            _in_kernel.on = False
-
-    return wrapper
+# every kernel here is interpreted; the bench harnesses record this
+USE_NUMBA = False
 
 
 # ===== splitmix64 =====
@@ -75,35 +39,10 @@ _SM_M2 = np.uint64(0x94D049BB133111EB)
 _U53 = np.float64(1.0 / 9007199254740992.0)  # 2**-53
 
 
-def _u64_py(state):
-    state[0] = state[0] + _SM_GAMMA
-    z = state[0]
-    z = (z ^ (z >> np.uint64(30))) * _SM_M1
-    z = (z ^ (z >> np.uint64(27))) * _SM_M2
-    return z ^ (z >> np.uint64(31))
-
-
-u64 = _jit(_u64_py)
-
-
-def _unit_py(state):
-    # uniform on (0, 1]; never 0 so log() is safe
-    return (np.float64(u64(state) >> np.uint64(11)) + 1.0) * _U53
-
-
-unit = _jit(_unit_py)
-
-
-def _exponential_py(state, rate):
-    return -np.log(unit(state)) / rate
-
-
-exponential = _jit(_exponential_py)
-
-
 def _units(words):
     """Advance every splitmix64 word of the array in place and return one
-    uniform on (0, 1] per word: the value unit() draws from that word."""
+    uniform on (0, 1] per word, never 0 so log() is safe: the top 53 bits
+    of the mixed word, plus one, times 2**-53."""
     words += _SM_GAMMA
     z = words >> 30
     z ^= words
@@ -128,9 +67,14 @@ def _block(state, m):
     return words, _units(words)
 
 
+def _exponential(state, rate):
+    """Exponential draw at `rate` from the word state[0], which advances."""
+    return -np.log(_units(state)[0]) / rate
+
+
 # ===== mark generation =====
 
-def _gen_marks_py(lo, hi, t0, t1, lam, state, times, kinds, src, dst):
+def gen_marks(lo, hi, t0, t1, lam, state, times, kinds, src, dst):
     """Per-line exponential interarrivals, fixed line order, unsorted output.
 
     Line order: recovery lines lo..hi, right arrows x->x+1 for x<hi, left
@@ -141,7 +85,7 @@ def _gen_marks_py(lo, hi, t0, t1, lam, state, times, kinds, src, dst):
     cap = times.shape[0]
     n = 0
     for x in range(lo, hi + 1):
-        t = t0 + exponential(state, 1.0)
+        t = t0 + _exponential(state, 1.0)
         while t <= t1:
             if n >= cap:
                 return -1
@@ -150,10 +94,10 @@ def _gen_marks_py(lo, hi, t0, t1, lam, state, times, kinds, src, dst):
             src[n] = x
             dst[n] = x
             n += 1
-            t += exponential(state, 1.0)
+            t += _exponential(state, 1.0)
     if lam > 0.0:
         for x in range(lo, hi):
-            t = t0 + exponential(state, lam)
+            t = t0 + _exponential(state, lam)
             while t <= t1:
                 if n >= cap:
                     return -1
@@ -162,9 +106,9 @@ def _gen_marks_py(lo, hi, t0, t1, lam, state, times, kinds, src, dst):
                 src[n] = x
                 dst[n] = x + 1
                 n += 1
-                t += exponential(state, lam)
+                t += _exponential(state, lam)
         for x in range(lo + 1, hi + 1):
-            t = t0 + exponential(state, lam)
+            t = t0 + _exponential(state, lam)
             while t <= t1:
                 if n >= cap:
                     return -1
@@ -173,14 +117,12 @@ def _gen_marks_py(lo, hi, t0, t1, lam, state, times, kinds, src, dst):
                 src[n] = x
                 dst[n] = x - 1
                 n += 1
-                t += exponential(state, lam)
+                t += _exponential(state, lam)
     return n
 
 
-gen_marks = _jit(_gen_marks_py)
 
-
-def _sort_marks_py(times, kinds, src, dst, n, times_s, kinds_s, src_s, dst_s):
+def sort_marks(times, kinds, src, dst, n, times_s, kinds_s, src_s, dst_s):
     order = np.argsort(times[:n])
     for i in range(n):
         j = order[i]
@@ -190,12 +132,10 @@ def _sort_marks_py(times, kinds, src, dst, n, times_s, kinds_s, src_s, dst_s):
         dst_s[i] = dst[j]
 
 
-sort_marks = _jit(_sort_marks_py)
-
 
 # ===== forward / backward sweeps =====
 
-def _evolve_sweep_py(times, kinds, src, dst, n, occ, lo, hi, s, t):
+def evolve_sweep(times, kinds, src, dst, n, occ, lo, hi, s, t):
     """Apply marks with s < time <= t to occupancy occ (int8, index site-lo).
 
     Returns 1 if the occupied set ever included a window boundary site
@@ -220,10 +160,8 @@ def _evolve_sweep_py(times, kinds, src, dst, n, occ, lo, hi, s, t):
     return touched
 
 
-evolve_sweep = _jit(_evolve_sweep_py)
 
-
-def _backward_sweep_py(times, kinds, src, dst, n, b, lo, delta_site, delta_above):
+def backward_sweep(times, kinds, src, dst, n, b, lo, delta_site, delta_above):
     """Backward reachability to the top line.
 
     On entry b must be all ones (state on the interval above the last mark).
@@ -253,12 +191,10 @@ def _backward_sweep_py(times, kinds, src, dst, n, b, lo, delta_site, delta_above
     return 0
 
 
-backward_sweep = _jit(_backward_sweep_py)
-
 
 # ===== jump-count dynamic program =====
 
-def _jump_dp_py(times, kinds, src, dst, n, J, lo, hi, z, s, t):
+def jump_dp(times, kinds, src, dst, n, J, lo, hi, z, s, t):
     """Max jumps over lambda-paths from (z, s) by each site within (s, t].
 
     J must be int32, all -1; J[z-lo] is set to 0 here.  Returns
@@ -284,8 +220,6 @@ def _jump_dp_py(times, kinds, src, dst, n, J, lo, hi, z, s, t):
         censored = 1
     return best, censored
 
-
-jump_dp = _jit(_jump_dp_py)
 
 
 # ===== contact process, direct event simulation =====

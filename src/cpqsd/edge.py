@@ -259,11 +259,23 @@ def distribution_from_csv(path):
             if line == "key,count":
                 continue
             ks, _, vs = line.partition(",")
-            weights[int(ks)] = float(vs)
+            try:
+                weights[int(ks)] = float(vs)
+            except ValueError:
+                raise ParameterError(
+                    f"{path}: unparseable row {line!r}") from None
     if "depth" not in meta:
         raise ParameterError(f"{path} has no depth in its header")
     depth = meta.pop("depth")
     replicas = meta.pop("replicas", 0)
+    if not (isinstance(depth, int) and depth >= 1
+            and isinstance(replicas, int) and replicas >= 0):
+        raise ParameterError(
+            f"{path}: bad depth {depth!r} or replicas {replicas!r}")
+    for k, w in weights.items():
+        if not (k >= 0 and k.bit_length() <= depth and 0 <= w < math.inf):
+            raise ParameterError(
+                f"{path}: row {k},{w} is out of range at depth {depth}")
     return EmpiricalDistribution(depth, weights, replicas, meta)
 
 

@@ -493,43 +493,47 @@ def to_text(log):
 
 
 def from_text(text):
+    """Inverse of to_text.  Raises ParameterError on a line it cannot read:
+    an unknown record, a short header, or a site or time that is not a
+    number."""
     window = None
     lam = None
     seed_record = None
     ties = False
     times, kinds, src, dst = [], [], [], []
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "#":
-            if len(parts) >= 2 and parts[1] == "window":
-                window = SiteWindow(int(parts[2]), int(parts[3]),
-                                    float(parts[4]))
-            elif len(parts) >= 2 and parts[1] == "lambda":
-                lam = float(parts[2])
-            elif len(parts) >= 2 and parts[1] == "seed":
-                seed_record = (int(parts[2]), int(parts[3]))
-            elif len(parts) >= 2 and parts[1] == "ties":
-                ties = parts[2] != "0"
-            continue
-        if parts[0] == "R" and len(parts) == 3:
-            x = int(parts[1])
-            times.append(float(parts[2]))
-            kinds.append(0)
-            src.append(x)
-            dst.append(x)
-        elif parts[0] == "A" and len(parts) == 4:
-            times.append(float(parts[3]))
-            kinds.append(1)
-            src.append(int(parts[1]))
-            dst.append(int(parts[2]))
-        else:
-            raise ParameterError(f"unparseable log line {ln}: {raw!r}")
+        try:
+            if parts[0] == "#":
+                if len(parts) >= 2 and parts[1] == "window":
+                    window = (int(parts[2]), int(parts[3]), float(parts[4]))
+                elif len(parts) >= 2 and parts[1] == "lambda":
+                    lam = float(parts[2])
+                elif len(parts) >= 2 and parts[1] == "seed":
+                    seed_record = (int(parts[2]), int(parts[3]))
+                elif len(parts) >= 2 and parts[1] == "ties":
+                    ties = parts[2] != "0"
+                continue
+            if parts[0] == "R" and len(parts) == 3:
+                kind, x, t = 0, int(parts[1]), float(parts[2])
+                y = x
+            elif parts[0] == "A" and len(parts) == 4:
+                kind, x, t = 1, int(parts[1]), float(parts[3])
+                y = int(parts[2])
+            else:
+                raise ValueError
+        except (IndexError, ValueError):
+            raise ParameterError(
+                f"unparseable log line {ln}: {raw!r}") from None
+        times.append(t)
+        kinds.append(kind)
+        src.append(x)
+        dst.append(y)
     if window is None:
         raise ParameterError("log text has no `# window lo hi horizon` header")
-    return EventLog(window, times, kinds, src, dst, lam=lam,
+    return EventLog(SiteWindow(*window), times, kinds, src, dst, lam=lam,
                     seed_record=seed_record, tie_flag=ties or None)
 
 

@@ -243,8 +243,10 @@ def dominant_eigenpair(gen, tol=1e-10, max_iters=200_000):
     sup-norm residuals below tol and the l1 left residual below 10*tol (the
     l1 norm is what propagates into semigroup errors).  Raises
     ResolutionError, quoting the residuals where known, when that fails or
-    when max_iters is used up.
+    when max_iters is used up, and ParameterError unless tol is finite and
+    > 0.
     """
+    _check_tolerance("tol", tol)
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     if gen.nstates <= _POWER_MAX_STATES:
@@ -359,6 +361,11 @@ def _arpack_eigenpair(gen, tol, max_iters):
 
 # ===== uniformized semigroup series =====
 
+def _check_tolerance(name, value):
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
 def _times(times):
     times = [float(t) for t in times]
     for t in times:
@@ -440,6 +447,7 @@ def survival_curve(gen, start, times, rtol=1e-12):
     mass kept, so it lies within relative rtol below the exact survival
     probability (up to rounding).
     """
+    _check_tolerance("rtol", rtol)
     v = _start_vector(gen, start)
     times = _times(times)
     mass, _ = _series(gen, v, times, rtol)
@@ -454,6 +462,7 @@ def yaglom_exact(gen, start, t, rtol=1e-12):
     rtol times the mass kept, so the normalized law is within 2 rtol of the
     exact one in l1 (up to rounding).
     """
+    _check_tolerance("rtol", rtol)
     (t,) = _times([t])
     v = _start_vector(gen, start)
     row = _series(gen, v, [t], rtol)[1] if t > 0 else v

@@ -11,7 +11,7 @@ fractions, which is itself the survival-probability estimate.
 
 Randomness discipline: every kernel stream is derived from a seed tuple, the
 resampler has its own stream, and resampling is done by a single generator
-in replica order, so results are reproducible and independent of threading.
+in replica order, so results are reproducible and independent of scheduling.
 Each replica owns one uint64 word of its population's stream and draws from
 it with splitmix64.  The free process and the depth-L chain both move in
 lockstep walks that draw for all live replicas at once, each from its own

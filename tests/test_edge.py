@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpqsd.edge import (
     EdgeConfiguration,
@@ -46,6 +48,15 @@ class TestRecenterAndKeys:
             cfg, _ = recenter(sites)
             again, shift = recenter(cfg)
             assert again == cfg and shift == 0
+
+    @settings(derandomize=True, deadline=None)
+    @given(sites=st.sets(st.integers(-50, 50), max_size=10),
+           c=st.integers(-2**40, 2**40))
+    def test_recenter_is_shift_invariant(self, sites, c):
+        # shifting every site moves the edge, never the configuration
+        cfg, shift = recenter(sites)
+        assert recenter({x + c for x in sites}) == (
+            cfg, shift + c if sites else 0)
 
     def test_configuration_validation(self):
         assert EdgeConfiguration() == frozenset()
@@ -153,6 +164,19 @@ class TestEmpiricalDistribution:
     def test_csv_requires_depth(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("key,count\n1,2.0\n")
+        with pytest.raises(ParameterError):
+            distribution_from_csv(path)
+
+    @pytest.mark.parametrize("header, row", [
+        ("depth=4", "1"), ("depth=4", "x,2.0"), ("depth=4", "1,two"),
+        ("depth=4", "1,2.0,3"), ("depth=4", ","), ("depth=4", "-1,2.0"),
+        ("depth=4", "17,2.0"), ("depth=4", "1,nan"), ("depth=4", "1,-1.0"),
+        ("depth=x", "1,2.0"), ("depth=0", "0,2.0"), ("depth=2.5", "1,2.0"),
+        ("depth=4 replicas=x", "1,2.0"), ("depth=4 replicas=-1", "1,2.0"),
+    ])
+    def test_csv_rejects_malformed_rows(self, tmp_path, header, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# {header}\nkey,count\n1,2.0\n{row}\n")
         with pytest.raises(ParameterError):
             distribution_from_csv(path)
 
@@ -270,6 +294,24 @@ class TestFlowConsistency:
             # an extinct process has no edge position
             if one[0]:
                 assert two[1] == one[1]
+
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           zeta=st.sets(st.integers(-4, -1), max_size=3),
+           offset=st.integers(-8, 4), s=st.floats(0.0, 3.0))
+    def test_two_steps_equal_one(self, seed, zeta, offset, s):
+        # edge_evolve composes: stepping to s and on to t, from the edge
+        # and offset of the first step, ends where one step to t ends
+        log = sample_event_log(SiteWindow(-14, 6, 3.0), 0.7, seed)
+        zeta = EdgeConfiguration(zeta | {0})
+        one = edge_evolve(zeta, offset, log, 0.0, 3.0)
+        mid = edge_evolve(zeta, offset, log, 0.0, s)
+        two = edge_evolve(mid[0], mid[1], log, s, 3.0)
+        assert two[0] == one[0]
+        # an extinct process has no edge position
+        if one[0]:
+            assert two[1] == one[1]
+        assert one[2] == (mid[2] or two[2])
 
     def test_shift_is_absolute_position(self):
         window = SiteWindow(-10, 10, 2.0)

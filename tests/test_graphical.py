@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpqsd.errors import CensoredError, ParameterError
 from cpqsd.graphical import (
@@ -141,25 +143,26 @@ class TestEvolve:
             got = evolve(start, log, s, t)
             assert got == open_reach(marks, start, s, t)
 
-    def test_monotone_in_start_set(self):
-        rng = np.random.default_rng(7)
-        w = SiteWindow(-6, 6, 1.5)
-        for k in range(30):
-            log = sample_event_log(w, 0.8, seed=40, stream=k)
-            a = {int(x) for x in rng.integers(-6, 7, 2)}
-            b = a | {int(x) for x in rng.integers(-6, 7, 3)}
-            assert evolve(a, log, 0.0, 1.5) <= evolve(b, log, 0.0, 1.5)
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           a=st.sets(st.integers(-6, 6), max_size=4),
+           more=st.sets(st.integers(-6, 6), max_size=4))
+    def test_monotone_in_start_set(self, seed, stream, a, more):
+        # attractiveness: a larger start set stays larger
+        log = sample_event_log(SiteWindow(-6, 6, 1.5), 0.8, seed, stream)
+        assert evolve(a, log, 0.0, 1.5) <= evolve(a | more, log, 0.0, 1.5)
 
-    def test_flow_property(self):
-        rng = np.random.default_rng(8)
-        w = SiteWindow(-6, 6, 2.0)
-        for k in range(30):
-            log = sample_event_log(w, 0.8, seed=41, stream=k)
-            a = {int(x) for x in rng.integers(-6, 7, 3)}
-            s = float(rng.uniform(0, 2))
-            one = evolve(a, log, 0.0, 2.0)
-            two = evolve(evolve(a, log, 0.0, s), log, s, 2.0)
-            assert one == two
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           a=st.sets(st.integers(-6, 6), min_size=1, max_size=4),
+           s=st.floats(0.0, 2.0))
+    def test_flow_property(self, seed, stream, a, s):
+        log = sample_event_log(SiteWindow(-6, 6, 2.0), 0.8, seed, stream)
+        one = evolve(a, log, 0.0, 2.0)
+        mid = evolve(a, log, 0.0, s)
+        two = evolve(mid, log, s, 2.0)
+        assert one == two
+        assert one.censored == (mid.censored or two.censored)
 
     def test_censored_flag_on_boundary_contact(self):
         log = text_log("A 0 1 0.1\nA 1 2 0.2\n", lo=-2, hi=2, horizon=1.0)
@@ -359,6 +362,12 @@ class TestTextRoundTrip:
             text_log("X 0 0.5\n")
         with pytest.raises(ParameterError):
             from_text("R 0 0.5\n")  # no window header
+        # short headers and sites or times that are not numbers
+        for bad in ("# window 0 1\n", "# window\n", "# lambda\n", "# seed 3\n",
+                    "# ties\n", "# lambda x\n", "R x 0.5\n", "A 0 1 nope\n",
+                    "R 0\n"):
+            with pytest.raises(ParameterError):
+                from_text("# window -5 5 2.0\n" + bad)
 
     def test_rejects_inconsistent_marks(self):
         with pytest.raises(ParameterError):

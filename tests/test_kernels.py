@@ -1,9 +1,10 @@
-"""Tests for the interpreted wrapper's errstate handling, the chain walks
-(the lockstep walk against the exact semigroup, both walks and the walk
-arrays' row sums against a reference built from the generator's rows), the
-free-process walks (each lockstep replica against the one-replica path on
-its word, window and capacity growth, keys read from the bitmap), and a
-guard that every public kernel has a caller."""
+"""Tests for the kernels' one splitmix64 (against a Python-int reference)
+and their independence of numpy's error state, the chain walks (the
+lockstep walk against the exact semigroup, both walks and the walk arrays'
+row sums against a reference built from the generator's rows and its own
+splitmix64), the free-process walks (each lockstep replica against the
+one-replica path on its word, window and capacity growth, keys read from
+the bitmap), and a guard that every public kernel has a caller."""
 
 import ast
 import re
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cpqsd import _kernels as K
@@ -27,19 +30,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_every_kernel_has_a_caller():
     # a public function of _kernels is live when another module of the
     # package calls it through `K.<name>`, the benchmark's tracer wraps it,
-    # or a live kernel calls it; a _jit kernel is read through its source
-    # function
+    # or a live kernel calls it
     src = ROOT / "src" / "cpqsd"
     kernels_py = src / "_kernels.py"
     tree = ast.parse(kernels_py.read_text())
     bodies = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     public = {name: body for name, body in bodies.items()
               if not name.startswith("_")}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-                and getattr(node.value.func, "id", None) == "_jit"):
-            public[node.targets[0].id] = bodies[node.value.args[0].id]
     users = "".join(p.read_text() for p in src.glob("*.py") if p != kernels_py)
     live = set(re.findall(r"\bK\.(\w+)", users))
     layers = (ROOT / "perfbench" / "layers.py").read_text()
@@ -56,7 +53,65 @@ def test_every_kernel_has_a_caller():
     assert sorted(set(public) - live) == []
 
 
-# ===== errstate of the interpreted wrapper =====
+# ===== splitmix64 =====
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+class _SplitMix64:
+    """splitmix64 (Steele, Lea and Flood 2014) in Python ints masked to 64
+    bits, sharing no code with the kernels: `word` is the state after the
+    last draw."""
+
+    def __init__(self, word):
+        self.word = int(word)
+
+    def unit(self):
+        """Uniform on (0, 1]: the top 53 bits of the mixed word, plus one,
+        times 2**-53."""
+        self.word = (self.word + _GAMMA) & _MASK
+        z = self.word
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z ^= z >> 31
+        return ((z >> 11) + 1) * 2.0 ** -53
+
+    def exponential(self, rate):
+        return -np.log(self.unit()) / rate
+
+
+# arbitrary words, and words a few thousand gammas short of a wrap to 0
+_WORDS = st.one_of(
+    st.integers(0, _MASK),
+    st.integers(1, 4096).map(lambda k: -k * _GAMMA & _MASK),
+    st.integers(_MASK - 4096, _MASK))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(_WORDS, min_size=1, max_size=40))
+def test_units_draw_the_reference_stream(words):
+    arr = np.array(words, np.uint64)
+    units = K._units(arr)
+    refs = [_SplitMix64(w) for w in words]
+    assert units.tolist() == [r.unit() for r in refs]
+    assert arr.tolist() == [r.word for r in refs]
+
+
+@settings(derandomize=True, deadline=None)
+@given(_WORDS, st.integers(1, 8192))
+def test_block_draws_the_reference_stream(word, m):
+    state = np.array([word], np.uint64)
+    words, units = K._block(state, m)
+    assert state[0] == word
+    ref = _SplitMix64(word)
+    want_units, want_words = [], []
+    for _ in range(m):
+        want_units.append(ref.unit())
+        want_words.append(ref.word)
+    assert units.tolist() == want_units
+    assert words.tolist() == want_words
+
 
 def test_kernels_raise_no_overflow_warning_and_restore_errstate():
     # splitmix64 overflows uint64 by design; the kernels must not warn, and
@@ -81,21 +136,11 @@ def test_kernels_raise_no_overflow_warning_and_restore_errstate():
         assert one and np.geterr() == before
         n = K.gen_marks(-10, 10, 0.0, 2.0, 0.5, words[:1], *marks)
         assert n > 0 and np.geterr() == before
+        # a word at 2**63, whose first + gamma overflows
+        state = np.array([2 ** 63], np.uint64)
+        n = K.gen_marks(-10, 10, 0.0, 2.0, 0.5, state, *marks)
+        assert n > 0 and state[0] != 2 ** 63 and np.geterr() == before
     assert np.count_nonzero(counts) > 0
-
-
-def test_a_raising_kernel_leaves_the_next_call_protected():
-    before = np.geterr()
-    # the error comes from u64, two kernels deep (a TypeError interpreted,
-    # a typing error under numba)
-    with pytest.raises(Exception):
-        K.exponential(None, 1.0)
-    assert np.geterr() == before
-    state = np.array([2 ** 63], np.uint64)  # state + gamma overflows
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        K.exponential(state, 1.0)
-    assert np.geterr() == before
 
 
 # ===== lockstep chain walk =====
@@ -155,8 +200,9 @@ class _ReferenceChain:
                       [a + b for a, b in zip(self.off, gen.absorption)])
 
     def step(self, s, state):
-        """One jump's target from s, -1 if absorbed."""
-        r = K.unit(state) * self.exits[s]
+        """One jump's target from s, drawn from the _SplitMix64 `state`;
+        -1 if absorbed."""
+        r = state.unit() * self.exits[s]
         acc = 0.0
         for y, q in self.rows[s]:
             acc += q
@@ -167,27 +213,27 @@ class _ReferenceChain:
     def walk(self, s, t_end, word):
         """One replica alone to t_end, clock then target from its word.
         Returns (state index or -1, time, word)."""
-        state = np.array([word], np.uint64)
+        state = _SplitMix64(word)
         t_now = 0.0
         while True:
-            t_now += K.exponential(state, self.exits[s])
+            t_now += state.exponential(self.exits[s])
             if t_now > t_end:
-                return s, t_end, state[0]
+                return s, t_end, state.word
             s = self.step(s, state)
             if s < 0:
-                return -1, t_now, state[0]
+                return -1, t_now, state.word
 
     def path(self, s, n_jumps, word):
         """n_jumps jumps from s, each holding time added to the occupation
         of its state.  Returns (state index or -1, occupation, word)."""
-        state = np.array([word], np.uint64)
+        state = _SplitMix64(word)
         occ = np.zeros(len(self.rows))
         for _ in range(n_jumps):
-            occ[s] += K.exponential(state, self.exits[s])
+            occ[s] += state.exponential(self.exits[s])
             s = self.step(s, state)
             if s < 0:
                 break
-        return s, occ, state[0]
+        return s, occ, state.word
 
 
 def test_lockstep_walk_equals_the_scalar_walk():

@@ -277,6 +277,10 @@ class TestDominantEigenpair:
             dominant_eigenpair(build_generator(6, 0.5), max_iters=3)
         with pytest.raises(ParameterError):
             dominant_eigenpair(build_generator(2, 0.5), max_iters=0)
+        # a tolerance that no residual can meet is rejected before any step
+        for bad in (math.nan, 0.0, -1e-10, math.inf):
+            with pytest.raises(ParameterError):
+                dominant_eigenpair(build_generator(6, 0.5), tol=bad)
 
     def test_truncation_sweep(self):
         res = truncation_sweep(0.5, [4, 6, 8])
@@ -458,6 +462,14 @@ class TestSemigroup:
             survival_curve(gen, np.ones(3), [1.0])
         with pytest.raises(ParameterError):
             survival_curve(gen, -np.ones(gen.nstates), [1.0])
+        # a NaN rtol closed the series at once and returned a wrong number
+        for bad in (math.nan, 0.0, -1e-12, math.inf):
+            with pytest.raises(ParameterError):
+                survival_curve(build_generator(8, 0.5), 1, [5.0], rtol=bad)
+            with pytest.raises(ParameterError):
+                yaglom_exact(build_generator(8, 0.5), 1, 5.0, rtol=bad)
+            with pytest.raises(ParameterError):
+                yaglom_exact(gen, 1, 0.0, rtol=bad)
 
 
 class TestSemigroupAgainstExpm:
