@@ -5,8 +5,12 @@ writes one JSON record: per (L, policy) the decay rate, both residuals,
 the solver and its iteration count, state and nonzero counts, build and
 solve seconds, and the process's peak resident memory so far (depths run
 in increasing order and the chain doubles with each L, so that peak is
-the current depth's).  The clip and kill rates bracket the untruncated
-one; `bracket` lists kill - clip per depth.
+the current depth's).  Both truncations only remove infected sites, so
+alpha_kill(L) >= alpha_clip(L) >= alpha: they do not bracket the
+untruncated rate, and `spread` lists kill - clip per depth.  `convergence`
+lists per depth the ratio of successive alpha_clip differences and the
+Aitken delta-squared limit of alpha_clip(L-2..L), with the distance to the
+previous depth's limit as its error.
 
     PYTHONPATH=src python bench/spectral_table.py --out BENCH_2.json
 """
@@ -26,6 +30,27 @@ import scipy
 
 from cpqsd import _kernels
 from cpqsd import spectral as S
+
+
+def convergence(alpha):
+    """Per depth L of the clip rates alpha[L]: the ratio of the differences
+    alpha[L] - alpha[L-1] and alpha[L-1] - alpha[L-2], the Aitken limit of
+    the three rates, and |limit(L) - limit(L-1)|; None where undefined."""
+    out = []
+    limit = None
+    for L in sorted(alpha):
+        row = {"L": L, "alpha_clip": alpha[L], "ratio": None, "aitken": None,
+               "aitken_err": None}
+        if L - 2 in alpha:
+            d1 = alpha[L - 1] - alpha[L - 2]
+            d2 = alpha[L] - alpha[L - 1]
+            row["ratio"] = d2 / d1
+            prev, limit = limit, alpha[L] - d2 * d2 / (d2 - d1)
+            row["aitken"] = limit
+            if prev is not None:
+                row["aitken_err"] = abs(limit - prev)
+        out.append(row)
+    return out
 
 
 def main(argv=None):
@@ -69,10 +94,12 @@ def main(argv=None):
         "max_L": args.max_L,
         "power_max_states": S._POWER_MAX_STATES,
         "rows": rows,
-        "bracket": [{"L": L, "alpha_clip": alpha[L, S.POLICY_CLIP],
-                     "alpha_kill": alpha[L, S.POLICY_KILL],
-                     "width": alpha[L, S.POLICY_KILL] - alpha[L, S.POLICY_CLIP]}
-                    for L in range(2, args.max_L + 1)],
+        "spread": [{"L": L, "alpha_clip": alpha[L, S.POLICY_CLIP],
+                    "alpha_kill": alpha[L, S.POLICY_KILL],
+                    "width": alpha[L, S.POLICY_KILL] - alpha[L, S.POLICY_CLIP]}
+                   for L in range(2, args.max_L + 1)],
+        "convergence": convergence({L: alpha[L, S.POLICY_CLIP]
+                                    for L in range(2, args.max_L + 1)}),
     }
     text = json.dumps(record, indent=1) + "\n"
     if args.out:

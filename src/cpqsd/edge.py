@@ -11,9 +11,9 @@ replicas at once by a FreePopulation (K.gillespie_free_batch, in lockstep,
 with an occupancy bitmap whose window grows on demand), one alone by
 K.free_run, which makes the same draws by the same rule.  Neither has a
 fixed spatial window, so nothing is censored.  Trajectories are recentered
-at read-off time and aggregated into empirical distributions that
-serialize to CSV.  Steps on an existing graphical log (edge_evolve) serve
-couplings, where several configurations must share one set of marks.
+at read-off time and aggregated into empirical distributions.  Steps on an
+existing graphical log (edge_evolve) serve couplings, where several
+configurations must share one set of marks.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ParameterError, ResolutionError
-from .graphical import ceil_beta_t, evolve
+from .graphical import evolve
 
 
 def default_beta(lam):
@@ -71,23 +71,6 @@ class FullInterval:
     def __post_init__(self):
         if self.M < 0:
             raise ParameterError(f"FullInterval depth must be >= 0, got {self.M}")
-
-
-def geometric_gaps(M):
-    """Sparse preset {0} ∪ {-2^k : 2^k <= M}; stresses the full-interval
-    approximation, offered for experiments without any guarantee."""
-    sites = {0}
-    p = 1
-    while p <= M:
-        sites.add(-p)
-        p *= 2
-    return Finite(sites)
-
-
-def full_interval_depth(beta, t):
-    """Default FullInterval depth 4*ceil(beta*t): sites deeper than the
-    lambda-path range cannot influence the edge view by time t."""
-    return 4 * ceil_beta_t(beta, t)
 
 
 def _init_sites(init):
@@ -216,67 +199,6 @@ def cylinder_restrict(dist, m):
     for k, v in dist.weights.items():
         out.add(k & mask, v)
     return out
-
-
-def distribution_to_csv(dist, path):
-    """CSV serialization: `# key=value ...` header, then key,count rows."""
-    meta = dict(dist.meta)
-    meta["depth"] = dist.depth
-    meta["replicas"] = dist.replica_count
-    fields = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
-    with open(path, "w") as fh:
-        fh.write(f"# {fields}\n")
-        fh.write("key,count\n")
-        for k in sorted(dist.weights):
-            fh.write(f"{k},{_fmt(dist.weights[k])}\n")
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def distribution_from_csv(path):
-    meta = {}
-    weights = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for item in line[1:].split():
-                    k, _, v = item.partition("=")
-                    try:
-                        meta[k] = int(v)
-                    except ValueError:
-                        try:
-                            meta[k] = float(v)
-                        except ValueError:
-                            meta[k] = v
-                continue
-            if line == "key,count":
-                continue
-            ks, _, vs = line.partition(",")
-            try:
-                weights[int(ks)] = float(vs)
-            except ValueError:
-                raise ParameterError(
-                    f"{path}: unparseable row {line!r}") from None
-    if "depth" not in meta:
-        raise ParameterError(f"{path} has no depth in its header")
-    depth = meta.pop("depth")
-    replicas = meta.pop("replicas", 0)
-    if not (isinstance(depth, int) and depth >= 1
-            and isinstance(replicas, int) and replicas >= 0):
-        raise ParameterError(
-            f"{path}: bad depth {depth!r} or replicas {replicas!r}")
-    for k, w in weights.items():
-        if not (k >= 0 and k.bit_length() <= depth and 0 <= w < math.inf):
-            raise ParameterError(
-                f"{path}: row {k},{w} is out of range at depth {depth}")
-    return EmpiricalDistribution(depth, weights, replicas, meta)
 
 
 # ===== trajectory simulation =====

@@ -64,23 +64,6 @@ class SiteWindow:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
-class Mark:
-    """One Poisson mark: kind "R" (recovery at src, dst == src) or "A"
-    (arrow src -> dst, |dst - src| == 1)."""
-
-    kind: str
-    src: int
-    dst: int
-    time: float
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    site: int
-    time: float
-
-
 class Configuration(frozenset):
     """Finite set of occupied sites.
 
@@ -106,14 +89,11 @@ class EventLog:
     """Immutable, time-sorted mark sequence on a window.
 
     Arrays: times (f8), kinds (i1: 0 recovery, 1 arrow), src (i4), dst (i4,
-    == src for recoveries).  `seed_record` is the (seed, stream) pair that
-    produced the log, or None for logs read from text.  `tie_flag` is set
-    when two marks share a time; the stable sort order then acts as the
-    deterministic tie-break.
+    == src for recoveries).  `tie_flag` is set when two marks share a time;
+    the stable sort order then acts as the deterministic tie-break.
     """
 
-    def __init__(self, window, times, kinds, src, dst, lam=None,
-                 seed_record=None, tie_flag=None):
+    def __init__(self, window, times, kinds, src, dst):
         times = np.ascontiguousarray(times, dtype=np.float64)
         kinds = np.ascontiguousarray(kinds, dtype=np.int8)
         src = np.ascontiguousarray(src, dtype=np.int32)
@@ -127,7 +107,7 @@ class EventLog:
             d = np.diff(times)
             if np.any(d < 0):
                 raise ParameterError("mark times not sorted")
-            has_tie = bool(np.any(d == 0))
+            tie_flag = bool(np.any(d == 0))
             if src.min() < window.lo or src.max() > window.hi:
                 raise ParameterError("mark site outside window")
             if dst.min() < window.lo or dst.max() > window.hi:
@@ -140,10 +120,8 @@ class EventLog:
             if not np.all((kinds == 0) | arrows):
                 raise ParameterError("mark kind must be 0 or 1")
         else:
-            has_tie = False
-        if tie_flag is None:
-            tie_flag = has_tie
-        if tie_flag and has_tie:
+            tie_flag = False
+        if tie_flag:
             logger.warning("event log contains simultaneous marks; "
                            "stable order is the tie-break")
         for a in (times, kinds, src, dst):
@@ -153,9 +131,7 @@ class EventLog:
         self.kinds = kinds
         self.src = src
         self.dst = dst
-        self.lam = lam
-        self.seed_record = seed_record
-        self.tie_flag = bool(tie_flag)
+        self.tie_flag = tie_flag
 
     def __len__(self):
         return self.times.shape[0]
@@ -164,15 +140,6 @@ class EventLog:
         w = self.window
         return (f"EventLog({len(self)} marks, sites [{w.lo}, {w.hi}], "
                 f"horizon {w.horizon})")
-
-    def iter_marks(self):
-        for i in range(len(self)):
-            if self.kinds[i] == 0:
-                yield Mark("R", int(self.src[i]), int(self.src[i]),
-                           float(self.times[i]))
-            else:
-                yield Mark("A", int(self.src[i]), int(self.dst[i]),
-                           float(self.times[i]))
 
 
 # ===== sampling =====
@@ -246,7 +213,7 @@ def sample_event_log(window, lam, seed, stream=0):
 
     order = np.lexsort((kinds, src, times))
     return EventLog(window, times[order], kinds[order], src[order],
-                    dst[order], lam=lam, seed_record=(int(seed), int(stream)))
+                    dst[order])
 
 
 # ===== queries =====
@@ -284,86 +251,14 @@ def evolve(start, log, s, t):
     occ = np.zeros(w.nsites, np.int8)
     for x in sites:
         occ[x - w.lo] = 1
-    touched = _sweep(log, occ, s, t)
+    touched = K.evolve_sweep(log.times, log.kinds, log.src, log.dst,
+                             len(log), occ, w.lo, w.hi, float(s), float(t))
     return _configuration(occ, w, touched)
-
-
-def _sweep(log, occ, s, t):
-    """Transport the occupancy occ (int8 over the window) by the marks with
-    time in (s, t]; returns 1 if it ever touched the window boundary."""
-    w = log.window
-    return K.evolve_sweep(log.times, log.kinds, log.src, log.dst, len(log),
-                          occ, w.lo, w.hi, float(s), float(t))
 
 
 def _configuration(occ, window, touched=0):
     out = np.nonzero(occ)[0] + window.lo
     return Configuration((int(x) for x in out), censored=bool(touched))
-
-
-class ReachProfile:
-    """Forward reachability from a set of space-time sources, queryable at
-    any time up to t_end.
-
-    sources are (time, site) pairs sorted by time.  at(u) returns the
-    configuration reached at time u.  `censored` is True when the reached
-    set ever touched the window boundary up to t_end.
-    """
-
-    def __init__(self, log, sources, t_end):
-        self.log = log
-        self.t_end = t_end
-        self._sources = sources
-        occ, touched = self._occupancy(t_end)
-        self.final = _configuration(occ, log.window, touched)
-        self.censored = bool(touched)
-
-    def _occupancy(self, u):
-        """Occupancy at time u: the log is swept in segments between source
-        times, each source joining after the marks at its own time."""
-        log = self.log
-        w = log.window
-        occ = np.zeros(w.nsites, np.int8)
-        touched = 0
-        s = 0.0
-        for tau, site in self._sources:
-            if tau > u:
-                break
-            touched |= _sweep(log, occ, s, tau)
-            occ[site - w.lo] = 1
-            s = tau
-        touched |= _sweep(log, occ, s, u)
-        return occ, touched
-
-    def at(self, u):
-        """Configuration reached at time u (marks at exactly u applied,
-        sources activated at exactly u included)."""
-        if not (0 <= u <= self.t_end):
-            raise ParameterError(f"query time {u} outside [0, {self.t_end}]")
-        occ, _ = self._occupancy(u)
-        return _configuration(occ, self.log.window)
-
-
-def reach_forward(sources, log, t_end):
-    """Reachability profile {x : some source ~> (x, u)} for u <= t_end.
-
-    Sources are SpaceTimePoints (or (site, time) pairs), possibly at
-    different times.  A source activating at exactly a mark time is placed
-    after the mark, matching the open-path rule that a path from (y, s)
-    only uses marks strictly after s.
-    """
-    w = log.window
-    if not 0 <= t_end <= w.horizon:
-        raise ParameterError(f"t_end {t_end} outside [0, horizon]")
-    acts = []
-    for p in sources:
-        site, time = (p.site, p.time) if isinstance(p, SpaceTimePoint) else p
-        if not w.contains_site(site):
-            raise ParameterError(f"source site {site} outside window")
-        if not 0 <= time <= t_end:
-            raise ParameterError(f"source time {time} outside [0, t_end]")
-        acts.append((float(time), int(site)))
-    return ReachProfile(log, sorted(acts), float(t_end))
 
 
 class BackwardReach:
@@ -410,8 +305,7 @@ class BackwardReach:
         return bool(self._state_at(k)[x - self.window.lo])
 
     def __call__(self, point):
-        site, time = ((point.site, point.time)
-                      if isinstance(point, SpaceTimePoint) else point)
+        site, time = point
         return self.query(site, time)
 
     def at(self, s):
@@ -467,81 +361,3 @@ def is_good_pair(z, s, log, beta, t):
         raise CensoredError(
             f"partner site {partner} outside window; enlarge the window")
     return is_good(z, s, log, beta, t) and is_good(partner, s, log, beta, t)
-
-
-# ===== text round-trip =====
-
-def to_text(log):
-    """Line format: header comments, then `R <site> <time>` and
-    `A <from> <to> <time>`, times with 17 significant digits."""
-    w = log.window
-    lines = ["# contact-process event log v1",
-             f"# window {w.lo} {w.hi} {w.horizon:.17g}"]
-    if log.lam is not None:
-        lines.append(f"# lambda {log.lam:.17g}")
-    if log.seed_record is not None:
-        lines.append(f"# seed {log.seed_record[0]} {log.seed_record[1]}")
-    if log.tie_flag:
-        lines.append("# ties 1")
-    for i in range(len(log)):
-        t = f"{log.times[i]:.17g}"
-        if log.kinds[i] == 0:
-            lines.append(f"R {log.src[i]} {t}")
-        else:
-            lines.append(f"A {log.src[i]} {log.dst[i]} {t}")
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text):
-    """Inverse of to_text.  Raises ParameterError on a line it cannot read:
-    an unknown record, a short header, or a site or time that is not a
-    number."""
-    window = None
-    lam = None
-    seed_record = None
-    ties = False
-    times, kinds, src, dst = [], [], [], []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split()
-        if not parts:
-            continue
-        try:
-            if parts[0] == "#":
-                if len(parts) >= 2 and parts[1] == "window":
-                    window = (int(parts[2]), int(parts[3]), float(parts[4]))
-                elif len(parts) >= 2 and parts[1] == "lambda":
-                    lam = float(parts[2])
-                elif len(parts) >= 2 and parts[1] == "seed":
-                    seed_record = (int(parts[2]), int(parts[3]))
-                elif len(parts) >= 2 and parts[1] == "ties":
-                    ties = parts[2] != "0"
-                continue
-            if parts[0] == "R" and len(parts) == 3:
-                kind, x, t = 0, int(parts[1]), float(parts[2])
-                y = x
-            elif parts[0] == "A" and len(parts) == 4:
-                kind, x, t = 1, int(parts[1]), float(parts[3])
-                y = int(parts[2])
-            else:
-                raise ValueError
-        except (IndexError, ValueError):
-            raise ParameterError(
-                f"unparseable log line {ln}: {raw!r}") from None
-        times.append(t)
-        kinds.append(kind)
-        src.append(x)
-        dst.append(y)
-    if window is None:
-        raise ParameterError("log text has no `# window lo hi horizon` header")
-    return EventLog(SiteWindow(*window), times, kinds, src, dst, lam=lam,
-                    seed_record=seed_record, tie_flag=ties or None)
-
-
-def save_log(log, path):
-    with open(path, "w") as fh:
-        fh.write(to_text(log))
-
-
-def load_log(path):
-    with open(path) as fh:
-        return from_text(fh.read())

@@ -8,12 +8,15 @@ exact finite-state object to be checked against.
 
 Truncation policies: "clip" silently discards infections that would land
 at or below -L (self-loops are simply not transitions), "kill" routes that
-rate into absorption instead.  The two bracket the untruncated decay rate.
+rate into absorption instead.  Both only remove infected sites, so under
+the graphical coupling each truncated chain dies no later than the
+untruncated edge process, kill no later than clip: the decay rates are
+ordered alpha_kill(L) >= alpha_clip(L) >= alpha, and neither side brackets
+alpha.  Measured, not proved: alpha_clip(L) falls at every L toward alpha.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -187,40 +190,6 @@ class SpectralResult:
     def h_lookup(self):
         """h as a dict over canonical keys."""
         return {index_to_key(i): float(v) for i, v in enumerate(self.h)}
-
-    def to_dict(self):
-        return {"lambda": self.lam, "L": self.L, "policy": self.policy,
-                "alpha": self.alpha,
-                "residuals": [self.residual_left, self.residual_right],
-                "iterations": self.iterations,
-                "nu": [[index_to_key(i), float(p)]
-                       for i, p in enumerate(self.nu)],
-                "h": [[index_to_key(i), float(v)]
-                      for i, v in enumerate(self.h)]}
-
-    @classmethod
-    def from_dict(cls, d):
-        n = len(d["nu"])
-        nu = np.zeros(n)
-        h = np.zeros(n)
-        for k, p in d["nu"]:
-            nu[key_to_index(k)] = p
-        for k, v in d["h"]:
-            h[key_to_index(k)] = v
-        return cls(d["lambda"], d["L"], d["policy"], d["alpha"], nu, h,
-                   d["residuals"][0], d["residuals"][1],
-                   d.get("iterations", 0))
-
-
-def save_spectral(result, path):
-    with open(path, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=1)
-        fh.write("\n")
-
-
-def load_spectral(path):
-    with open(path) as fh:
-        return SpectralResult.from_dict(json.load(fh))
 
 
 def _sigma(gen):
@@ -477,9 +446,3 @@ def vector_distribution(gen, vec):
     EmpiricalDistribution for TV comparisons."""
     weights = {index_to_key(i): float(p) for i, p in enumerate(vec) if p > 0}
     return EmpiricalDistribution(gen.L, weights)
-
-
-def truncation_sweep(lam, L_values, policy=POLICY_CLIP, tol=1e-10):
-    """Spectral results across depths, for convergence-in-L diagnostics."""
-    return [dominant_eigenpair(build_generator(L, lam, policy), tol=tol)
-            for L in L_values]

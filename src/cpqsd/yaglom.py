@@ -335,8 +335,13 @@ def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None,
     the grid times.  The grid points share their population, so their log
     estimates form a random walk; differencing whitens it, and the slope is
     the variance-weighted least squares fit over the increments between
-    consecutive grid points.  The first segment [0, t_1] is excluded (it
-    carries the transient), which is why at least 3 grid points are needed.
+    consecutive grid points.  The first segment [0, t_1] is left out, which
+    is why at least 3 grid points are needed, but that does not remove the
+    transient: the log-survival slope still exceeds alpha after t_1.  From
+    {0} at lambda 0.5 on the grid 2, 4, .., 10 the exact slopes of the
+    fitted segments are 0.439, 0.417, 0.412 and 0.410 against alpha 0.409,
+    and the mean estimate over 200 seeds of 1000 replicas was 0.417, a bias
+    of +0.008.  A later t_1 makes it smaller.
     """
     grid = [float(x) for x in t_grid]
     if len(grid) < 3:

@@ -17,12 +17,8 @@ from cpqsd.edge import (
     cylinder_restrict,
     decode_key,
     default_beta,
-    distribution_from_csv,
-    distribution_to_csv,
     edge_evolve,
     encode_key,
-    full_interval_depth,
-    geometric_gaps,
     recenter,
     sample_edge_distribution,
     simulate_edge_trajectory,
@@ -96,8 +92,6 @@ class TestRecenterAndKeys:
 
     def test_beta_defaults(self):
         assert default_beta(0.5) == 18.0
-        assert full_interval_depth(18.0, 20.0) == 1440
-        assert geometric_gaps(8) == Finite({0, -1, -2, -4, -8})
         assert FullInterval(0).M == 0
         with pytest.raises(ParameterError):
             FullInterval(-1)
@@ -147,38 +141,6 @@ class TestEmpiricalDistribution:
         assert same.weights == d.weights
         with pytest.raises(ParameterError):
             cylinder_restrict(d, 7)
-
-    def test_csv_round_trip(self, tmp_path):
-        d = EmpiricalDistribution(8, {1: 10.0, 9: 0.1234567890123456},
-                                  replica_count=11,
-                                  meta={"lambda": 0.5, "t": 2.0, "seed": 42})
-        path = tmp_path / "dist.csv"
-        distribution_to_csv(d, path)
-        back = distribution_from_csv(path)
-        assert back.depth == 8 and back.replica_count == 11
-        assert back.weights == d.weights
-        assert back.meta["lambda"] == 0.5 and back.meta["seed"] == 42
-        text = path.read_text()
-        assert text.startswith("#") and "key,count" in text
-
-    def test_csv_requires_depth(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("key,count\n1,2.0\n")
-        with pytest.raises(ParameterError):
-            distribution_from_csv(path)
-
-    @pytest.mark.parametrize("header, row", [
-        ("depth=4", "1"), ("depth=4", "x,2.0"), ("depth=4", "1,two"),
-        ("depth=4", "1,2.0,3"), ("depth=4", ","), ("depth=4", "-1,2.0"),
-        ("depth=4", "17,2.0"), ("depth=4", "1,nan"), ("depth=4", "1,-1.0"),
-        ("depth=x", "1,2.0"), ("depth=0", "0,2.0"), ("depth=2.5", "1,2.0"),
-        ("depth=4 replicas=x", "1,2.0"), ("depth=4 replicas=-1", "1,2.0"),
-    ])
-    def test_csv_rejects_malformed_rows(self, tmp_path, header, row):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"# {header}\nkey,count\n1,2.0\n{row}\n")
-        with pytest.raises(ParameterError):
-            distribution_from_csv(path)
 
 
 class TestSimulateTrajectory:

@@ -10,32 +10,23 @@ from cpqsd.graphical import (
     Configuration,
     EventLog,
     SiteWindow,
-    SpaceTimePoint,
     ceil_beta_t,
     evolve,
-    from_text,
     is_good,
     is_good_pair,
-    load_log,
     max_jump_count,
     reach_backward,
-    reach_forward,
     sample_event_log,
-    save_log,
-    to_text,
 )
 
-from oracles import marks_between, max_jumps, open_reach, reaches_top_line
+from oracles import max_jumps, open_reach, reaches_top_line
 
 
 def tuples_of(log):
-    out = []
-    for m in log.iter_marks():
-        if m.kind == "R":
-            out.append(("R", m.src, m.time))
-        else:
-            out.append(("A", m.src, m.dst, m.time))
-    return out
+    """The log's marks as the oracle's tuples, in sweep order."""
+    return [("R", x, t) if k == 0 else ("A", x, y, t)
+            for k, x, y, t in zip(log.kinds.tolist(), log.src.tolist(),
+                                  log.dst.tolist(), log.times.tolist())]
 
 
 def random_small_log(rng, lo=-3, hi=3, horizon=1.0, max_marks=12):
@@ -61,9 +52,12 @@ def random_small_log(rng, lo=-3, hi=3, horizon=1.0, max_marks=12):
     return EventLog(SiteWindow(lo, hi, horizon), times, kinds, src, dst)
 
 
-def text_log(body, lo=-5, hi=5, horizon=2.0):
-    header = f"# window {lo} {hi} {horizon}\n"
-    return from_text(header + body)
+def log_of(marks, lo=-5, hi=5, horizon=2.0):
+    """EventLog of hand-written oracle tuples, ("R", site, time) or
+    ("A", src, dst, time), in the order given."""
+    return EventLog(SiteWindow(lo, hi, horizon), [m[-1] for m in marks],
+                    [m[0] == "A" for m in marks], [m[1] for m in marks],
+                    [m[-2] for m in marks])
 
 
 # ===== sampling =====
@@ -125,11 +119,11 @@ class TestEvolve:
         assert evolve(Configuration(), log, 0.0, 2.0) == frozenset()
 
     def test_no_marks_in_span_is_identity(self):
-        log = text_log("R 0 1.5\n")
+        log = log_of([("R", 0, 1.5)])
         assert evolve({0}, log, 0.0, 1.0) == {0}
 
     def test_two_mark_hand_trace(self):
-        log = text_log("A 0 1 0.2\nR 0 0.5\n")
+        log = log_of([("A", 0, 1, 0.2), ("R", 0, 0.5)])
         assert evolve({0}, log, 0.0, 1.0) == {1}
 
     def test_matches_path_oracle(self):
@@ -165,7 +159,8 @@ class TestEvolve:
         assert one.censored == (mid.censored or two.censored)
 
     def test_censored_flag_on_boundary_contact(self):
-        log = text_log("A 0 1 0.1\nA 1 2 0.2\n", lo=-2, hi=2, horizon=1.0)
+        log = log_of([("A", 0, 1, 0.1), ("A", 1, 2, 0.2)], lo=-2, hi=2,
+                     horizon=1.0)
         out = evolve({0}, log, 0.0, 1.0)
         assert out == {0, 1, 2}
         assert out.censored
@@ -174,72 +169,25 @@ class TestEvolve:
         assert not inner.censored
 
     def test_rejects_sites_outside_window(self):
-        log = text_log("", lo=0, hi=3)
+        log = log_of([], lo=0, hi=3)
         with pytest.raises(ParameterError):
             evolve({7}, log, 0.0, 1.0)
         with pytest.raises(ParameterError):
             evolve({0}, log, 0.0, 9.0)
 
 
-# ===== reach_forward =====
-
-class TestReachForward:
-    def test_single_source_empty_log(self):
-        log = text_log("")
-        prof = reach_forward([SpaceTimePoint(0, 0.0)], log, 2.0)
-        for u in (0.0, 0.7, 2.0):
-            assert prof.at(u) == {0}
-
-    def test_full_line_at_time_zero(self):
-        log = sample_event_log(SiteWindow(-2, 2, 1.0), 0.5, seed=6)
-        sources = [(x, 0.0) for x in range(-2, 3)]
-        prof = reach_forward(sources, log, 1.0)
-        assert prof.at(0.0) == {-2, -1, 0, 1, 2}
-
-    def test_matches_path_oracle_with_mixed_source_times(self):
-        rng = np.random.default_rng(55)
-        for _ in range(200):
-            log = random_small_log(rng)
-            marks = tuples_of(log)
-            sources = [(int(rng.integers(-3, 4)), float(rng.uniform(0, 0.8)))
-                       for _ in range(int(rng.integers(1, 4)))]
-            prof = reach_forward(sources, log, 1.0)
-            queries = [0.9, 1.0] + [m[-1] for m in marks[:3]]
-            for u in queries:
-                want = set()
-                for site, s0 in sources:
-                    if s0 <= u:
-                        want |= open_reach(marks, {site}, s0, u)
-                assert prof.at(u) == want, (marks, sources, u)
-
-    def test_source_at_mark_time_survives_that_mark(self):
-        log = text_log("R 0 0.5\n")
-        prof = reach_forward([(0, 0.5)], log, 1.0)
-        assert prof.at(0.5) == {0}
-        assert prof.at(1.0) == {0}
-
-    def test_consistent_with_evolve(self):
-        rng = np.random.default_rng(66)
-        w = SiteWindow(-5, 5, 1.0)
-        for k in range(20):
-            log = sample_event_log(w, 0.9, seed=42, stream=k)
-            a = {int(x) for x in rng.integers(-5, 6, 3)}
-            prof = reach_forward([(x, 0.0) for x in a], log, 1.0)
-            assert prof.final == evolve(a, log, 0.0, 1.0)
-
-
 # ===== reach_backward =====
 
 class TestReachBackward:
     def test_empty_log_everything_reaches(self):
-        log = text_log("")
+        log = log_of([])
         back = reach_backward(log, 2.0)
         for x in range(-5, 6):
             for s in (0.0, 1.0, 2.0):
                 assert back.query(x, s)
 
     def test_single_recovery_blocks_below(self):
-        log = text_log("R 0 1.0\n")
+        log = log_of([("R", 0, 1.0)])
         back = reach_backward(log, 2.0)
         assert not back.query(0, 0.5)
         assert back.query(0, 1.0)
@@ -267,7 +215,7 @@ class TestReachBackward:
                     assert back.query(x, s) == survives
 
     def test_at_returns_surviving_configuration(self):
-        log = text_log("R 0 1.0\nR 2 1.2\n")
+        log = log_of([("R", 0, 1.0), ("R", 2, 1.2)])
         back = reach_backward(log, 2.0)
         cfg = back.at(0.0)
         assert 0 not in cfg and 2 not in cfg
@@ -278,11 +226,11 @@ class TestReachBackward:
 
 class TestJumpCounts:
     def test_no_arrows_gives_zero(self):
-        log = text_log("R 0 0.3\nR 1 0.6\n")
+        log = log_of([("R", 0, 0.3), ("R", 1, 0.6)])
         assert max_jump_count(0, 0.0, log, 1.0) == (0, False)
 
     def test_branching_chain_counts_two(self):
-        log = text_log("A 0 1 0.1\nA 1 2 0.2\nA 1 0 0.3\n")
+        log = log_of([("A", 0, 1, 0.1), ("A", 1, 2, 0.2), ("A", 1, 0, 0.3)])
         count, cen = max_jump_count(0, 0.0, log, 1.0)
         assert count == 2 and not cen
 
@@ -298,31 +246,31 @@ class TestJumpCounts:
             assert count == max_jumps(marks, z, s, s + dt)
 
     def test_boundary_contact_sets_censored(self):
-        log = text_log("A 0 1 0.1\nA 1 2 0.2\n", lo=-2, hi=2)
+        log = log_of([("A", 0, 1, 0.1), ("A", 1, 2, 0.2)], lo=-2, hi=2)
         count, cen = max_jump_count(0, 0.0, log, 1.0)
         assert cen
         assert count == 2
 
     def test_is_good_on_empty_log(self):
-        log = text_log("")
+        log = log_of([])
         assert is_good(0, 0.0, log, beta=2.0, t=1.0)
 
     def test_saturating_chain_is_not_good(self):
-        body = "".join(f"A {k} {k + 1} 0.{k + 1}\n" for k in range(4))
-        log = text_log(body, lo=-10, hi=10)
+        chain = [("A", k, k + 1, (k + 1) / 10) for k in range(4)]
+        log = log_of(chain, lo=-10, hi=10)
         assert not is_good(0, 0.0, log, beta=2.0, t=2.0)
         assert is_good(0, 0.0, log, beta=2.5, t=2.0)
 
     def test_censored_is_an_error_not_a_guess(self):
-        log = text_log("A 0 1 0.1\nA 1 2 0.2\n", lo=-2, hi=2)
+        log = log_of([("A", 0, 1, 0.1), ("A", 1, 2, 0.2)], lo=-2, hi=2)
         with pytest.raises(CensoredError):
             is_good(0, 0.0, log, beta=9.0, t=1.0)
 
     def test_pair_needs_partner_inside_window(self):
-        log = text_log("", lo=-5, hi=5)
+        log = log_of([], lo=-5, hi=5)
         with pytest.raises(CensoredError):
             is_good_pair(0, 0.0, log, beta=9.0, t=1.0)
-        log2 = text_log("", lo=-5, hi=5, horizon=0.5)
+        log2 = log_of([], lo=-5, hi=5, horizon=0.5)
         assert is_good_pair(0, 0.0, log2, beta=4.0, t=0.5)
 
     def test_ceil_beta_t_convention(self):
@@ -332,65 +280,36 @@ class TestJumpCounts:
         assert ceil_beta_t(1.0, 2.5) == 3
 
 
-# ===== serialization =====
+# ===== log construction =====
 
-class TestTextRoundTrip:
-    def test_round_trip_is_bit_exact(self):
-        log = sample_event_log(SiteWindow(-7, 7, 4.0), 0.6, seed=12, stream=3)
-        back = from_text(to_text(log))
-        assert back.times.tobytes() == log.times.tobytes()
-        assert back.kinds.tobytes() == log.kinds.tobytes()
-        assert back.src.tobytes() == log.src.tobytes()
-        assert back.dst.tobytes() == log.dst.tobytes()
-        assert back.window == log.window
-        assert back.lam == log.lam
-        assert back.seed_record == log.seed_record
-
-    def test_file_round_trip(self, tmp_path):
-        log = sample_event_log(SiteWindow(0, 4, 2.0), 1.1, seed=2)
-        p = tmp_path / "log.txt"
-        save_log(log, p)
-        again = load_log(p)
-        assert again.times.tobytes() == log.times.tobytes()
-
+class TestEventLog:
     def test_tie_sets_flag(self):
-        log = text_log("R 0 0.5\nR 1 0.5\n")
+        log = log_of([("R", 0, 0.5), ("R", 1, 0.5)])
         assert log.tie_flag
-
-    def test_rejects_garbage_lines(self):
-        with pytest.raises(ParameterError):
-            text_log("X 0 0.5\n")
-        with pytest.raises(ParameterError):
-            from_text("R 0 0.5\n")  # no window header
-        # short headers and sites or times that are not numbers
-        for bad in ("# window 0 1\n", "# window\n", "# lambda\n", "# seed 3\n",
-                    "# ties\n", "# lambda x\n", "R x 0.5\n", "A 0 1 nope\n",
-                    "R 0\n"):
-            with pytest.raises(ParameterError):
-                from_text("# window -5 5 2.0\n" + bad)
+        assert not log_of([("R", 0, 0.5), ("R", 1, 0.6)]).tie_flag
 
     def test_rejects_inconsistent_marks(self):
         with pytest.raises(ParameterError):
-            text_log("A 0 2 0.5\n")  # not nearest neighbour
+            log_of([("A", 0, 2, 0.5)])  # not nearest neighbour
         with pytest.raises(ParameterError):
-            text_log("R 99 0.5\n")  # outside window
+            log_of([("R", 99, 0.5)])  # outside window
         with pytest.raises(ParameterError):
-            text_log("R 0 0.9\nR 0 0.2\n")  # unsorted
+            log_of([("R", 0, 0.9), ("R", 0, 0.2)])  # unsorted
 
 
 # ===== interval convention edge cases =====
 
 class TestMarkIntervalConventions:
     def test_mark_at_exactly_s_is_excluded(self):
-        log = text_log("R 0 0.5\n")
+        log = log_of([("R", 0, 0.5)])
         assert evolve({0}, log, 0.5, 1.0) == {0}
 
     def test_mark_at_exactly_t_is_included(self):
-        log = text_log("R 0 0.5\n")
+        log = log_of([("R", 0, 0.5)])
         assert evolve({0}, log, 0.0, 0.5) == frozenset()
 
     def test_backward_query_at_mark_time_sees_state_above(self):
-        log = text_log("R 0 0.5\n")
+        log = log_of([("R", 0, 0.5)])
         back = reach_backward(log, 1.0)
         assert back.query(0, 0.5)
         assert not back.query(0, 0.49999)
