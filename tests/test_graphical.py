@@ -176,6 +176,53 @@ class TestEvolve:
             evolve({0}, log, 0.0, 9.0)
 
 
+# ===== forward reach of space-time points =====
+
+class TestReachForward:
+    """The sites reached at time u from space-time sources (x, s) are the
+    union of evolve({x}, log, s, u) over the sources with s <= u."""
+
+    def test_single_source_empty_log(self):
+        log = log_of([])
+        for u in (0.0, 0.7, 2.0):
+            assert evolve({0}, log, 0.0, u) == {0}
+
+    def test_full_line_at_time_zero(self):
+        log = sample_event_log(SiteWindow(-2, 2, 1.0), 0.5, seed=6)
+        assert evolve(set(range(-2, 3)), log, 0.0, 0.0) == {-2, -1, 0, 1, 2}
+
+    def test_matches_path_oracle_with_mixed_source_times(self):
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            log = random_small_log(rng)
+            marks = tuples_of(log)
+            sources = [(int(rng.integers(-3, 4)), float(rng.uniform(0, 0.8)))
+                       for _ in range(int(rng.integers(1, 4)))]
+            queries = [0.9, 1.0] + [m[-1] for m in marks[:3]]
+            for u in queries:
+                got, want = set(), set()
+                for site, s0 in sources:
+                    if s0 <= u:
+                        got |= evolve({site}, log, s0, u)
+                        want |= open_reach(marks, {site}, s0, u)
+                assert got == want, (marks, sources, u)
+
+    def test_source_at_mark_time_survives_that_mark(self):
+        log = log_of([("R", 0, 0.5)])
+        assert evolve({0}, log, 0.5, 0.5) == {0}
+        assert evolve({0}, log, 0.5, 1.0) == {0}
+
+    def test_consistent_with_evolve(self):
+        # additivity: the reach of a set is the union of its sites' reaches
+        rng = np.random.default_rng(66)
+        w = SiteWindow(-5, 5, 1.0)
+        for k in range(20):
+            log = sample_event_log(w, 0.9, seed=42, stream=k)
+            a = {int(x) for x in rng.integers(-5, 6, 3)}
+            union = set().union(*(evolve({x}, log, 0.0, 1.0) for x in a))
+            assert union == evolve(a, log, 0.0, 1.0)
+
+
 # ===== reach_backward =====
 
 class TestReachBackward:
@@ -282,7 +329,10 @@ class TestJumpCounts:
 
 # ===== log construction =====
 
-class TestEventLog:
+class TestTextRoundTrip:
+    """EventLog construction: the tie flag and the mark checks.  The class
+    keeps the name it had when logs were also read from a text format."""
+
     def test_tie_sets_flag(self):
         log = log_of([("R", 0, 0.5), ("R", 1, 0.5)])
         assert log.tie_flag
