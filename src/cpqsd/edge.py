@@ -283,8 +283,8 @@ class FreePopulation:
 
 
 def _check_run(lam, t, depth):
-    if not lam > 0:
-        raise ParameterError(f"lambda must be > 0, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ParameterError(f"lambda must be finite and > 0, got {lam}")
     if not 0 <= t < math.inf:
         raise ParameterError(f"duration must be finite and >= 0, got {t}")
     if depth < 1:

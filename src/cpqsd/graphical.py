@@ -181,15 +181,15 @@ def sample_event_log(window, lam, seed, stream=0):
     ----------
     window : SiteWindow
     lam : float
-        Infection rate, > 0.
+        Infection rate, finite and > 0.
     seed, stream : int
         64-bit seed and stream id; replicas of one experiment share the
         seed and take stream = replica index.
     """
     if not isinstance(window, SiteWindow):
         window = SiteWindow(*window)
-    if not lam > 0:
-        raise ParameterError(f"lambda must be > 0, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ParameterError(f"lambda must be finite and > 0, got {lam}")
     if not (0 <= seed <= _U64_MAX) or not (0 <= stream <= _U64_MAX):
         raise ParameterError("seed and stream must be unsigned 64-bit integers")
     rng = np.random.Generator(np.random.PCG64(

@@ -97,8 +97,8 @@ def build_generator(L, lam, policy=POLICY_CLIP):
     """
     if not 1 <= L <= _MAX_L:
         raise ParameterError(f"depth L must be in [1, {_MAX_L}], got {L}")
-    if not lam > 0:
-        raise ParameterError(f"lambda must be > 0, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ParameterError(f"lambda must be finite and > 0, got {lam}")
     if policy not in (POLICY_CLIP, POLICY_KILL):
         raise ParameterError(f"unknown policy {policy!r}")
     n = 1 << (L - 1)
@@ -402,8 +402,9 @@ def _start_vector(gen, start):
     if v.shape != (gen.nstates,):
         raise ParameterError(
             f"start vector has shape {v.shape}, want ({gen.nstates},)")
-    if np.any(v < 0) or v.sum() <= 0:
-        raise ParameterError("start vector must be a nonnegative measure")
+    if not np.all(np.isfinite(v)) or np.any(v < 0) or v.sum() <= 0:
+        raise ParameterError(
+            "start vector must be a finite nonnegative measure")
     return v / v.sum()
 
 

@@ -4,7 +4,7 @@ The estimators here are the stochastic counterparts of the exact spectral
 module: the conditioned law of the edge configuration given survival, the
 decay rate from log-survival slopes, the survival-scaled h values, and the
 h-transformed (honest) chain.  Survival to large times is exponentially
-rare, so the default machinery is multilevel splitting: the population is
+rare, so every estimator runs multilevel splitting: the population is
 advanced between checkpoints, extinct replicas are resampled uniformly from
 the survivors, and a shared weight keeps the product of stage survival
 fractions, which is itself the survival-probability estimate.
@@ -34,22 +34,18 @@ import scipy.sparse as sp
 
 from . import _kernels as K
 from .edge import (EmpiricalDistribution, FreePopulation, _check_run,
-                   _init_sites, clip_key, decode_key, recenter)
+                   _init_sites, decode_key)
 from .errors import ParameterError, ResolutionError
 from .spectral import build_generator, dominant_eigenpair, index_to_key, key_to_index
-
-
-@dataclass(frozen=True)
-class Rejection:
-    """Keep simulating fresh replicas until enough survive.  Cost grows
-    like exp(alpha * t); intended for short horizons and sanity checks."""
 
 
 @dataclass(frozen=True)
 class Splitting:
     """Checkpointed multilevel splitting.  checkpoint_dt = None picks the
     rough guess 1/alpha from a small spectral solve; whenever a stage keeps
-    less than a fifth of the population the spacing is halved."""
+    less than a fifth of the population the spacing is halved.  With
+    checkpoint_dt >= t the run is one stage, which is plain rejection over
+    the n replicas."""
 
     checkpoint_dt: float | None = None
 
@@ -136,14 +132,49 @@ def _grouped_ess(members):
     return float(m.sum() ** 2 / np.square(m).sum())
 
 
-def _run_splitting(pop, n, t, dt0, resample_rng, record_times=()):
-    """Advance a population of size n to time t with resampling checkpoints.
+def _starter(lam, gen):
+    """start(init) -> populate for gen's chain, or for the free process
+    when gen is None.  init is a canonical key of the chain, else a
+    nonempty finite set of sites; populate(n, words) makes n replicas
+    started from init, one kernel word each.  The chain's walk arrays are
+    built here, once for every start."""
+    if gen is not None and lam != gen.lam:
+        raise ParameterError(
+            f"lambda {lam} differs from the generator's {gen.lam}")
+    walk = None if gen is None else _chain_walk(gen)
 
-    Returns (alive indices, log weight, stage times, survivor counts,
-    records, final ess).  records[t_k] = (survival estimate, accumulated
-    delta-method variance of its log, ess at t_k) for each requested time.
+    def start(init):
+        if walk is None:
+            sites = _init_sites(init)
+            populate = functools.partial(FreePopulation, sites, lam)
+        else:
+            key = int(init)
+            sites = decode_key(key, gen.L)
+            populate = functools.partial(_ChainPopulation, walk, key)
+        if not sites:
+            raise ParameterError("initial configuration must be nonempty")
+        return populate
+
+    return start
+
+
+def _split(populate, lam, n, t, dt0, seeds, record_times=()):
+    """Splitting run of n replicas to time t: the population's kernel words
+    come from the stream seeds + (0,), its resampler from seeds + (1,), and
+    dt0 = None picks the rough guess 1/alpha.
+
+    Returns (population, alive indices, log weight, stage times, survivor
+    counts, records, final ess).  records[t_k] = (survival estimate,
+    accumulated delta-method variance of its log, ess at t_k) for each
+    requested time.  At t = 0 no stage runs and every replica is alive.
     """
-    ancestors = np.arange(n)
+    if dt0 is None:
+        dt0 = 1.0 / _rough_alpha(lam)
+    if not dt0 > 0:
+        raise ParameterError(f"checkpoint_dt must be > 0, got {dt0}")
+    pop = populate(n, _words(seeds + (0,), n))
+    resample_rng = np.random.default_rng(np.random.SeedSequence(seeds + (1,)))
+    alive = ancestors = np.arange(n)
     log_w = 0.0
     var_acc = 0.0
     stages = []
@@ -188,86 +219,33 @@ def _run_splitting(pop, n, t, dt0, resample_rng, record_times=()):
                 dt = max(dt / 2.0, t / 1024.0)
         t_now = t_next
     ess = _grouped_ess(ancestors[alive])
-    return alive, log_w, stages, survivor_counts, records, ess
-
-
-def _starter(lam, gen):
-    """start(init) -> (sites, populate) for gen's chain, or for the free
-    process when gen is None.  init is a canonical key of the chain, else a
-    nonempty finite set of sites; populate(n, words) makes n replicas
-    started from init, one kernel word each.  The chain's walk arrays are
-    built here, once for every start."""
-    walk = None if gen is None else _chain_walk(gen)
-
-    def start(init):
-        if walk is None:
-            sites = _init_sites(init)
-            populate = functools.partial(FreePopulation, sites, lam)
-        else:
-            key = int(init)
-            sites = sorted(decode_key(key, gen.L))
-            populate = functools.partial(_ChainPopulation, walk, key)
-        if not sites:
-            raise ParameterError("initial configuration must be nonempty")
-        return sites, populate
-
-    return start
-
-
-def _split(populate, lam, n, t, dt0, seeds, record_times=()):
-    """Splitting run of n replicas to time t: the population's kernel words
-    come from the stream seeds + (0,), its resampler from seeds + (1,), and
-    dt0 = None picks the rough guess 1/alpha.  Returns the population and
-    _run_splitting's results."""
-    if dt0 is None:
-        dt0 = 1.0 / _rough_alpha(lam)
-    if not dt0 > 0:
-        raise ParameterError(f"checkpoint_dt must be > 0, got {dt0}")
-    pop = populate(n, _words(seeds + (0,), n))
-    rng = np.random.default_rng(np.random.SeedSequence(seeds + (1,)))
-    return pop, _run_splitting(pop, n, t, dt0, rng, record_times)
+    return pop, alive, log_w, stages, survivor_counts, records, ess
 
 
 # ===== conditioned-law estimation =====
 
-def yaglom_estimate(init, lam, t, target_survivors, strategy, depth, seed,
-                    gen=None):
+def yaglom_estimate(init, lam, t, replicas, strategy, depth, seed, gen=None):
     """Empirical law of the depth-truncated edge configuration at time t,
-    conditioned on survival.
+    conditioned on survival, from a splitting run of `replicas` replicas.
 
     init is a finite set of sites (free process on Z); passing a
     TruncatedGenerator via gen runs the depth-L chain instead, with init
-    read as a canonical key.  Returns (EmpiricalDistribution, diagnostics);
-    diagnostics carry the stage layout, survivor counts, the survival
-    estimate (`weight`), and a conservative effective sample size that
-    counts replicas sharing an ancestor since the last resampling as one.
+    read as a canonical key.  strategy is a Splitting.  Returns
+    (EmpiricalDistribution, diagnostics); diagnostics carry the stage
+    layout, survivor counts, the survival estimate (`weight`), and a
+    conservative effective sample size that counts replicas sharing an
+    ancestor since the last resampling as one.
     """
     _check_run(lam, t, depth)
-    if target_survivors < 1:
-        raise ParameterError(f"target_survivors must be >= 1, got {target_survivors}")
-    if not isinstance(strategy, (Rejection, Splitting)):
+    if replicas < 1:
+        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    if not isinstance(strategy, Splitting):
         raise ParameterError(f"unknown strategy {strategy!r}")
-    sites, populate = _starter(lam, gen)(init)
-    meta = {"lambda": lam, "t": t, "seed": seed}
-
-    if t == 0:
-        zeta, _ = recenter(sites)
-        key, clipped = clip_key(zeta, depth)
-        dist = EmpiricalDistribution(depth, {key: float(target_survivors)},
-                                     replica_count=target_survivors, meta=meta)
-        diag = {"strategy": _strategy_name(strategy), "stages": [],
-                "survivor_counts": [], "weight": 1.0,
-                "ess": float(target_survivors),
-                "clipped": target_survivors if clipped else 0}
-        return dist, diag
-
-    if isinstance(strategy, Rejection):
-        return _rejection_estimate(populate, t, target_survivors, depth, seed,
-                                   meta)
-
-    n = int(target_survivors)
-    pop, (alive, log_w, stages, counts, _, ess) = _split(
-        populate, lam, n, t, strategy.checkpoint_dt, (seed, 0))
+    populate = _starter(lam, gen)(init)
+    n = int(replicas)
+    dt0 = strategy.checkpoint_dt
+    pop, alive, log_w, stages, counts, _, ess = _split(
+        populate, lam, n, t, dt0, (seed, 0))
     keys, clipped = pop.final_keys(alive, depth)
     # equal counts share one float, so a law holds a float per distinct
     # count rather than one per key
@@ -275,53 +253,11 @@ def yaglom_estimate(init, lam, t, target_survivors, strategy, depth, seed,
     as_float = {c: float(c) for c in set(tally.values())}
     dist = EmpiricalDistribution(
         depth, {key: as_float[c] for key, c in tally.items()},
-        replica_count=n, meta=meta)
-    diag = {"strategy": _strategy_name(strategy), "stages": stages,
-            "survivor_counts": counts, "weight": math.exp(log_w),
-            "ess": ess, "clipped": clipped}
-    return dist, diag
-
-
-def _strategy_name(strategy):
-    if isinstance(strategy, Rejection):
-        return "Rejection"
-    if isinstance(strategy, Splitting):
-        dt = strategy.checkpoint_dt
-        return f"Splitting(checkpoint_dt={dt if dt is not None else 'auto'})"
-    return repr(strategy)
-
-
-def _rejection_estimate(populate, t, target, depth, seed, meta):
-    # batch b takes the words after those of batches 0..b-1 in one stream;
-    # generate_state(m) is a prefix of generate_state(n) for m <= n, so a
-    # pool grown by doubling holds the same words
-    ss = np.random.SeedSequence((seed, 0, 0))
-    pool = np.empty(0, np.uint64)
-    dist = EmpiricalDistribution(depth, meta=meta)
-    total = 0
-    got = 0
-    clipped = 0
-    while got < target:
-        batch = max(1024, 2 * (target - got))
-        if pool.size < total + batch:
-            pool = ss.generate_state(max(2 * pool.size, total + batch),
-                                     np.uint64)
-        pop = populate(batch, pool[total:total + batch])
-        pop.advance_to(t)
-        keys, c = pop.final_keys(np.nonzero(pop.alive_mask())[0], depth)
-        for key in keys:
-            dist.add(key)
-        clipped += c
-        got = int(dist.total)
-        total += batch
-        if (got == 0 and total >= 2_000_000) or total >= 50_000_000:
-            raise ResolutionError(
-                f"{got} survivors to t={t:g} after {total} replicas; "
-                "rejection is hopeless here, use Splitting")
-    dist.replica_count = total
-    diag = {"strategy": "Rejection", "stages": [float(t)],
-            "survivor_counts": [got], "weight": got / total,
-            "ess": float(got), "clipped": clipped}
+        replica_count=n, meta={"lambda": lam, "t": t, "seed": seed})
+    diag = {"strategy": "Splitting(checkpoint_dt="
+                        f"{dt0 if dt0 is not None else 'auto'})",
+            "stages": stages, "survivor_counts": counts,
+            "weight": math.exp(log_w), "ess": ess, "clipped": clipped}
     return dist, diag
 
 
@@ -351,12 +287,11 @@ def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None,
         raise ParameterError("t_grid must be finite, positive and increasing")
     if replicas < 2:
         raise ParameterError(f"replicas must be >= 2, got {replicas}")
-    if not lam > 0:
-        raise ParameterError(f"lambda must be > 0, got {lam}")
-    _, populate = _starter(lam, gen)(init)
-    _, (_, _, _, _, records, _) = _split(populate, lam, int(replicas),
-                                         grid[-1], checkpoint_dt, (seed, 1),
-                                         record_times=grid)
+    if not 0 < lam < math.inf:
+        raise ParameterError(f"lambda must be finite and > 0, got {lam}")
+    populate = _starter(lam, gen)(init)
+    *_, records, _ = _split(populate, lam, int(replicas), grid[-1],
+                            checkpoint_dt, (seed, 1), record_times=grid)
     pts = [records[tk] for tk in grid]
     num = 0.0
     den = 0.0
@@ -388,10 +323,11 @@ def h_estimate(states, alpha, t, replicas, *, lam=None, depth=None, seed=0,
     its own stream).  With the exact alpha the raw values already sit in the
     nu.h = 1 normalization; passing nu (a probability over keys covering
     `states`) rescales so that sum nu(A) h_hat(A) = sum nu(A), removing the
-    exp((alpha - alpha_true) t) scale error of an estimated alpha.
+    exp((alpha - alpha_true) t) scale error of an estimated alpha.  With
+    gen, lam defaults to gen.lam and must equal it, and depth is gen.L.
     """
     if gen is not None:
-        lam = gen.lam
+        lam = gen.lam if lam is None else lam
         depth = gen.L
     if lam is None or depth is None:
         raise ParameterError("free-process h_estimate needs lam and depth")
@@ -404,10 +340,10 @@ def h_estimate(states, alpha, t, replicas, *, lam=None, depth=None, seed=0,
     out = np.ones(len(keys))
     start = _starter(lam, gen)
     for j, key in enumerate(keys):
-        _, populate = start(key if gen is not None else decode_key(key, depth))
+        populate = start(key if gen is not None else decode_key(key, depth))
         if t > 0:
-            _, (_, log_w, _, _, _, _) = _split(populate, lam, int(replicas),
-                                               t, None, (seed, 2, j))
+            _, _, log_w, *_ = _split(populate, lam, int(replicas), t, None,
+                                     (seed, 2, j))
             out[j] = math.exp(alpha * t + log_w)
     if nu is not None:
         lookup = nu.normalized() if hasattr(nu, "normalized") else dict(nu)

@@ -174,6 +174,9 @@ class TestSimulateTrajectory:
         with pytest.raises(ParameterError):
             simulate_edge_trajectory(Finite({0}), 0.0, 1.0, 8, seed=1)
         with pytest.raises(ParameterError):
+            # an infinite rate used to run forever
+            simulate_edge_trajectory(Finite({0}), math.inf, 1.0, 8, seed=1)
+        with pytest.raises(ParameterError):
             simulate_edge_trajectory(Finite({0}), 0.5, -1.0, 8, seed=1)
         with pytest.raises(ParameterError):
             simulate_edge_trajectory(Finite({0}), 0.5, 1.0, 0, seed=1)
@@ -304,9 +307,10 @@ class TestSampleDistribution:
     @pytest.mark.parametrize("args", [
         (0.5, 1.0, 8, 0), (0.5, 1.0, 8, -3), (0.0, 1.0, 8, 0),
         (0.5, math.nan, 8, 0), (0.5, -1.0, 8, 0), (0.5, 1.0, 0, 0),
-        (0.5, math.nan, 8, 5),
+        (0.5, math.nan, 8, 5), (math.inf, 1.0, 8, 5),
     ], ids=["no-replicas", "negative-replicas", "zero-lambda", "nan-time",
-            "negative-time", "zero-depth", "nan-time-5-replicas"])
+            "negative-time", "zero-depth", "nan-time-5-replicas",
+            "inf-lambda-5-replicas"])
     def test_parameter_validation(self, args):
         lam, t, depth, replicas = args
         with pytest.raises(ParameterError):

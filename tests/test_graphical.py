@@ -108,6 +108,8 @@ class TestSampleEventLog:
         with pytest.raises(ParameterError):
             sample_event_log(SiteWindow(0, 1, 1.0), 0.0, seed=1)
         with pytest.raises(ParameterError):
+            sample_event_log(SiteWindow(0, 1, 1.0), math.inf, seed=1)
+        with pytest.raises(ParameterError):
             sample_event_log(SiteWindow(0, 1, 1.0), 0.5, seed=-1)
 
 

@@ -196,6 +196,8 @@ class TestGeneratorOracle:
         with pytest.raises(ParameterError):
             build_generator(4, 0.0)
         with pytest.raises(ParameterError):
+            build_generator(4, math.inf)
+        with pytest.raises(ParameterError):
             build_generator(4, 0.5, "chop")
 
     def test_key_index_bijection(self):
@@ -455,6 +457,14 @@ class TestSemigroup:
             survival_curve(gen, np.ones(3), [1.0])
         with pytest.raises(ParameterError):
             survival_curve(gen, -np.ones(gen.nstates), [1.0])
+        # a NaN entry gave a NaN survival and an infinite one a NaN law
+        for bad in (math.nan, math.inf):
+            v = np.ones(gen.nstates)
+            v[1] = bad
+            with pytest.raises(ParameterError):
+                survival_curve(gen, v, [1.0])
+            with pytest.raises(ParameterError):
+                yaglom_exact(gen, v, 1.0)
         # a NaN rtol closed the series at once and returned a wrong number
         for bad in (math.nan, 0.0, -1e-12, math.inf):
             with pytest.raises(ParameterError):

@@ -107,6 +107,48 @@ def test_time_zero_counts_replicas_with_clipped_offsets():
         _, diag = yaglom.yaglom_estimate(start, 0.5, t, 100,
                                          yaglom.Splitting(), 8, 0)
         assert diag["clipped"] == 100
+    # at t = 0 no stage runs: every replica is its start, truncated to
+    # depth, and the run has weight 1 and full effective size
+    gen = build_generator(8, 0.5)
+    for init, depth, g, key, clipped in ((start, 8, None, 255, 100),
+                                         ({0, -2}, 8, None, 5, 0),
+                                         (255, 4, gen, 15, 100),
+                                         (5, 8, gen, 5, 0)):
+        dist, diag = yaglom.yaglom_estimate(init, 0.5, 0.0, 100,
+                                            yaglom.Splitting(), depth, 0,
+                                            gen=g)
+        assert dist.weights == {key: 100.0} and dist.replica_count == 100
+        assert diag["weight"] == 1.0 and diag["ess"] == 100.0
+        assert diag["stages"] == [] and diag["survivor_counts"] == []
+        assert diag["clipped"] == clipped
+        assert diag["strategy"] == "Splitting(checkpoint_dt=auto)"
+
+
+def test_strategy_must_be_splitting():
+    # splitting is the only estimator; a one-stage run is plain rejection
+    for strategy in ("Rejection", object(), None):
+        with pytest.raises(ParameterError):
+            yaglom.yaglom_estimate({0}, 0.5, 1.0, 10, strategy, 4, 0)
+
+
+def test_chain_lambda_must_be_the_generators():
+    # a lambda other than the chain's used to run the chain and record the
+    # other lambda in the law's meta
+    gen = build_generator(8, 0.5)
+    with pytest.raises(ParameterError):
+        yaglom.yaglom_estimate(1, 0.9, 2.0, 200, yaglom.Splitting(), 8, 0,
+                               gen=gen)
+    with pytest.raises(ParameterError):
+        yaglom.alpha_estimate(1, 0.9, (1.0, 2.0, 3.0), 200, 0, gen=gen)
+
+
+def test_infinite_lambda_is_rejected():
+    # an infinite rate used to run forever
+    with pytest.raises(ParameterError):
+        yaglom.yaglom_estimate({0}, math.inf, 1.0, 10, yaglom.Splitting(1.0),
+                               4, 0)
+    with pytest.raises(ParameterError):
+        yaglom.alpha_estimate({0}, math.inf, (1.0, 2.0, 3.0), 10, 0)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
@@ -186,11 +228,17 @@ def test_free_splitting_law_matches_yaglom_exact(seed):
 
 
 def test_chain_rejection_weight_matches_survival_curve():
+    # a checkpoint spacing of at least t makes one stage, which is plain
+    # rejection: the weight is a binomial fraction of the n replicas.  Over
+    # seeds 0-29 the largest deviation was 2.57 sigma
     gen = build_generator(8, 0.5)
     p = survival_curve(gen, 1, [6.0])[0]
-    dist, diag = yaglom.yaglom_estimate(1, 0.5, 6.0, 200, yaglom.Rejection(),
+    dist, diag = yaglom.yaglom_estimate(1, 0.5, 6.0, 3000,
+                                        yaglom.Splitting(checkpoint_dt=6.0),
                                         8, 0, gen=gen)
+    assert diag["stages"] == [6.0]
     n = dist.replica_count
+    assert n == 3000
     assert abs(diag["weight"] - p) < K_SIGMA * math.sqrt(p * (1 - p) / n)
 
 
@@ -292,9 +340,12 @@ def test_h_estimate_nu_rescaling():
     dict(alpha=math.inf),
     dict(gen=None, lam=0.0, depth=8, t=0.0),
     dict(gen=None, lam=math.nan, depth=8, t=0.0),
+    dict(gen=None, lam=math.inf, depth=8, t=0.0),
     dict(gen=None, lam=0.5, depth=0, t=0.0),
+    dict(lam=0.6),
 ], ids=["no-replicas", "no-replicas-time-0", "nan-alpha", "inf-alpha",
-        "zero-lambda-time-0", "nan-lambda-time-0", "zero-depth-time-0"])
+        "zero-lambda-time-0", "nan-lambda-time-0", "inf-lambda-time-0",
+        "zero-depth-time-0", "mismatched-lambda"])
 def test_h_estimate_parameter_validation(args):
     # checked before any simulation, so also at t = 0, where no population
     # is run
