@@ -9,7 +9,13 @@ ops of the edge_log workload (point: sample_edge_distribution of 20
 replicas from Finite({0}); interval: 10 replicas from FullInterval(20),
 both at lambda 0.5 to t 2); two one-replica ops (one/point and
 one/interval: 100 calls of simulate_edge_trajectory from Finite({0}) and
-from FullInterval(20), lambda 0.5, t 2, depth 12); the stragglers op
+from FullInterval(20), lambda 0.5, t 2, depth 12); the query op of the
+edge_log workload (edge_log/query: 10 queries on the fixed 401-site,
+t = 10 log, each an evolve from one site, a reach_backward with 4 point
+queries and a max_jump_count over 2 time units), and the same 10 queries
+timed by part (edge_log/query.evolve, .reach and .jumps); log/tiny (1000
+calls of sample_event_log plus evolve from -3..0 on SiteWindow(-11, 8,
+0.5), the pair the slowest unit test makes 20 000 times); the stragglers op
 (free/interval_1440: a FreePopulation of 20 replicas from FullInterval(1440)
 advanced to t 20 at lambda 0.5, where late steps carry few replicas); and
 three chain-walk ops (walk_L12 and walk_L14: building the walk arrays of
@@ -27,7 +33,7 @@ the median and quartiles of each op's seconds.  Output checks are the
 benchmark's business, not this script's.
 
     python bench/mc_ops.py --tree parent=../parent/src --tree change=src \\
-        --out BENCH_9.json
+        --out BENCH_13.json
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ def ops():
     import numpy as np
 
     from cpqsd import edge as E
+    from cpqsd import graphical as G
     from cpqsd import spectral as S
     from cpqsd import yaglom as Y
 
@@ -72,6 +79,49 @@ def ops():
         S.survival_curve(g16, 1, [float(t) for t in range(1, 17)])
         S.yaglom_exact(g16, 1, 8.0)
 
+    horizon = 10.0
+    log = G.sample_event_log(G.SiteWindow(-200, 200, horizon), LAM, 0)
+
+    def queries(s):
+        """The inputs of 10 edge_log query ops: (x, s, points)."""
+        out = []
+        for q in range(10):
+            rng = np.random.default_rng((s, q))
+            x = int(rng.integers(-150, 151))
+            s0 = float(rng.uniform(0.0, horizon))
+            points = [(x, s0)] + [(x + int(dx), float(u)) for dx, u in
+                                  zip(rng.integers(-5, 6, 3),
+                                      rng.uniform(0.0, horizon, 3))]
+            out.append((x, s0, points))
+        return out
+
+    def evolve_part(qs):
+        for x, s0, _ in qs:
+            G.evolve({x}, log, s0, horizon)
+
+    def reach_part(qs):
+        for _, _, points in qs:
+            reach = G.reach_backward(log, horizon)
+            for p in points:
+                reach(p)
+
+    def jumps_part(qs):
+        for x, _, _ in qs:
+            G.max_jump_count(x, 0.0, log, 2.0)
+
+    def query(*parts):
+        def call(s):
+            qs = queries(s)
+            for part in parts:
+                part(qs)
+        return call
+
+    def tiny(s):
+        window = G.SiteWindow(-11, 8, 0.5)
+        for r in range(1000):
+            G.evolve(range(-3, 1), G.sample_event_log(window, LAM, s, r),
+                     0.0, 0.5)
+
     def stragglers(s):
         words = np.random.SeedSequence((s, 0)).generate_state(20, np.uint64)
         E.FreePopulation(range(-1440, 1), LAM, 20, words).advance_to(20.0)
@@ -89,6 +139,11 @@ def ops():
             E.Finite({0}), LAM, 2.0, 12, s, 20),
         "edge_log/interval": lambda s: E.sample_edge_distribution(
             E.FullInterval(20), LAM, 2.0, 8, s, 10),
+        "edge_log/query": query(evolve_part, reach_part, jumps_part),
+        "edge_log/query.evolve": query(evolve_part),
+        "edge_log/query.reach": query(reach_part),
+        "edge_log/query.jumps": query(jumps_part),
+        "log/tiny": tiny,
         "one/point": one(E.Finite({0})),
         "one/interval": one(E.FullInterval(20)),
         "free/interval_1440": stragglers,
@@ -169,7 +224,8 @@ def main(argv=None):
 
     record = {
         "what": "seconds per op of the qsd_mc ops, the edge_log sampling "
-                "ops, the one-replica and stragglers ops of the free "
+                "and query ops (the query op also by part), the tiny-log "
+                "op, the one-replica and stragglers ops of the free "
                 "process, the chain-walk ops and the exact_chain ops, "
                 "median and quartiles over "
                 "--repeats seeds; each repeat times every tree in a fresh "

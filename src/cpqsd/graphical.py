@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +93,10 @@ class EventLog:
     Arrays: times (f8), kinds (i1: 0 recovery, 1 arrow), src (i4), dst (i4,
     == src for recoveries).  `tie_flag` is set when two marks share a time;
     the stable sort order then acts as the deterministic tie-break.
+
+    The queries do not read the arrays: they walk `lists`, the same marks
+    as plain Python lists, built on first use and kept, since a log never
+    changes.
     """
 
     def __init__(self, window, times, kinds, src, dst):
@@ -135,6 +141,14 @@ class EventLog:
 
     def __len__(self):
         return self.times.shape[0]
+
+    @cached_property
+    def lists(self):
+        """(times, kinds, src, dst) as plain lists, src and dst as offsets
+        site - window.lo: the form the sweeps of _kernels walk."""
+        lo = self.window.lo
+        return (self.times.tolist(), self.kinds.tolist(),
+                (self.src - lo).tolist(), (self.dst - lo).tolist())
 
     def __repr__(self):
         w = self.window
@@ -248,61 +262,45 @@ def evolve(start, log, s, t):
     sites = _as_sites(start, w)
     if not sites:
         return Configuration()
-    occ = np.zeros(w.nsites, np.int8)
-    for x in sites:
-        occ[x - w.lo] = 1
-    touched = K.evolve_sweep(log.times, log.kinds, log.src, log.dst,
-                             len(log), occ, w.lo, w.hi, float(s), float(t))
-    return _configuration(occ, w, touched)
-
-
-def _configuration(occ, window, touched=0):
-    out = np.nonzero(occ)[0] + window.lo
-    return Configuration((int(x) for x in out), censored=bool(touched))
+    occ = {x - w.lo for x in sites}
+    touched = K.evolve_sweep(*log.lists, occ, w.hi - w.lo, s, t)
+    return Configuration((x + w.lo for x in occ), censored=touched)
 
 
 class BackwardReach:
     """Predicate (x, s) -> whether (x, s) has an open path to the full line
     at time t.  Exact for within-window paths; a wider window could only
-    turn False into True near the boundary."""
+    turn False into True near the boundary.
+
+    One backward sweep records, per site, the ascending indices of the
+    marks at or below t where its reach bit changes.  A query at (x, s)
+    takes k, the number of marks at or below s, by one bisect in the mark
+    times; the marks of index >= k lie above s, and (x, s) reaches the top
+    iff an even number of x's changes are among them, one bisect in x's
+    list."""
 
     def __init__(self, log, t):
         _check_span(log, 0.0, t)
         w = log.window
         self.window = w
         self.t = float(t)
-        n = int(np.searchsorted(log.times, t, side="right"))
-        self.times = log.times[:n]
-        b = np.ones(w.nsites, np.int8)
-        self._delta_site = np.full(n, -1, np.int32)
-        self._delta_above = np.zeros(n, np.int8)
-        K.backward_sweep(log.times, log.kinds, log.src, log.dst, n, b,
-                         w.lo, self._delta_site, self._delta_above)
-        self._b0 = b
-        self._cache_k = 0
-        self._cache_b = b.copy()
+        times, kinds, src, dst = log.lists
+        self._times = times
+        self._flips = K.backward_sweep(kinds, src, dst,
+                                       bisect_right(times, t), w.nsites)
 
-    def _state_at(self, k):
-        """Backward-reachability array valid on the k-th inter-mark
-        interval (k marks at or below the query time)."""
-        if k < self._cache_k:
-            self._cache_k = 0
-            self._cache_b = self._b0.copy()
-        b = self._cache_b
-        for i in range(self._cache_k, k):
-            ds = self._delta_site[i]
-            if ds >= 0:
-                b[ds] = self._delta_above[i]
-        self._cache_k = k
-        return b
-
-    def query(self, x, s):
+    def _marks_below(self, s):
+        """Number of marks at or below query time s, which must lie in
+        [0, t]."""
         if not (0 <= s <= self.t):
             raise ParameterError(f"query time {s} outside [0, {self.t}]")
+        return bisect_right(self._times, s)
+
+    def query(self, x, s):
+        k = self._marks_below(s)
         if not self.window.contains_site(x):
             raise ParameterError(f"site {x} outside window")
-        k = int(np.searchsorted(self.times, s, side="right"))
-        return bool(self._state_at(k)[x - self.window.lo])
+        return _reaches(self._flips[x - self.window.lo], k)
 
     def __call__(self, point):
         site, time = point
@@ -310,10 +308,17 @@ class BackwardReach:
 
     def at(self, s):
         """Configuration of all sites x with (x, s) reaching the top line."""
-        if not (0 <= s <= self.t):
-            raise ParameterError(f"query time {s} outside [0, {self.t}]")
-        k = int(np.searchsorted(self.times, s, side="right"))
-        return _configuration(self._state_at(k), self.window)
+        k = self._marks_below(s)
+        lo = self.window.lo
+        return Configuration(x + lo for x, flips in enumerate(self._flips)
+                             if _reaches(flips, k))
+
+
+def _reaches(flips, k):
+    """Whether a site whose reach bit changes at the ascending mark indices
+    `flips` reaches the top below mark k: iff an even number of them are at
+    or above k."""
+    return (len(flips) - bisect_left(flips, k)) % 2 == 0
 
 
 def reach_backward(log, t):
@@ -336,10 +341,7 @@ def max_jump_count(z, s, log, t):
         raise ParameterError(f"site {z} outside window")
     if t < 0 or not (0 <= s <= s + t <= w.horizon):
         raise ParameterError(f"need 0 <= s <= s+t <= horizon, got s={s}, t={t}")
-    J = np.full(w.nsites, -1, np.int32)
-    best, cen = K.jump_dp(log.times, log.kinds, log.src, log.dst, len(log),
-                          J, w.lo, w.hi, int(z), float(s), float(s + t))
-    return int(best), bool(cen)
+    return K.jump_dp(*log.lists, w.hi - w.lo, int(z) - w.lo, s, s + t)
 
 
 def is_good(z, s, log, beta, t):

@@ -18,11 +18,11 @@ alpha.  Measured, not proved: alpha_clip(L) falls at every L toward alpha.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammainc, gammaln
 
 from .edge import EmpiricalDistribution
 from .errors import ParameterError, ResolutionError
@@ -343,19 +343,20 @@ def _times(times):
     return times
 
 
-def _series(gen, v, times, rtol):
-    """Masses of v e^{Qt} for each distinct t > 0 in times, and the row
-    v e^{Qt} itself at the largest of them, by one pass of the uniformized
-    Poisson series.
+def _series(gen, v, times, rtol, law=False):
+    """Masses of v e^{Qt} for each distinct t > 0 in times, by one pass of
+    the uniformized Poisson series, and with law=True the row v e^{Qt}
+    itself at the largest of them.
 
     With sigma the largest exit rate, P = I + Q/sigma is nonnegative and
-    substochastic, and v e^{Qt} = sum_k e^{-m} m^k / k! u_k with m = sigma t
-    and u_k = v P^k.  u_k is computed once; each time adds its Poisson
-    weight times sum(u_k) to its mass, and the largest time adds its
-    weighted u_k to the row.  sum(u_k) does not increase with k, so the l1
-    norm of the tail after K terms is at most P(Poisson(m) > K) sum(u_K); a
-    time's series closes once that bound is below rtol times its mass.
-    Returns ({t: mass}, row), the row all zeros when no time is positive.
+    substochastic, and v e^{Qt} = sum_k w_k u_k with u_k = v P^k and the
+    Poisson weights w_k = e^{-m} m^k / k!, m = sigma t (from math.lgamma).
+    u_k is computed once; each time adds w_k sum(u_k) to its mass, and with
+    law=True the largest time adds w_k u_k to the row.  sum(u_k) does not
+    increase with k, so the l1 norm of the tail after k terms is at most
+    P(Poisson(m) > k) sum(u_k), and a time's series closes once
+    _tail_bound's bound on that is below rtol times its mass.  Returns
+    ({t: mass}, row), the row None unless law=True.
     """
     sigma = float(gen.exit_rates().max())
     # P^T from a transposed copy: Q stores every diagonal entry, so adding
@@ -369,18 +370,18 @@ def _series(gen, v, times, rtol):
     k_max = m + 60.0 * np.sqrt(m + 1) + 1000
     mass = np.zeros(len(ts))
     open_ = np.ones(len(ts), dtype=bool)
-    row = np.zeros(gen.nstates)
+    row = np.zeros(gen.nstates) if law else None
     u = v
     k = 0
     while open_.any():
         if k:
             u = PT @ u
         u_sum = float(u.sum())
-        w = np.exp(-m + k * log_m - gammaln(k + 1))
+        w = np.exp(-m + k * log_m - math.lgamma(k + 1))
         mass[open_] += w[open_] * u_sum
-        if open_[-1]:
+        if law and open_[-1]:
             row += w[-1] * u
-        tail = gammainc(k + 1, m)
+        tail = _tail_bound(w, m, k)
         if k >= 1:
             open_ &= tail * u_sum > rtol * mass
         stuck = np.flatnonzero(open_ & (k > k_max))
@@ -393,10 +394,31 @@ def _series(gen, v, times, rtol):
     return dict(zip(ts.tolist(), mass.tolist())), row
 
 
+def _tail_bound(w, m, k):
+    """Upper bounds on P(Poisson(m) > k) for an array of means m, from the
+    weights w = P(Poisson(m) = k).  Past k the weights fall by the ratios
+    w_{j+1} / w_j = m / (j + 1) <= m / (k + 2), so the tail is at most the
+    geometric series w_{k+1} (k + 2) / (k + 2 - m) once k + 2 > m; before
+    that the bound is 1."""
+    tail = np.ones(len(m))
+    gap = k + 2 - m
+    near = gap > 0
+    tail[near] = w[near] * m[near] / (k + 1) * (k + 2) / gap[near]
+    return tail
+
+
 def _start_vector(gen, start):
     if np.isscalar(start):
+        try:
+            key = operator.index(start)
+        except TypeError:
+            raise ParameterError(
+                f"start key must be an integer, got {start!r}") from None
+        i = key_to_index(key)
+        if i >= gen.nstates:
+            raise ParameterError(f"{key} is not a depth-{gen.L} key")
         v = np.zeros(gen.nstates)
-        v[key_to_index(int(start))] = 1.0
+        v[i] = 1.0
         return v
     v = np.asarray(start, dtype=float)
     if v.shape != (gen.nstates,):
@@ -435,7 +457,7 @@ def yaglom_exact(gen, start, t, rtol=1e-12):
     _check_tolerance("rtol", rtol)
     (t,) = _times([t])
     v = _start_vector(gen, start)
-    row = _series(gen, v, [t], rtol)[1] if t > 0 else v
+    row = _series(gen, v, [t], rtol, law=True)[1] if t > 0 else v
     total = row.sum()
     if total <= 0:
         raise ResolutionError("no surviving mass in the conditioned law")

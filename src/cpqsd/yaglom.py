@@ -324,10 +324,13 @@ def h_estimate(states, alpha, t, replicas, *, lam=None, depth=None, seed=0,
     nu.h = 1 normalization; passing nu (a probability over keys covering
     `states`) rescales so that sum nu(A) h_hat(A) = sum nu(A), removing the
     exp((alpha - alpha_true) t) scale error of an estimated alpha.  With
-    gen, lam defaults to gen.lam and must equal it, and depth is gen.L.
+    gen, lam and depth default to gen.lam and gen.L and must equal them.
     """
     if gen is not None:
         lam = gen.lam if lam is None else lam
+        if depth is not None and depth != gen.L:
+            raise ParameterError(
+                f"depth {depth} differs from the generator's {gen.L}")
         depth = gen.L
     if lam is None or depth is None:
         raise ParameterError("free-process h_estimate needs lam and depth")

@@ -60,6 +60,17 @@ def log_of(marks, lo=-5, hi=5, horizon=2.0):
                     [m[-2] for m in marks])
 
 
+# grid times make ties between marks, and queries at exact mark times
+_TIMES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                   st.floats(0.0, 1.0))
+# oracle tuples on the window [-3, 3]
+_MARKS = st.lists(st.one_of(
+    st.builds(lambda x, t: ("R", x, t), st.integers(-3, 3), _TIMES),
+    st.builds(lambda x, t: ("A", x, x + 1, t), st.integers(-3, 2), _TIMES),
+    st.builds(lambda x, t: ("A", x, x - 1, t), st.integers(-2, 3), _TIMES)),
+    max_size=12)
+
+
 # ===== sampling =====
 
 class TestSampleEventLog:
@@ -262,6 +273,20 @@ class TestReachBackward:
                 for s in (0.0, 0.6):
                     survives = len(evolve({x}, log, s, 1.5)) > 0
                     assert back.query(x, s) == survives
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(marks=_MARKS, t=_TIMES, s=_TIMES)
+    def test_query_and_at_match_oracle_with_ties(self, marks, t, s):
+        # sorted stably, so tied marks keep their drawn order, which is
+        # the order both the log and the oracle apply them in
+        marks = sorted(marks, key=lambda m: m[-1])
+        back = reach_backward(log_of(marks, -3, 3, 1.0), t)
+        for q in sorted({m[-1] for m in marks if m[-1] <= t}
+                        | {0.0, t, min(s, t)}):
+            want = {x for x in range(-3, 4)
+                    if reaches_top_line(marks, x, q, t)}
+            assert {x for x in range(-3, 4) if back.query(x, q)} == want
+            assert set(back.at(q)) == want
 
     def test_at_returns_surviving_configuration(self):
         log = log_of([("R", 0, 1.0), ("R", 2, 1.2)])

@@ -27,6 +27,7 @@ from cpqsd.spectral import (
     POLICY_CLIP,
     POLICY_KILL,
     _power_eigenpair,
+    _tail_bound,
     build_generator,
     dominant_eigenpair,
     index_to_key,
@@ -99,6 +100,17 @@ def generator_row(gen, key):
 
 
 _EIG = {}
+
+
+def run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this cpqsd."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cpqsd.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def spectral(L, lam=0.5, policy=POLICY_CLIP):
@@ -359,13 +371,7 @@ class TestArpackEigenpair:
             "    S.survival_curve(gen, 1, [1.0, 2.0])\n"
             "    S.yaglom_exact(gen, 1, 1.0)\n"
             "assert 'scipy.sparse.linalg' not in sys.modules\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cpqsd.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        run_fresh(code)
 
 
 class TestSemigroup:
@@ -473,6 +479,51 @@ class TestSemigroup:
                 yaglom_exact(build_generator(8, 0.5), 1, 5.0, rtol=bad)
             with pytest.raises(ParameterError):
                 yaglom_exact(gen, 1, 0.0, rtol=bad)
+
+    @pytest.mark.parametrize("start", [3.9, 17, math.inf],
+                             ids=["fraction", "beyond-depth", "inf"])
+    def test_scalar_start_must_be_a_key(self, start):
+        # at depth 4 the keys are the odd numbers 1..15; 3.9 used to give
+        # key 3's survival, 17 an IndexError and inf an OverflowError
+        gen = build_generator(4, 0.5)
+        with pytest.raises(ParameterError):
+            survival_curve(gen, start, [1.0])
+        with pytest.raises(ParameterError):
+            yaglom_exact(gen, start, 1.0)
+
+    @pytest.mark.parametrize("m", [0.5, 16.5, 264.0])
+    def test_tail_bound_covers_the_exact_poisson_tail(self, m):
+        # the exact tail P(Poisson(m) > k) is the math.fsum of the weights
+        # past k; the weights carry a relative rounding error near 1e-13
+        # at m = 264, which the 1e-12 allows for where the bound is 1
+        w = [math.exp(-m + j * math.log(m) - math.lgamma(j + 1))
+             for j in range(int(m + 60.0 * math.sqrt(m + 1) + 1000))]
+        bounds, exacts = [], []
+        while not exacts or exacts[-1] >= 1e-20:
+            k = len(bounds)
+            bounds.append(float(_tail_bound(np.array([w[k]]), np.array([m]),
+                                            k)[0]))
+            exacts.append(math.fsum(w[k + 1:]))
+        for k, (bound, exact) in enumerate(zip(bounds, exacts)):
+            assert bound >= exact * (1 - 1e-12), k
+        # and a series closes at most one term later than the exact tail
+        # would let it
+        for eps in (1e-6, 1e-12, 1e-16):
+            first = next(k for k, bound in enumerate(bounds) if bound < eps)
+            assert first <= 1 + next(k for k, exact in enumerate(exacts)
+                                     if exact < eps)
+
+    def test_import_leaves_scipy_special_out(self):
+        # scipy.special costs several MB of resident memory, and the
+        # Poisson weights need only math.lgamma
+        run_fresh(
+            "import sys\n"
+            "import cpqsd, cpqsd.edge, cpqsd.graphical, cpqsd.yaglom\n"
+            "from cpqsd import spectral as S\n"
+            "gen = S.build_generator(6, 0.5)\n"
+            "S.survival_curve(gen, 1, [1.0, 2.0])\n"
+            "S.yaglom_exact(gen, 1, 1.0)\n"
+            "assert 'scipy.special' not in sys.modules\n")
 
 
 class TestSemigroupAgainstExpm:

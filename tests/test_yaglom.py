@@ -343,9 +343,10 @@ def test_h_estimate_nu_rescaling():
     dict(gen=None, lam=math.inf, depth=8, t=0.0),
     dict(gen=None, lam=0.5, depth=0, t=0.0),
     dict(lam=0.6),
+    dict(depth=5),
 ], ids=["no-replicas", "no-replicas-time-0", "nan-alpha", "inf-alpha",
         "zero-lambda-time-0", "nan-lambda-time-0", "inf-lambda-time-0",
-        "zero-depth-time-0", "mismatched-lambda"])
+        "zero-depth-time-0", "mismatched-lambda", "mismatched-depth"])
 def test_h_estimate_parameter_validation(args):
     # checked before any simulation, so also at t = 0, where no population
     # is run
