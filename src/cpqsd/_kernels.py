@@ -1,11 +1,10 @@
 """Hot loops shared by the simulation modules.
 
 Every kernel is a plain Python function, never compiled:
-  * the mark generator and sorter run one mark at a time over the
-    struct-of-arrays marks; the graphical-log queries (the forward and
-    backward sweeps, jump_dp) walk an EventLog's cached plain lists from a
-    bisect start, since indexing a list is several times cheaper than
-    reading a numpy scalar;
+  * the mark generator and sorter, evolve_sweep and jump_dp run one mark
+    at a time over the struct-of-arrays marks; backward_sweep walks an
+    EventLog's cached plain lists, since indexing a list is several times
+    cheaper than reading a numpy scalar;
   * the walks each come as a population moved in lockstep and as one path
     that takes a block of draws at a time, and the two make the same draws
     by the same rule: for the contact process on Z, gillespie_free_batch
@@ -16,9 +15,9 @@ Every kernel is a plain Python function, never compiled:
 Conventions:
   * marks are struct-of-arrays: times f8, kinds i1 (0=recovery, 1=arrow),
     src i4, dst i4 (dst==src for recoveries), sorted by time;
-  * the sweeps hold sites as offsets site - lo, in sets (occupied sites),
-    dicts (jump counts) or lists; the lockstep walks keep int8 occupancy
-    bitmaps, index = site - lo;
+  * sites are held as offsets site - lo: backward_sweep keeps lists, the
+    other kernels arrays over the window's sites (int8 occupancy, int32
+    jump counts);
   * in-kernel randomness is splitmix64 seeded from a uint64 per replica,
     state passed as a one-element uint64 array so calls can mutate it (the
     lockstep walks advance a whole array of such words at once).  Every
@@ -28,8 +27,6 @@ Conventions:
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -140,45 +137,42 @@ def sort_marks(times, kinds, src, dst, n, times_s, kinds_s, src_s, dst_s):
 
 
 # ===== forward / backward sweeps =====
-#
-# These walk an EventLog's plain lists (EventLog.lists): times, kinds, and
-# src/dst as offsets from the window's lo, one Python object per mark.  A
-# walk over (s, t] starts at bisect_right(times, s) and ends at
-# bisect_right(times, t), so it touches only the marks it applies.
 
-def evolve_sweep(times, kinds, src, dst, occ, edge, s, t):
-    """Apply the marks with s < time <= t to occ, the set of occupied
-    offsets (site - lo), in place; edge = hi - lo is the last offset.  The
-    walk stops once occ is empty.
+def evolve_sweep(times, kinds, src, dst, n, occ, lo, hi, s, t):
+    """Apply marks with s < time <= t to occupancy occ (int8, index site-lo).
 
-    Returns True if the occupied set ever included a window boundary site
-    (truncation may matter), else False.
+    Returns 1 if the occupied set ever included a window boundary site
+    while marks were pending (truncation may matter), else 0.
     """
-    touched = 0 in occ or edge in occ
-    for i in range(bisect_right(times, s), bisect_right(times, t)):
-        x = src[i]
-        if x in occ:
-            if kinds[i]:
-                y = dst[i]
-                if y not in occ:
-                    occ.add(y)
-                    if y == 0 or y == edge:
-                        touched = True
-            else:
-                occ.remove(x)
-                if not occ:
-                    break
+    touched = 0
+    if occ[0] != 0 or occ[hi - lo] != 0:
+        touched = 1
+    i = np.searchsorted(times[:n], s, side="right")
+    while i < n and times[i] <= t:
+        x = src[i] - lo
+        if kinds[i] == 0:
+            occ[x] = 0
+        else:
+            if occ[x] != 0:
+                y = dst[i] - lo
+                if occ[y] == 0:
+                    occ[y] = 1
+                    if y == 0 or y == hi - lo:
+                        touched = 1
+        i += 1
     return touched
 
 
 def backward_sweep(kinds, src, dst, n, nsites):
     """Backward reachability to the top line above mark n - 1.
 
-    Sweeps the marks 0..n-1 downward from the all-ones state above them and
-    returns, per offset, the ascending indices of the marks at which that
-    site's reach bit changes.  The bit is 1 above mark n - 1 and each change
-    flips it, so a point above mark k - 1 and below mark k reaches the top
-    iff an even number of its site's changes have index >= k.
+    kinds, src and dst are an EventLog's plain lists (EventLog.lists), src
+    and dst as offsets site - lo.  Sweeps the marks 0..n-1 downward from
+    the all-ones state above them and returns, per offset, the ascending
+    indices of the marks at which that site's reach bit changes.  The bit
+    is 1 above mark n - 1 and each change flips it, so a point above mark
+    k - 1 and below mark k reaches the top iff an even number of its
+    site's changes have index >= k.
     """
     b = [1] * nsites
     flips = [[] for _ in range(nsites)]
@@ -198,25 +192,31 @@ def backward_sweep(kinds, src, dst, n, nsites):
 
 # ===== jump-count dynamic program =====
 
-def jump_dp(times, kinds, src, dst, edge, z, s, t):
-    """Max jumps over lambda-paths from offset z at time s by each site
-    within (s, t].
+def jump_dp(times, kinds, src, dst, n, J, lo, hi, z, s, t):
+    """Max jumps over lambda-paths from (z, s) by each site within (s, t].
 
-    Returns (max_jumps, censored) with censored True when the reached
-    cloud touched the window boundary (offset 0 or edge).
+    J must be int32, all -1; J[z-lo] is set to 0 here.  Returns
+    (max_jumps, censored) with censored = 1 when the reached cloud touched
+    the window boundary.
     """
-    J = {z: 0}
+    J[z - lo] = 0
     best = 0
-    for i in range(bisect_right(times, s), bisect_right(times, t)):
-        x = src[i]
-        if x in J and kinds[i]:
-            v = J[x] + 1
-            y = dst[i]
-            if v > J.get(y, -1):
-                J[y] = v
-                if v > best:
-                    best = v
-    return best, 0 in J or edge in J
+    i = np.searchsorted(times[:n], s, side="right")
+    while i < n and times[i] <= t:
+        if kinds[i] == 1:
+            x = src[i] - lo
+            if J[x] >= 0:
+                y = dst[i] - lo
+                v = J[x] + 1
+                if v > J[y]:
+                    J[y] = v
+                    if v > best:
+                        best = v
+        i += 1
+    censored = 0
+    if J[0] >= 0 or J[hi - lo] >= 0:
+        censored = 1
+    return best, censored
 
 
 

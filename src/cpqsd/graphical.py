@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,9 +95,9 @@ class EventLog:
     == src for recoveries).  `tie_flag` is set when two marks share a time;
     the stable sort order then acts as the deterministic tie-break.
 
-    The queries do not read the arrays: they walk `lists`, the same marks
-    as plain Python lists, built on first use and kept, since a log never
-    changes.
+    `reach_backward` does not read the arrays: it walks `lists`, the same
+    marks as plain Python lists, built on first use and kept, since a log
+    never changes.  `evolve` and `max_jump_count` read the arrays.
     """
 
     def __init__(self, window, times, kinds, src, dst):
@@ -145,7 +146,7 @@ class EventLog:
     @cached_property
     def lists(self):
         """(times, kinds, src, dst) as plain lists, src and dst as offsets
-        site - window.lo: the form the sweeps of _kernels walk."""
+        site - window.lo: the form _kernels.backward_sweep walks."""
         lo = self.window.lo
         return (self.times.tolist(), self.kinds.tolist(),
                 (self.src - lo).tolist(), (self.dst - lo).tolist())
@@ -232,13 +233,21 @@ def sample_event_log(window, lam, seed, stream=0):
 
 # ===== queries =====
 
+def _site(x, window):
+    """x as an int site of window; ParameterError if it is not an integer
+    or lies outside."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ParameterError(f"site must be an integer, got {x!r}") from None
+    if not window.contains_site(x):
+        raise ParameterError(f"site {x} outside window "
+                             f"[{window.lo}, {window.hi}]")
+    return x
+
+
 def _as_sites(start, window):
-    sites = sorted({int(x) for x in start})
-    for x in sites:
-        if not window.contains_site(x):
-            raise ParameterError(f"site {x} outside window "
-                                 f"[{window.lo}, {window.hi}]")
-    return sites
+    return sorted({_site(x, window) for x in start})
 
 
 def _check_span(log, s, t):
@@ -262,9 +271,13 @@ def evolve(start, log, s, t):
     sites = _as_sites(start, w)
     if not sites:
         return Configuration()
-    occ = {x - w.lo for x in sites}
-    touched = K.evolve_sweep(*log.lists, occ, w.hi - w.lo, s, t)
-    return Configuration((x + w.lo for x in occ), censored=touched)
+    occ = np.zeros(w.nsites, np.int8)
+    for x in sites:
+        occ[x - w.lo] = 1
+    touched = K.evolve_sweep(log.times, log.kinds, log.src, log.dst,
+                             len(log), occ, w.lo, w.hi, float(s), float(t))
+    out = np.nonzero(occ)[0] + w.lo
+    return Configuration((int(x) for x in out), censored=bool(touched))
 
 
 class BackwardReach:
@@ -298,8 +311,7 @@ class BackwardReach:
 
     def query(self, x, s):
         k = self._marks_below(s)
-        if not self.window.contains_site(x):
-            raise ParameterError(f"site {x} outside window")
+        x = _site(x, self.window)
         return _reaches(self._flips[x - self.window.lo], k)
 
     def __call__(self, point):
@@ -337,11 +349,13 @@ def max_jump_count(z, s, log, t):
     touched the window boundary, making the count a lower bound.
     """
     w = log.window
-    if not w.contains_site(z):
-        raise ParameterError(f"site {z} outside window")
+    z = _site(z, w)
     if t < 0 or not (0 <= s <= s + t <= w.horizon):
         raise ParameterError(f"need 0 <= s <= s+t <= horizon, got s={s}, t={t}")
-    return K.jump_dp(*log.lists, w.hi - w.lo, int(z) - w.lo, s, s + t)
+    J = np.full(w.nsites, -1, np.int32)
+    best, cen = K.jump_dp(log.times, log.kinds, log.src, log.dst, len(log),
+                          J, w.lo, w.hi, z, float(s), float(s + t))
+    return int(best), bool(cen)
 
 
 def is_good(z, s, log, beta, t):

@@ -187,6 +187,14 @@ class TestEvolve:
             evolve({7}, log, 0.0, 1.0)
         with pytest.raises(ParameterError):
             evolve({0}, log, 0.0, 9.0)
+        back = reach_backward(log, 1.0)
+        for x in (0.5, math.inf):
+            with pytest.raises(ParameterError):
+                evolve({x}, log, 0.0, 1.0)
+            with pytest.raises(ParameterError):
+                back.query(x, 0.0)
+            with pytest.raises(ParameterError):
+                max_jump_count(x, 0.0, log, 1.0)
 
 
 # ===== forward reach of space-time points =====
