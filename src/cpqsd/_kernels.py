@@ -1,10 +1,13 @@
 """Hot loops shared by the simulation modules.
 
 Every kernel is a plain Python function, never compiled:
-  * the mark generator and sorter, evolve_sweep and jump_dp run one mark
-    at a time over the struct-of-arrays marks; backward_sweep walks an
-    EventLog's cached plain lists, since indexing a list is several times
-    cheaper than reading a numpy scalar;
+  * evolve_sweep and jump_dp run one mark at a time over the
+    struct-of-arrays marks; backward_sweep walks an EventLog's cached
+    plain lists, since indexing a list is several times cheaper than
+    reading a numpy scalar;
+  * gen_marks and sort_marks, the mark generator and sorter, are called
+    only by the benchmark's tracer, which wraps them by name: logs are
+    sampled by graphical.sample_event_log in numpy;
   * the walks each come as a population moved in lockstep and as one path
     that takes a block of draws at a time, and the two make the same draws
     by the same rule: for the contact process on Z, gillespie_free_batch

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ParameterError, ResolutionError
-from .graphical import evolve
+from .graphical import _integer, evolve
 
 
 def default_beta(lam):
@@ -58,7 +58,8 @@ class Finite:
     sites: frozenset
 
     def __init__(self, sites):
-        object.__setattr__(self, "sites", frozenset(int(x) for x in sites))
+        object.__setattr__(self, "sites",
+                           frozenset(_integer(x, "site") for x in sites))
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,7 @@ class FullInterval:
     M: int
 
     def __post_init__(self):
+        object.__setattr__(self, "M", _integer(self.M, "FullInterval depth"))
         if self.M < 0:
             raise ParameterError(f"FullInterval depth must be >= 0, got {self.M}")
 
@@ -76,9 +78,9 @@ class FullInterval:
 def _init_sites(init):
     if isinstance(init, FullInterval):
         return list(range(-init.M, 1))
-    if isinstance(init, Finite):
-        return sorted(init.sites)
-    return sorted({int(x) for x in init})
+    if not isinstance(init, Finite):
+        init = Finite(init)
+    return sorted(init.sites)
 
 
 # ===== canonical keys =====
@@ -215,8 +217,9 @@ class EdgeTrajectory:
     clipped: int
 
 
-def _stream_state(seed, stream):
-    return np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)
+def _words(seed_tuple, n):
+    """n uint64 kernel words of the stream seed_tuple."""
+    return np.random.SeedSequence(seed_tuple).generate_state(n, np.uint64)
 
 
 class FreePopulation:
@@ -303,7 +306,7 @@ def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0):
     """
     _check_run(lam, t, depth)
     sites = _init_sites(init)
-    K.free_run(sites, lam, 0.0, t, _stream_state(seed, stream))
+    K.free_run(sites, lam, 0.0, t, _words((seed, stream), 1))
     if not sites:
         return EdgeTrajectory(EdgeConfiguration(), False, False, 0)
     zeta, _ = recenter(sites)

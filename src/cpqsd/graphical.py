@@ -42,6 +42,14 @@ def ceil_beta_t(beta, t):
     return max(0, int(math.ceil(beta * t - 1e-9)))
 
 
+def _integer(x, what):
+    """x as an int; ParameterError if it is not an integer."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {x!r}") from None
+
+
 # ===== domain types =====
 
 @dataclass(frozen=True)
@@ -54,10 +62,13 @@ class SiteWindow:
     horizon: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", _integer(self.lo, "window lo"))
+        object.__setattr__(self, "hi", _integer(self.hi, "window hi"))
         if self.lo > self.hi:
             raise ParameterError(f"window lo {self.lo} > hi {self.hi}")
-        if not self.horizon > 0:
-            raise ParameterError(f"window horizon {self.horizon} must be > 0")
+        if not 0 < self.horizon < math.inf:
+            raise ParameterError(
+                f"window horizon {self.horizon} must be finite and > 0")
 
     @property
     def nsites(self):
@@ -109,8 +120,8 @@ class EventLog:
         if not (kinds.shape[0] == src.shape[0] == dst.shape[0] == n):
             raise ParameterError("mark arrays have mismatched lengths")
         if n:
-            if times[0] < 0 or times[-1] > window.horizon:
-                raise ParameterError("mark time outside [0, horizon]")
+            if not np.all((times >= 0) & (times <= window.horizon)):
+                raise ParameterError("mark time not in [0, horizon]")
             d = np.diff(times)
             if np.any(d < 0):
                 raise ParameterError("mark times not sorted")
@@ -159,38 +170,16 @@ class EventLog:
 
 # ===== sampling =====
 
-def _line_marks(rng, n_lines, rate, horizon):
-    """Per-line exponential interarrivals for n_lines independent rate-`rate`
-    Poisson processes on [0, horizon].  Returns (line_idx, time) arrays,
-    unordered across lines, ascending within each line."""
-    if n_lines == 0 or rate <= 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    mean = rate * horizon
-    chunk = max(8, int(mean + 6.0 * math.sqrt(mean) + 10))
-    active = np.arange(n_lines)
-    base = np.zeros(n_lines)
-    idx_parts = []
-    time_parts = []
-    while active.size:
-        draws = rng.exponential(1.0 / rate, size=(active.size, chunk))
-        cums = base[active][:, None] + np.cumsum(draws, axis=1)
-        within = cums <= horizon
-        li, ki = np.nonzero(within)
-        idx_parts.append(active[li])
-        time_parts.append(cums[li, ki])
-        alive = within[:, -1]
-        base[active[alive]] = cums[alive, -1]
-        active = active[alive]
-    return np.concatenate(idx_parts), np.concatenate(time_parts)
-
-
 def sample_event_log(window, lam, seed, stream=0):
     """Draw the Poisson marks of the graphical construction on a window.
 
     Each site line carries recoveries at rate 1; each directed neighbour
-    pair (x, x+1) and (x, x-1) inside the window carries arrows at rate
-    lam.  All lines independent.  Output is a pure function of
-    (window, lam, seed, stream).
+    pair (x, x+1) and (x+1, x) inside the window carries arrows at rate
+    lam; all lines are independent.  A rate-r Poisson process on [0, T]
+    is a Poisson(r T) count of iid uniform times, so one draw gives every
+    line's count and one more every mark's time on (0, T]; each mark
+    takes its kind, source and target from its line.  Output is a pure
+    function of (window, lam, seed, stream).
 
     Parameters
     ----------
@@ -202,7 +191,7 @@ def sample_event_log(window, lam, seed, stream=0):
         seed and take stream = replica index.
     """
     if not isinstance(window, SiteWindow):
-        window = SiteWindow(*window)
+        raise ParameterError(f"window must be a SiteWindow, got {window!r}")
     if not 0 < lam < math.inf:
         raise ParameterError(f"lambda must be finite and > 0, got {lam}")
     if not (0 <= seed <= _U64_MAX) or not (0 <= stream <= _U64_MAX):
@@ -211,21 +200,17 @@ def sample_event_log(window, lam, seed, stream=0):
         np.random.SeedSequence((seed, stream))))
     ns = window.nsites
     T = window.horizon
-
-    r_idx, r_t = _line_marks(rng, ns, 1.0, T)
-    a_right_idx, a_right_t = _line_marks(rng, ns - 1, lam, T)
-    a_left_idx, a_left_t = _line_marks(rng, ns - 1, lam, T)
-
-    times = np.concatenate([r_t, a_right_t, a_left_t])
-    kinds = np.concatenate([np.zeros(r_t.size, np.int8),
-                            np.ones(a_right_t.size + a_left_t.size, np.int8)])
-    src = np.concatenate([window.lo + r_idx,
-                          window.lo + a_right_idx,
-                          window.lo + 1 + a_left_idx]).astype(np.int32)
-    dst = np.concatenate([window.lo + r_idx,
-                          window.lo + a_right_idx + 1,
-                          window.lo + a_left_idx]).astype(np.int32)
-
+    # lines: ns recovery lines, then ns - 1 right and ns - 1 left arrows
+    sites = np.arange(window.lo, window.hi + 1, dtype=np.int32)
+    line_src = np.concatenate([sites, sites[:-1], sites[1:]])
+    line_dst = np.concatenate([sites, sites[1:], sites[:-1]])
+    rates = np.full(line_src.size, lam)
+    rates[:ns] = 1.0
+    line = np.repeat(np.arange(line_src.size), rng.poisson(rates * T))
+    times = T * (1.0 - rng.random(line.size))
+    kinds = (line >= ns).astype(np.int8)
+    src = line_src[line]
+    dst = line_dst[line]
     order = np.lexsort((kinds, src, times))
     return EventLog(window, times[order], kinds[order], src[order],
                     dst[order])
@@ -236,10 +221,7 @@ def sample_event_log(window, lam, seed, stream=0):
 def _site(x, window):
     """x as an int site of window; ParameterError if it is not an integer
     or lies outside."""
-    try:
-        x = operator.index(x)
-    except TypeError:
-        raise ParameterError(f"site must be an integer, got {x!r}") from None
+    x = _integer(x, "site")
     if not window.contains_site(x):
         raise ParameterError(f"site {x} outside window "
                              f"[{window.lo}, {window.hi}]")

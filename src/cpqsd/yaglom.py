@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from . import _kernels as K
 from .edge import (EmpiricalDistribution, FreePopulation, _check_run,
-                   _init_sites, decode_key)
+                   _init_sites, _words, decode_key)
 from .errors import ParameterError, ResolutionError
 from .spectral import build_generator, dominant_eigenpair, index_to_key, key_to_index
 
@@ -56,10 +56,6 @@ _MIN_STAGE_FRACTION = 0.2
 @functools.lru_cache(maxsize=64)
 def _rough_alpha(lam):
     return dominant_eigenpair(build_generator(8, lam)).alpha
-
-
-def _words(seed_tuple, n):
-    return np.random.SeedSequence(seed_tuple).generate_state(n, np.uint64)
 
 
 # ===== populations =====

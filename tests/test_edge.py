@@ -95,6 +95,10 @@ class TestRecenterAndKeys:
         assert FullInterval(0).M == 0
         with pytest.raises(ParameterError):
             FullInterval(-1)
+        for bad in [math.nan, 2.5, 3.0]:
+            with pytest.raises(ParameterError):
+                FullInterval(bad)
+        assert type(FullInterval(np.int32(4)).M) is int
 
 
 class TestEmpiricalDistribution:
@@ -180,6 +184,15 @@ class TestSimulateTrajectory:
             simulate_edge_trajectory(Finite({0}), 0.5, -1.0, 8, seed=1)
         with pytest.raises(ParameterError):
             simulate_edge_trajectory(Finite({0}), 0.5, 1.0, 0, seed=1)
+        # start sites are integers: {0.5, 2.7} used to run from {0, 2}
+        for bad in [{0.5, 2.7}, {math.nan}, {0, "1"}]:
+            with pytest.raises(ParameterError):
+                Finite(bad)
+            with pytest.raises(ParameterError):
+                simulate_edge_trajectory(bad, 0.5, 1.0, 8, seed=1)
+        with pytest.raises(ParameterError):
+            sample_edge_distribution(Finite({0.5, 2.7}), 0.5, 0.0, 6, 0, 3)
+        assert Finite({np.int64(-3), 0}).sites == {-3, 0}
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_times_are_rejected(self, t):

@@ -89,6 +89,32 @@ class TestSampleEventLog:
         err = abs(np.mean(counts) - mean)
         assert err < 3 * math.sqrt(mean / len(counts))
 
+    def test_counts_and_times_follow_the_poisson_law(self):
+        # each family's count per log is Poisson: its sample mean and
+        # variance lie within 4 sigma of the Poisson values; the pooled
+        # mark times are uniform on (0, T] (KS at its 1e-4 critical value)
+        lo, hi, T, lam = 0, 2, 1.0, 0.7
+        n = 10_000
+        logs = [sample_event_log(SiteWindow(lo, hi, T), lam, seed=6, stream=k)
+                for k in range(n)]
+        # per log: recoveries, right arrows, left arrows
+        counts = np.array([[np.count_nonzero(log.kinds == 0),
+                            np.count_nonzero(log.dst > log.src),
+                            np.count_nonzero(log.dst < log.src)]
+                           for log in logs])
+        mu = np.array([hi - lo + 1, (hi - lo) * lam, (hi - lo) * lam]) * T
+        z_mean = (counts.mean(axis=0) - mu) / np.sqrt(mu / n)
+        # Poisson: the fourth central moment is mu + 3 mu^2, so the sample
+        # variance has variance about (mu + 2 mu^2) / n
+        z_var = (counts.var(axis=0, ddof=1) - mu) / np.sqrt((mu + 2 * mu**2) / n)
+        assert np.all(np.abs(z_mean) < 4) and np.all(np.abs(z_var) < 4)
+        u = np.sort(np.concatenate([log.times for log in logs])) / T
+        assert u.min() > 0 and u.max() <= 1
+        m = u.size
+        ks = max(np.max(np.arange(1, m + 1) / m - u),
+                 np.max(u - np.arange(m) / m))
+        assert ks < math.sqrt(math.log(2 / 1e-4) / (2 * m))
+
     def test_same_seed_and_stream_bit_identical(self):
         w = SiteWindow(-10, 10, 3.0)
         a = sample_event_log(w, 0.5, seed=99, stream=7)
@@ -122,6 +148,15 @@ class TestSampleEventLog:
             sample_event_log(SiteWindow(0, 1, 1.0), math.inf, seed=1)
         with pytest.raises(ParameterError):
             sample_event_log(SiteWindow(0, 1, 1.0), 0.5, seed=-1)
+        # sites are integers, the horizon is finite, a tuple is no window
+        for bad in [(0, 1, math.inf), (0, 1, math.nan), (0.5, 3, 1.0),
+                    (0, 3.0, 1.0)]:
+            with pytest.raises(ParameterError):
+                SiteWindow(*bad)
+        with pytest.raises(ParameterError):
+            sample_event_log((0, 3, 1.0), 0.5, seed=1)
+        w = SiteWindow(np.int64(-2), np.int32(3), 1.0)
+        assert (type(w.lo), type(w.hi)) == (int, int)
 
 
 # ===== evolve =====
@@ -380,6 +415,12 @@ class TestTextRoundTrip:
             log_of([("R", 99, 0.5)])  # outside window
         with pytest.raises(ParameterError):
             log_of([("R", 0, 0.9), ("R", 0, 0.2)])  # unsorted
+        # a NaN time anywhere, whose comparisons are all False
+        window = SiteWindow(-2, 3, 1.0)
+        for times in ([0.1, math.nan, 0.5], [math.nan, 0.1, 0.5],
+                      [0.1, 0.5, math.nan]):
+            with pytest.raises(ParameterError):
+                EventLog(window, times, [1, 0, 0], [0, 1, 1], [1, 1, 1])
 
 
 # ===== interval convention edge cases =====

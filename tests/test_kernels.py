@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from cpqsd import _kernels as K
 from cpqsd import yaglom
-from cpqsd.edge import (FreePopulation, FullInterval, _stream_state, clip_key,
+from cpqsd.edge import (FreePopulation, FullInterval, _words, clip_key,
                         encode_key, recenter, simulate_edge_trajectory)
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
                             dominant_eigenpair, index_to_key, key_to_index)
@@ -392,7 +392,7 @@ def test_final_keys_read_the_bitmap_as_clip_key_reads_the_sites():
     # survivor's recentered sites, and so equal simulate_edge_trajectory
     # run on the same words; depth 6 clips most survivors of [-20, 0]
     n = 200
-    words = np.concatenate([_stream_state(8, r) for r in range(n)])
+    words = np.concatenate([_words((8, r), 1) for r in range(n)])
     pop = FreePopulation(range(-20, 1), 0.5, n, words)
     pop.advance_to(2.0)
     alive = np.nonzero(pop.alive_mask())[0]

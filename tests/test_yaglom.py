@@ -98,6 +98,11 @@ def test_empty_start_is_rejected():
         yaglom.yaglom_estimate([], 0.5, 1.0, 10, yaglom.Splitting(), 4, 0)
     with pytest.raises(ParameterError):
         yaglom.alpha_estimate(set(), 0.5, (1.0, 2.0, 3.0), 10, 0)
+    # so is a start with a fractional site: {0.9} used to run from {0}
+    with pytest.raises(ParameterError):
+        yaglom.yaglom_estimate({0.9}, 0.5, 1.0, 10, yaglom.Splitting(), 4, 0)
+    with pytest.raises(ParameterError):
+        yaglom.alpha_estimate({0, 0.5}, 0.5, (1.0, 2.0, 3.0), 10, 0)
 
 
 def test_time_zero_counts_replicas_with_clipped_offsets():
