@@ -24,13 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .errors import ParameterError, ResolutionError
-from .graphical import _integer, evolve
+from .errors import (ParameterError, ResolutionError, check_integer,
+                     check_positive, check_seed, check_time)
+from .graphical import evolve
 
 
 def default_beta(lam):
     """Smallest integer jump-rate slope strictly above the good-point
     threshold 12*lambda*e."""
+    check_positive(lam, "lambda")
     return float(math.ceil(12.0 * lam * math.e) + 1)
 
 
@@ -59,7 +61,7 @@ class Finite:
 
     def __init__(self, sites):
         object.__setattr__(self, "sites",
-                           frozenset(_integer(x, "site") for x in sites))
+                           frozenset(check_integer(x, "site") for x in sites))
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,8 @@ class FullInterval:
     M: int
 
     def __post_init__(self):
-        object.__setattr__(self, "M", _integer(self.M, "FullInterval depth"))
-        if self.M < 0:
-            raise ParameterError(f"FullInterval depth must be >= 0, got {self.M}")
+        object.__setattr__(self, "M",
+                           check_integer(self.M, "FullInterval depth", 0))
 
 
 def _init_sites(init):
@@ -87,7 +88,7 @@ def _init_sites(init):
 
 def recenter(eta):
     """(edge configuration, shift): offsets eta - max(eta), or (∅, 0)."""
-    sites = [int(x) for x in eta]
+    sites = [check_integer(x, "site") for x in eta]
     if not sites:
         return EdgeConfiguration(), 0
     m = max(sites)
@@ -193,6 +194,7 @@ def tv_distance(p, q):
 
 def cylinder_restrict(dist, m):
     """Pushforward onto the depth-m cylinder: mask all bits >= m."""
+    m = check_integer(m, "restriction depth", 1)
     if m > dist.depth:
         raise ParameterError(f"restriction depth {m} exceeds {dist.depth}")
     mask = (1 << m) - 1
@@ -218,7 +220,10 @@ class EdgeTrajectory:
 
 
 def _words(seed_tuple, n):
-    """n uint64 kernel words of the stream seed_tuple."""
+    """n uint64 kernel words of the stream seed_tuple, a tuple of unsigned
+    64-bit integers."""
+    for seed in seed_tuple:
+        check_seed(seed)
     return np.random.SeedSequence(seed_tuple).generate_state(n, np.uint64)
 
 
@@ -286,12 +291,9 @@ class FreePopulation:
 
 
 def _check_run(lam, t, depth):
-    if not 0 < lam < math.inf:
-        raise ParameterError(f"lambda must be finite and > 0, got {lam}")
-    if not 0 <= t < math.inf:
-        raise ParameterError(f"duration must be finite and >= 0, got {t}")
-    if depth < 1:
-        raise ParameterError(f"depth must be >= 1, got {depth}")
+    check_positive(lam, "lambda")
+    check_time(t, "duration")
+    check_integer(depth, "depth", 1)
 
 
 def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0):
@@ -335,8 +337,7 @@ def sample_edge_distribution(init, lam, t, depth, seed, replicas):
     has no window to leave.
     """
     _check_run(lam, t, depth)
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    replicas = check_integer(replicas, "replicas", 1)
     dist = EmpiricalDistribution(depth)
     clipped = 0
     for r in range(replicas):

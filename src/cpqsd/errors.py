@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that every
+public entry point runs on its input: bad input raises ParameterError and
+never turns into a silently wrong number."""
+
+import math
+import operator
 
 
 class ParameterError(ValueError):
@@ -13,3 +18,37 @@ class ResolutionError(RuntimeError):
 class CensoredError(RuntimeError):
     """A window-truncated query touched the boundary, so the answer would be
     silently wrong rather than approximate."""
+
+
+def check_integer(x, what, lo=None):
+    """x as an int, at least lo if given; a float is rejected, not
+    truncated."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {x!r}") from None
+    if lo is not None and x < lo:
+        raise ParameterError(f"{what} must be >= {lo}, got {x}")
+    return x
+
+
+def check_positive(x, what):
+    """x, finite and > 0: a rate or a horizon."""
+    if not 0 < x < math.inf:
+        raise ParameterError(f"{what} must be finite and > 0, got {x}")
+    return x
+
+
+def check_time(t, what="time"):
+    """t, finite and >= 0."""
+    if not 0 <= t < math.inf:
+        raise ParameterError(f"{what} must be finite and >= 0, got {t}")
+    return t
+
+
+def check_seed(seed, what="seed"):
+    """seed as an int, an unsigned 64-bit word."""
+    seed = check_integer(seed, what, 0)
+    if seed >= 2**64:
+        raise ParameterError(f"{what} must be below 2**64, got {seed}")
+    return seed

@@ -2,9 +2,13 @@
 
 A window [lo, hi] x [0, horizon] carries Poisson marks: recovery marks at
 rate 1 on each site line, arrow marks at rate lambda on each of the two
-directed lines per neighbour pair.  Everything else in the package is a
-query against such a log: forward evolution, backward reachability to the
-top line, and jump counts over arrow-only paths.
+directed lines per neighbour pair.  A log serves couplings, where several
+configurations must share one set of marks (edge.edge_evolve); the queries
+below, forward evolution, backward reachability to the top line and jump
+counts over arrow-only paths; and, in tests, an independent reference for
+the event-by-event simulation that edge and yaglom use for independent
+replicas (TestIndependentReference).  The exact chain in spectral never
+reads a log.
 
 Truncation rule: marks outside the window do not exist.  Reachability
 grown from small seeds therefore reports a `censored` flag whenever the
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,11 +28,10 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels as K
-from .errors import CensoredError, ParameterError
+from .errors import (CensoredError, ParameterError, check_integer,
+                     check_positive, check_seed, check_time)
 
 logger = logging.getLogger(__name__)
-
-_U64_MAX = 2**64 - 1
 
 
 def ceil_beta_t(beta, t):
@@ -39,15 +41,9 @@ def ceil_beta_t(beta, t):
     products that are mathematically integral (18 * 10) are not pushed up
     by float noise.
     """
+    check_positive(beta, "beta")
+    check_time(t, "duration")
     return max(0, int(math.ceil(beta * t - 1e-9)))
-
-
-def _integer(x, what):
-    """x as an int; ParameterError if it is not an integer."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {x!r}") from None
 
 
 # ===== domain types =====
@@ -62,13 +58,11 @@ class SiteWindow:
     horizon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _integer(self.lo, "window lo"))
-        object.__setattr__(self, "hi", _integer(self.hi, "window hi"))
+        object.__setattr__(self, "lo", check_integer(self.lo, "window lo"))
+        object.__setattr__(self, "hi", check_integer(self.hi, "window hi"))
         if self.lo > self.hi:
             raise ParameterError(f"window lo {self.lo} > hi {self.hi}")
-        if not 0 < self.horizon < math.inf:
-            raise ParameterError(
-                f"window horizon {self.horizon} must be finite and > 0")
+        check_positive(self.horizon, "window horizon")
 
     @property
     def nsites(self):
@@ -76,6 +70,11 @@ class SiteWindow:
 
     def contains_site(self, x):
         return self.lo <= x <= self.hi
+
+
+def _check_window(window):
+    if not isinstance(window, SiteWindow):
+        raise ParameterError(f"window must be a SiteWindow, got {window!r}")
 
 
 class Configuration(frozenset):
@@ -112,6 +111,7 @@ class EventLog:
     """
 
     def __init__(self, window, times, kinds, src, dst):
+        _check_window(window)
         times = np.ascontiguousarray(times, dtype=np.float64)
         kinds = np.ascontiguousarray(kinds, dtype=np.int8)
         src = np.ascontiguousarray(src, dtype=np.int32)
@@ -190,12 +190,10 @@ def sample_event_log(window, lam, seed, stream=0):
         64-bit seed and stream id; replicas of one experiment share the
         seed and take stream = replica index.
     """
-    if not isinstance(window, SiteWindow):
-        raise ParameterError(f"window must be a SiteWindow, got {window!r}")
-    if not 0 < lam < math.inf:
-        raise ParameterError(f"lambda must be finite and > 0, got {lam}")
-    if not (0 <= seed <= _U64_MAX) or not (0 <= stream <= _U64_MAX):
-        raise ParameterError("seed and stream must be unsigned 64-bit integers")
+    _check_window(window)
+    check_positive(lam, "lambda")
+    check_seed(seed)
+    check_seed(stream, "stream")
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((seed, stream))))
     ns = window.nsites
@@ -221,7 +219,7 @@ def sample_event_log(window, lam, seed, stream=0):
 def _site(x, window):
     """x as an int site of window; ParameterError if it is not an integer
     or lies outside."""
-    x = _integer(x, "site")
+    x = check_integer(x, "site")
     if not window.contains_site(x):
         raise ParameterError(f"site {x} outside window "
                              f"[{window.lo}, {window.hi}]")

@@ -18,14 +18,14 @@ alpha.  Measured, not proved: alpha_clip(L) falls at every L toward alpha.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .edge import EmpiricalDistribution
-from .errors import ParameterError, ResolutionError
+from .errors import (ParameterError, ResolutionError, check_integer,
+                     check_positive, check_time)
 
 POLICY_CLIP = "clip"
 POLICY_KILL = "kill"
@@ -35,9 +35,18 @@ POLICY_KILL = "kill"
 _MAX_L = 22
 # largest chain solved by power iteration (L <= 12); ARPACK above.  Measured
 # crossover (2-core VM): at L = 12 power iteration takes 0.09-0.10 s, ARPACK
-# at tol / 1000 0.02 s plus 0.09 s to import scipy.sparse.linalg, which
+# at _TOL / 1000 0.02 s plus 0.09 s to import scipy.sparse.linalg, which
 # small chains thus never load
 _POWER_MAX_STATES = 2048
+# the eigenpair certificate's bound: sup-norm residuals below _TOL, the l1
+# left residual below 10 * _TOL
+_TOL = 1e-10
+# a runaway guard on power-iteration steps, or on ARPACK's applications of
+# Q or Q.T; the solves in the BENCH_*.json records took at most 684
+_MAX_ITERS = 200_000
+# where a semigroup series closes: its tail's l1 bound below _RTOL times the
+# mass kept
+_RTOL = 1e-12
 
 
 def key_to_index(key):
@@ -95,10 +104,10 @@ def build_generator(L, lam, policy=POLICY_CLIP):
     policy; infection of +1 at rate lambda shifts everything left by one,
     the overflowing offset handled per policy.
     """
+    L = check_integer(L, "depth L")
     if not 1 <= L <= _MAX_L:
         raise ParameterError(f"depth L must be in [1, {_MAX_L}], got {L}")
-    if not 0 < lam < math.inf:
-        raise ParameterError(f"lambda must be finite and > 0, got {lam}")
+    check_positive(lam, "lambda")
     if policy not in (POLICY_CLIP, POLICY_KILL):
         raise ParameterError(f"unknown policy {policy!r}")
     n = 1 << (L - 1)
@@ -179,18 +188,6 @@ class SpectralResult:
     residual_right: float
     iterations: int
 
-    def nu_distribution(self):
-        """nu as an empirical-distribution object keyed canonically, for TV
-        comparisons against sampled laws."""
-        weights = {index_to_key(i): float(p) for i, p in enumerate(self.nu)}
-        return EmpiricalDistribution(self.L, weights, replica_count=0,
-                                     meta={"lambda": self.lam,
-                                           "policy": self.policy})
-
-    def h_lookup(self):
-        """h as a dict over canonical keys."""
-        return {index_to_key(i): float(v) for i, v in enumerate(self.h)}
-
 
 def _sigma(gen):
     """Uniformization rate of the power iteration's step v + vQ/sigma.
@@ -201,7 +198,7 @@ def _sigma(gen):
     return 1.25 * float(gen.exit_rates().max())
 
 
-def dominant_eigenpair(gen, tol=1e-10, max_iters=200_000):
+def dominant_eigenpair(gen):
     """Perron triple (alpha, nu, h) of the truncated generator.
 
     Chains of at most _POWER_MAX_STATES states use left and right power
@@ -209,18 +206,14 @@ def dominant_eigenpair(gen, tol=1e-10, max_iters=200_000):
     larger ones use ARPACK's implicitly restarted Arnoldi method on Q and
     on Q.T (`iterations` counts applications of Q or Q.T, both sides
     together).  Either way the result must pass the same certificate: the
-    sup-norm residuals below tol and the l1 left residual below 10*tol (the
-    l1 norm is what propagates into semigroup errors).  Raises
+    sup-norm residuals below _TOL and the l1 left residual below 10*_TOL
+    (the l1 norm is what propagates into semigroup errors).  Raises
     ResolutionError, quoting the residuals where known, when that fails or
-    when max_iters is used up, and ParameterError unless tol is finite and
-    > 0.
+    when _MAX_ITERS is used up.
     """
-    _check_tolerance("tol", tol)
-    if max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     if gen.nstates <= _POWER_MAX_STATES:
-        return _power_eigenpair(gen, tol, max_iters)
-    return _arpack_eigenpair(gen, tol, max_iters)
+        return _power_eigenpair(gen)
+    return _arpack_eigenpair(gen)
 
 
 def _certificate(Q, QT, v, h):
@@ -238,12 +231,12 @@ def _certificate(Q, QT, v, h):
             float(np.max(np.abs(z + alpha * h))) / vh, w, z)
 
 
-def _certified(residual_left, resid_l1, residual_right, tol):
-    return (residual_left <= tol and resid_l1 <= 10 * tol
-            and residual_right <= tol)
+def _certified(residual_left, resid_l1, residual_right):
+    return (residual_left <= _TOL and resid_l1 <= 10 * _TOL
+            and residual_right <= _TOL)
 
 
-def _power_eigenpair(gen, tol, max_iters):
+def _power_eigenpair(gen):
     """Left and right power iteration on the uniformized kernel."""
     n = gen.nstates
     QT = gen.Q.T.tocsr()
@@ -253,10 +246,10 @@ def _power_eigenpair(gen, tol, max_iters):
     # floored by the other side's
     v = np.full(n, 1.0 / n)
     h = np.ones(n)
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, _MAX_ITERS + 1):
         alpha, residual_left, resid_l1, residual_right, w, z = _certificate(
             gen.Q, QT, v, h)
-        if _certified(residual_left, resid_l1, residual_right, tol):
+        if _certified(residual_left, resid_l1, residual_right):
             break
         v = v + w / sigma
         v /= v.sum()
@@ -264,7 +257,7 @@ def _power_eigenpair(gen, tol, max_iters):
         h /= h.max()
     else:
         raise ResolutionError(
-            f"power iteration did not converge in {max_iters} steps "
+            f"power iteration did not converge in {_MAX_ITERS} steps "
             f"(residuals {residual_left:.3e} left, {residual_right:.3e} right)")
 
     return SpectralResult(gen.lam, gen.L, gen.policy, alpha, v,
@@ -276,12 +269,12 @@ class _Exhausted(Exception):
     pass
 
 
-def _arpack_eigenpair(gen, tol, max_iters):
+def _arpack_eigenpair(gen):
     """Rightmost eigenvector of Q.T and of Q by ARPACK, from fixed start
     vectors, so reruns are bit-identical.
 
-    ARPACK's relative Ritz tolerance is tol / 1000: the certificate asks
-    for residuals of tol, and running to machine precision (ARPACK's
+    ARPACK's relative Ritz tolerance is _TOL / 1000: the certificate asks
+    for residuals of _TOL, and running to machine precision (ARPACK's
     tol=0) took a fifth to three quarters more operator applications at
     L = 13-20 for digits the certificate discards.  The left solve starts
     from the singleton state, whose Krylov space holds the laws started
@@ -298,13 +291,13 @@ def _arpack_eigenpair(gen, tol, max_iters):
     def rightmost(M, v0):
         def matvec(x):
             nonlocal applied
-            if applied >= max_iters:
+            if applied >= _MAX_ITERS:
                 raise _Exhausted
             applied += 1
             return M @ x
 
         op = LinearOperator((n, n), matvec=matvec, dtype=float)
-        _, vecs = eigs(op, k=1, which="LR", tol=1e-3 * tol, v0=v0)
+        _, vecs = eigs(op, k=1, which="LR", tol=1e-3 * _TOL, v0=v0)
         return np.real(vecs[:, 0])
 
     try:
@@ -313,13 +306,13 @@ def _arpack_eigenpair(gen, tol, max_iters):
         h = rightmost(gen.Q, np.ones(n))
     except (_Exhausted, ArpackNoConvergence):
         raise ResolutionError(
-            f"ARPACK did not converge in {max_iters} operator applications "
+            f"ARPACK did not converge in {_MAX_ITERS} operator applications "
             f"({applied} used)") from None
     v = v / v.sum()
     h = h / float(np.sum(v * h))
     alpha, residual_left, resid_l1, residual_right, _, _ = _certificate(
         gen.Q, QT, v, h)
-    if not _certified(residual_left, resid_l1, residual_right, tol):
+    if not _certified(residual_left, resid_l1, residual_right):
         raise ResolutionError(
             f"ARPACK eigenpair failed the certificate (residuals "
             f"{residual_left:.3e} left, l1 {resid_l1:.3e}, "
@@ -330,20 +323,7 @@ def _arpack_eigenpair(gen, tol, max_iters):
 
 # ===== uniformized semigroup series =====
 
-def _check_tolerance(name, value):
-    if not 0 < value < math.inf:
-        raise ParameterError(f"{name} must be finite and > 0, got {value}")
-
-
-def _times(times):
-    times = [float(t) for t in times]
-    for t in times:
-        if not 0 <= t < math.inf:
-            raise ParameterError(f"time must be finite and >= 0, got {t}")
-    return times
-
-
-def _series(gen, v, times, rtol, law=False):
+def _series(gen, v, times, law=False):
     """Masses of v e^{Qt} for each distinct t > 0 in times, by one pass of
     the uniformized Poisson series, and with law=True the row v e^{Qt}
     itself at the largest of them.
@@ -355,7 +335,7 @@ def _series(gen, v, times, rtol, law=False):
     law=True the largest time adds w_k u_k to the row.  sum(u_k) does not
     increase with k, so the l1 norm of the tail after k terms is at most
     P(Poisson(m) > k) sum(u_k), and a time's series closes once
-    _tail_bound's bound on that is below rtol times its mass.  Returns
+    _tail_bound's bound on that is below _RTOL times its mass.  Returns
     ({t: mass}, row), the row None unless law=True.
     """
     sigma = float(gen.exit_rates().max())
@@ -383,7 +363,7 @@ def _series(gen, v, times, rtol, law=False):
             row += w[-1] * u
         tail = _tail_bound(w, m, k)
         if k >= 1:
-            open_ &= tail * u_sum > rtol * mass
+            open_ &= tail * u_sum > _RTOL * mass
         stuck = np.flatnonzero(open_ & (k > k_max))
         if stuck.size:
             i = stuck[0]
@@ -409,11 +389,7 @@ def _tail_bound(w, m, k):
 
 def _start_vector(gen, start):
     if np.isscalar(start):
-        try:
-            key = operator.index(start)
-        except TypeError:
-            raise ParameterError(
-                f"start key must be an integer, got {start!r}") from None
+        key = check_integer(start, "start key")
         i = key_to_index(key)
         if i >= gen.nstates:
             raise ParameterError(f"{key} is not a depth-{gen.L} key")
@@ -430,34 +406,32 @@ def _start_vector(gen, start):
     return v / v.sum()
 
 
-def survival_curve(gen, start, times, rtol=1e-12):
+def survival_curve(gen, start, times):
     """P(tau > t) for each t, from a canonical key or a mixture vector.
 
     One pass of the uniformized series serves every time, carrying one
     scalar mass per time.  Each value is the mass of v e^{Qt} with its
-    series truncated where the tail's l1 bound falls below rtol times the
-    mass kept, so it lies within relative rtol below the exact survival
+    series truncated where the tail's l1 bound falls below _RTOL times the
+    mass kept, so it lies within relative _RTOL below the exact survival
     probability (up to rounding).
     """
-    _check_tolerance("rtol", rtol)
     v = _start_vector(gen, start)
-    times = _times(times)
-    mass, _ = _series(gen, v, times, rtol)
+    times = [check_time(float(t)) for t in times]
+    mass, _ = _series(gen, v, times)
     return [mass[t] if t > 0 else 1.0 for t in times]
 
 
-def yaglom_exact(gen, start, t, rtol=1e-12):
+def yaglom_exact(gen, start, t):
     """Law of the state at time t conditioned on survival, as a probability
     vector over nonempty states.
 
     The row v e^{Qt} is summed until its truncated tail has l1 norm below
-    rtol times the mass kept, so the normalized law is within 2 rtol of the
-    exact one in l1 (up to rounding).
+    _RTOL times the mass kept, so the normalized law is within 2 _RTOL of
+    the exact one in l1 (up to rounding).
     """
-    _check_tolerance("rtol", rtol)
-    (t,) = _times([t])
+    t = check_time(float(t))
     v = _start_vector(gen, start)
-    row = _series(gen, v, [t], rtol, law=True)[1] if t > 0 else v
+    row = _series(gen, v, [t], law=True)[1] if t > 0 else v
     total = row.sum()
     if total <= 0:
         raise ResolutionError("no surviving mass in the conditioned law")

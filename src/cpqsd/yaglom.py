@@ -35,7 +35,8 @@ import scipy.sparse as sp
 from . import _kernels as K
 from .edge import (EmpiricalDistribution, FreePopulation, _check_run,
                    _init_sites, _words, decode_key)
-from .errors import ParameterError, ResolutionError
+from .errors import (ParameterError, ResolutionError, check_integer,
+                     check_positive, check_seed, check_time)
 from .spectral import build_generator, dominant_eigenpair, index_to_key, key_to_index
 
 
@@ -144,7 +145,7 @@ def _starter(lam, gen):
             sites = _init_sites(init)
             populate = functools.partial(FreePopulation, sites, lam)
         else:
-            key = int(init)
+            key = check_integer(init, "start key")
             sites = decode_key(key, gen.L)
             populate = functools.partial(_ChainPopulation, walk, key)
         if not sites:
@@ -233,12 +234,10 @@ def yaglom_estimate(init, lam, t, replicas, strategy, depth, seed, gen=None):
     ancestor since the last resampling as one.
     """
     _check_run(lam, t, depth)
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    n = check_integer(replicas, "replicas", 1)
     if not isinstance(strategy, Splitting):
         raise ParameterError(f"unknown strategy {strategy!r}")
     populate = _starter(lam, gen)(init)
-    n = int(replicas)
     dt0 = strategy.checkpoint_dt
     pop, alive, log_w, stages, counts, _, ess = _split(
         populate, lam, n, t, dt0, (seed, 0))
@@ -259,8 +258,7 @@ def yaglom_estimate(init, lam, t, replicas, strategy, depth, seed, gen=None):
 
 # ===== decay-rate estimation =====
 
-def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None,
-                   checkpoint_dt=None):
+def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None):
     """(alpha_hat, stderr) from the slope of -log P(tau > t) over the grid.
 
     Survival probabilities come from one splitting run with checkpoints at
@@ -275,19 +273,16 @@ def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None,
     and the mean estimate over 200 seeds of 1000 replicas was 0.417, a bias
     of +0.008.  A later t_1 makes it smaller.
     """
-    grid = [float(x) for x in t_grid]
+    grid = [check_time(float(x), "grid time") for x in t_grid]
     if len(grid) < 3:
         raise ParameterError(f"t_grid needs >= 3 points, got {len(grid)}")
-    if not (0 < grid[0] and grid[-1] < math.inf
-            and all(a < b for a, b in zip(grid, grid[1:]))):
-        raise ParameterError("t_grid must be finite, positive and increasing")
-    if replicas < 2:
-        raise ParameterError(f"replicas must be >= 2, got {replicas}")
-    if not 0 < lam < math.inf:
-        raise ParameterError(f"lambda must be finite and > 0, got {lam}")
+    if not (0 < grid[0] and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise ParameterError("t_grid must be positive and increasing")
+    n = check_integer(replicas, "replicas", 2)
+    check_positive(lam, "lambda")
     populate = _starter(lam, gen)(init)
-    *_, records, _ = _split(populate, lam, int(replicas), grid[-1],
-                            checkpoint_dt, (seed, 1), record_times=grid)
+    *_, records, _ = _split(populate, lam, n, grid[-1], None, (seed, 1),
+                            record_times=grid)
     pts = [records[tk] for tk in grid]
     num = 0.0
     den = 0.0
@@ -311,42 +306,34 @@ def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None,
 
 # ===== h estimation =====
 
-def h_estimate(states, alpha, t, replicas, *, lam=None, depth=None, seed=0,
-               gen=None, nu=None):
+def h_estimate(states, alpha, lam, t, replicas, depth, seed, gen=None,
+               nu=None):
     """h_hat(A) = exp(alpha t) P_hat(tau^A > t) for each canonical key.
 
     Survival probabilities come from splitting runs (one per state, each on
     its own stream).  With the exact alpha the raw values already sit in the
-    nu.h = 1 normalization; passing nu (a probability over keys covering
+    nu.h = 1 normalization; passing nu (a mapping from key to mass, covering
     `states`) rescales so that sum nu(A) h_hat(A) = sum nu(A), removing the
     exp((alpha - alpha_true) t) scale error of an estimated alpha.  With
-    gen, lam and depth default to gen.lam and gen.L and must equal them.
+    gen, lam and depth must equal gen.lam and gen.L.
     """
-    if gen is not None:
-        lam = gen.lam if lam is None else lam
-        if depth is not None and depth != gen.L:
-            raise ParameterError(
-                f"depth {depth} differs from the generator's {gen.L}")
-        depth = gen.L
-    if lam is None or depth is None:
-        raise ParameterError("free-process h_estimate needs lam and depth")
+    if gen is not None and depth != gen.L:
+        raise ParameterError(
+            f"depth {depth} differs from the generator's {gen.L}")
     _check_run(lam, t, depth)
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
-    if not math.isfinite(alpha):
-        raise ParameterError(f"alpha must be finite, got {alpha}")
-    keys = [int(k) for k in states]
+    n = check_integer(replicas, "replicas", 1)
+    check_seed(seed)
+    check_positive(alpha, "alpha")
+    keys = [check_integer(k, "key") for k in states]
     out = np.ones(len(keys))
     start = _starter(lam, gen)
     for j, key in enumerate(keys):
         populate = start(key if gen is not None else decode_key(key, depth))
         if t > 0:
-            _, _, log_w, *_ = _split(populate, lam, int(replicas), t, None,
-                                     (seed, 2, j))
+            _, _, log_w, *_ = _split(populate, lam, n, t, None, (seed, 2, j))
             out[j] = math.exp(alpha * t + log_w)
     if nu is not None:
-        lookup = nu.normalized() if hasattr(nu, "normalized") else dict(nu)
-        mass = np.array([lookup.get(k, 0.0) for k in keys])
+        mass = np.array([nu.get(k, 0.0) for k in keys])
         if mass.sum() <= 0:
             raise ParameterError("nu puts no mass on the given states")
         scale = float(mass @ out) / float(mass.sum())
@@ -369,8 +356,7 @@ def q_process_simulate(spectral, gen, n_steps, seed):
         raise ParameterError(
             "spectral residuals too large for a trustworthy h-transform: "
             f"{spectral.residual_left:.2e}, {spectral.residual_right:.2e}")
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
+    n_steps = check_integer(n_steps, "n_steps", 1)
     if ((spectral.L, spectral.policy, spectral.lam)
             != (gen.L, gen.policy, gen.lam)):
         raise ParameterError("spectral result and generator disagree")
@@ -381,7 +367,7 @@ def q_process_simulate(spectral, gen, n_steps, seed):
                               "truncated chain admits no surviving motion")
     start = int(np.argmax(spectral.nu * h))
     occ = np.zeros(gen.nstates)
-    final = K.occupation_run(*walk, start, int(n_steps),
+    final = K.occupation_run(*walk, start, n_steps,
                              _words((seed, 3, 0), 1), occ)
     if final < 0:
         raise ResolutionError("transformed chain absorbed; rounding broke "
@@ -389,5 +375,5 @@ def q_process_simulate(spectral, gen, n_steps, seed):
     weights = {index_to_key(i): float(w) for i, w in enumerate(occ) if w > 0}
     return EmpiricalDistribution(gen.L, weights, replica_count=1,
                                  meta={"lambda": gen.lam, "policy": gen.policy,
-                                       "n_steps": int(n_steps), "seed": seed,
+                                       "n_steps": n_steps, "seed": seed,
                                        "start_key": index_to_key(start)})

@@ -193,6 +193,13 @@ class TestSimulateTrajectory:
         with pytest.raises(ParameterError):
             sample_edge_distribution(Finite({0.5, 2.7}), 0.5, 0.0, 6, 0, 3)
         assert Finite({np.int64(-3), 0}).sites == {-3, 0}
+        # seeds are unsigned 64-bit words and depths integers: seed -1 used
+        # to raise numpy's ValueError, 1.5 and depth 2.5 a TypeError, and
+        # 2**64 to run
+        for seed, depth in [(-1, 8), (1.5, 8), (2**64, 8), (1, 2.5)]:
+            with pytest.raises(ParameterError):
+                simulate_edge_trajectory(Finite({0}), 0.5, 1.0, depth,
+                                         seed=seed)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_times_are_rejected(self, t):
@@ -318,16 +325,19 @@ class TestSampleDistribution:
 
     # bad lambda, time or depth must raise even with no replica to notice
     @pytest.mark.parametrize("args", [
-        (0.5, 1.0, 8, 0), (0.5, 1.0, 8, -3), (0.0, 1.0, 8, 0),
-        (0.5, math.nan, 8, 0), (0.5, -1.0, 8, 0), (0.5, 1.0, 0, 0),
-        (0.5, math.nan, 8, 5), (math.inf, 1.0, 8, 5),
+        (0.5, 1.0, 8, 0, 1), (0.5, 1.0, 8, -3, 1), (0.0, 1.0, 8, 0, 1),
+        (0.5, math.nan, 8, 0, 1), (0.5, -1.0, 8, 0, 1), (0.5, 1.0, 0, 0, 1),
+        (0.5, math.nan, 8, 5, 1), (math.inf, 1.0, 8, 5, 1),
+        (0.5, 1.0, 8, 2.5, 1), (0.5, 1.0, 8, 5, -1), (0.5, 1.0, 8, 5, 1.5),
+        (0.5, 1.0, 8, 5, 2**64),
     ], ids=["no-replicas", "negative-replicas", "zero-lambda", "nan-time",
             "negative-time", "zero-depth", "nan-time-5-replicas",
-            "inf-lambda-5-replicas"])
+            "inf-lambda-5-replicas", "fractional-replicas", "negative-seed",
+            "fractional-seed", "seed-2**64"])
     def test_parameter_validation(self, args):
-        lam, t, depth, replicas = args
+        lam, t, depth, replicas, seed = args
         with pytest.raises(ParameterError):
-            sample_edge_distribution(Finite({0}), lam, t, depth, seed=1,
+            sample_edge_distribution(Finite({0}), lam, t, depth, seed=seed,
                                      replicas=replicas)
 
     def test_reproducible(self):

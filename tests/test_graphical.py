@@ -148,6 +148,9 @@ class TestSampleEventLog:
             sample_event_log(SiteWindow(0, 1, 1.0), math.inf, seed=1)
         with pytest.raises(ParameterError):
             sample_event_log(SiteWindow(0, 1, 1.0), 0.5, seed=-1)
+        # a fractional seed used to raise numpy's TypeError
+        with pytest.raises(ParameterError):
+            sample_event_log(SiteWindow(0, 1, 1.0), 0.5, seed=1.5)
         # sites are integers, the horizon is finite, a tuple is no window
         for bad in [(0, 1, math.inf), (0, 1, math.nan), (0.5, 3, 1.0),
                     (0, 3.0, 1.0)]:

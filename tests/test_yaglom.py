@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from cpqsd import yaglom
-from cpqsd.edge import (FreePopulation, FullInterval, cylinder_restrict,
-                        tv_distance)
+from cpqsd.edge import (EmpiricalDistribution, FreePopulation, FullInterval,
+                        cylinder_restrict, default_beta, recenter, tv_distance)
 from cpqsd.errors import ParameterError
+from cpqsd.graphical import EventLog, ceil_beta_t
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
                             dominant_eigenpair, key_to_index, survival_curve,
                             vector_distribution, yaglom_exact)
@@ -103,6 +104,10 @@ def test_empty_start_is_rejected():
         yaglom.yaglom_estimate({0.9}, 0.5, 1.0, 10, yaglom.Splitting(), 4, 0)
     with pytest.raises(ParameterError):
         yaglom.alpha_estimate({0, 0.5}, 0.5, (1.0, 2.0, 3.0), 10, 0)
+    # and a fractional chain key: 3.9 used to run from key 3
+    with pytest.raises(ParameterError):
+        yaglom.yaglom_estimate(3.9, 0.5, 1.0, 10, yaglom.Splitting(), 4, 0,
+                               gen=build_generator(4, 0.5))
 
 
 def test_time_zero_counts_replicas_with_clipped_offsets():
@@ -160,9 +165,6 @@ def test_infinite_lambda_is_rejected():
 def test_bad_checkpoint_spacing_is_rejected(dt):
     with pytest.raises(ParameterError):
         yaglom.yaglom_estimate({0}, 0.5, 1.0, 10, yaglom.Splitting(dt), 4, 0)
-    with pytest.raises(ParameterError):
-        yaglom.alpha_estimate({0}, 0.5, (1.0, 2.0, 3.0), 10, 0,
-                              checkpoint_dt=dt)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -173,7 +175,7 @@ def test_non_finite_times_are_rejected(bad):
     with pytest.raises(ParameterError):
         yaglom.alpha_estimate({0}, 0.5, (1.0, 2.0, bad), 10, 0)
     with pytest.raises(ParameterError):
-        yaglom.h_estimate([1], 0.4, bad, 10, gen=gen)
+        yaglom.h_estimate([1], 0.4, 0.5, bad, 10, 4, 0, gen=gen)
 
 
 # ===== survival weights against the exact chain =====
@@ -304,7 +306,7 @@ def test_chain_h_estimate_matches_scaled_survival(seed):
     gen = build_generator(8, 0.5)
     alpha = dominant_eigenpair(gen).alpha
     keys = sorted(_H_LOG_SD)
-    got = yaglom.h_estimate(keys, alpha, 4.0, 300, seed=seed, gen=gen)
+    got = yaglom.h_estimate(keys, alpha, 0.5, 4.0, 300, 8, seed, gen=gen)
     for key, h in zip(keys, got):
         want = math.exp(alpha * 4.0) * survival_curve(gen, key, [4.0])[0]
         assert abs(math.log(h / want)) < K_SIGMA * _H_LOG_SD[key]
@@ -319,8 +321,8 @@ def test_free_h_estimate_matches_the_depth_14_chain():
     res = dominant_eigenpair(gen)
     keys = [1, 3, 5]
     want = np.array([res.h[key_to_index(k)] for k in keys])
-    got = np.array([yaglom.h_estimate(keys, res.alpha, 12.0, 1000, lam=0.5,
-                                      depth=14, seed=seed)
+    got = np.array([yaglom.h_estimate(keys, res.alpha, 0.5, 12.0, 1000, 14,
+                                      seed)
                     for seed in range(20)])
     sem = got.std(axis=0, ddof=1) / math.sqrt(len(got))
     assert np.all(np.abs(got.mean(axis=0) - want) < K_SIGMA * sem)
@@ -332,9 +334,9 @@ def test_h_estimate_nu_rescaling():
     nu = {1: 0.4, 5: 0.3, 255: 0.1, 7: 0.2}
     # the rescaling holds for any alpha passed in, here one 10 % off
     alpha = 1.1 * dominant_eigenpair(gen).alpha
-    got = yaglom.h_estimate(keys, alpha, 2.0, 100, seed=0, gen=gen, nu=nu)
+    got = yaglom.h_estimate(keys, alpha, 0.5, 2.0, 100, 8, 0, gen=gen, nu=nu)
     assert sum(nu[k] * h for k, h in zip(keys, got)) == pytest.approx(0.8)
-    raw = yaglom.h_estimate(keys, alpha, 2.0, 100, seed=0, gen=gen)
+    raw = yaglom.h_estimate(keys, alpha, 0.5, 2.0, 100, 8, 0, gen=gen)
     assert np.allclose(got / raw, got[0] / raw[0])
 
 
@@ -349,17 +351,23 @@ def test_h_estimate_nu_rescaling():
     dict(gen=None, lam=0.5, depth=0, t=0.0),
     dict(lam=0.6),
     dict(depth=5),
+    dict(states=[3.9]),
+    dict(replicas=2.5),
+    dict(seed=-1, t=0.0),
+    dict(alpha=0.0),
 ], ids=["no-replicas", "no-replicas-time-0", "nan-alpha", "inf-alpha",
         "zero-lambda-time-0", "nan-lambda-time-0", "inf-lambda-time-0",
-        "zero-depth-time-0", "mismatched-lambda", "mismatched-depth"])
+        "zero-depth-time-0", "mismatched-lambda", "mismatched-depth",
+        "fractional-key", "fractional-replicas", "negative-seed-time-0",
+        "zero-alpha"])
 def test_h_estimate_parameter_validation(args):
     # checked before any simulation, so also at t = 0, where no population
-    # is run
-    call = dict(alpha=0.4, t=2.0, replicas=10, gen=build_generator(6, 0.5))
+    # is run; 3.9 used to run from key 3 and 2.5 replicas as 2
+    call = dict(states=[1], alpha=0.4, lam=0.5, t=2.0, replicas=10, depth=6,
+                seed=0, gen=build_generator(6, 0.5))
     call.update(args)
     with pytest.raises(ParameterError):
-        yaglom.h_estimate([1], call.pop("alpha"), call.pop("t"),
-                          call.pop("replicas"), **call)
+        yaglom.h_estimate(**call)
 
 
 # ===== h-transformed chain =====
@@ -383,3 +391,44 @@ def test_q_process_rejects_a_mismatched_generator():
                   build_generator(6, 0.6)):
         with pytest.raises(ParameterError):
             yaglom.q_process_simulate(res, other, 10, 0)
+
+
+# ===== input checks across the package =====
+
+def _bad_input_calls():
+    """name -> a call with one bad argument, each of which ran silently,
+    truncated the argument, or raised something other than ParameterError
+    before every entry point took its input through cpqsd.errors."""
+    g6 = build_generator(6, 0.5)
+
+    def estimate(replicas=10, depth=4, seed=0):
+        return lambda: yaglom.yaglom_estimate({0}, 0.5, 1.0, replicas,
+                                              yaglom.Splitting(), depth, seed)
+
+    return {
+        "yaglom-replicas-2.5": estimate(replicas=2.5),
+        "yaglom-replicas-100.7": estimate(replicas=100.7),
+        "yaglom-depth-2.5": estimate(depth=2.5),
+        "yaglom-seed--1": estimate(seed=-1),
+        "yaglom-seed-1.5": estimate(seed=1.5),
+        "yaglom-seed-2**64": estimate(seed=2**64),
+        "alpha-replicas-2.5": lambda: yaglom.alpha_estimate(
+            {0}, 0.5, (1.0, 2.0, 3.0), 2.5, 0),
+        "q-process-n-steps-2.5": lambda: yaglom.q_process_simulate(
+            dominant_eigenpair(g6), g6, 2.5, 0),
+        "build-generator-L-3.5": lambda: build_generator(3.5, 0.5),
+        "recenter-fractional-sites": lambda: recenter({0.5, 1.7}),
+        "cylinder-restrict-2.5": lambda: cylinder_restrict(
+            EmpiricalDistribution(6, {1: 1.0}), 2.5),
+        "event-log-tuple-window": lambda: EventLog((0, 3, 1.0), [], [], [],
+                                                   []),
+        "ceil-beta-t-negative-beta": lambda: ceil_beta_t(-1.0, 1.0),
+        "ceil-beta-t-nan-time": lambda: ceil_beta_t(1.0, math.nan),
+        "default-beta-nan-lambda": lambda: default_beta(math.nan),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bad_input_calls()))
+def test_bad_input_raises_parameter_error(name):
+    with pytest.raises(ParameterError):
+        _bad_input_calls()[name]()
