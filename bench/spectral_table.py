@@ -2,15 +2,15 @@
 
 Builds and solves build_generator(L, lam, policy) for L = 2 .. max-L and
 writes one JSON record: per (L, policy) the decay rate, both residuals,
-the solver and its iteration count, state and nonzero counts, build and
-solve seconds, and the process's peak resident memory so far (depths run
-in increasing order and the chain doubles with each L, so that peak is
-the current depth's).  Both truncations only remove infected sites, so
-alpha_kill(L) >= alpha_clip(L) >= alpha: they do not bracket the
-untruncated rate, and `spread` lists kill - clip per depth.  `convergence`
-lists per depth the ratio of successive alpha_clip differences and the
-Aitken delta-squared limit of alpha_clip(L-2..L), with the distance to the
-previous depth's limit as its error.
+the solver's iteration count (its applications of Q or Q.T), state and
+nonzero counts, build and solve seconds, and the process's peak resident
+memory so far (depths run in increasing order and the chain doubles with
+each L, so that peak is the current depth's).  Both truncations only
+remove infected sites, so alpha_kill(L) >= alpha_clip(L) >= alpha: they
+do not bracket the untruncated rate, and `spread` lists kill - clip per
+depth.  `convergence` lists per depth the ratio of successive alpha_clip
+differences and the Aitken delta-squared limit of alpha_clip(L-2..L), with
+the distance to the previous depth's limit as its error.
 
     PYTHONPATH=src python bench/spectral_table.py --out BENCH_2.json
 """
@@ -73,8 +73,6 @@ def main(argv=None):
                 "nnz": int(gen.Q.nnz), "alpha": res.alpha,
                 "residual_left": res.residual_left,
                 "residual_right": res.residual_right,
-                "solver": ("power" if gen.nstates <= S._POWER_MAX_STATES
-                           else "arpack"),
                 "iterations": res.iterations,
                 "build_s": round(t1 - t0, 4), "solve_s": round(t2 - t1, 4),
                 "peak_rss_mb": round(resource.getrusage(
@@ -92,7 +90,6 @@ def main(argv=None):
                     "numpy": np.__version__, "scipy": scipy.__version__},
         "lambda": args.lam,
         "max_L": args.max_L,
-        "power_max_states": S._POWER_MAX_STATES,
         "rows": rows,
         "spread": [{"L": L, "alpha_clip": alpha[L, S.POLICY_CLIP],
                     "alpha_kill": alpha[L, S.POLICY_KILL],

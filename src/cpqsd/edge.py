@@ -39,15 +39,24 @@ def default_beta(lam):
 # ===== domain types =====
 
 class EdgeConfiguration(frozenset):
-    """Offsets of infected sites relative to the rightmost one: all <= 0,
-    containing 0 unless empty."""
+    """Offsets of infected sites relative to the rightmost one: integers,
+    all <= 0, containing 0 unless empty.  Building one checks each offset,
+    so the key codec, which takes one, checks none of them again."""
 
     def __new__(cls, offsets=()):
-        obj = super().__new__(cls, offsets)
+        obj = super().__new__(cls, (check_integer(x, "offset")
+                                    for x in offsets))
         if obj and max(obj) != 0:
             raise ParameterError(
                 f"edge configuration must have max offset 0, got {sorted(obj)}")
         return obj
+
+    @classmethod
+    def _trusted(cls, offsets):
+        """From offsets known to be integers with maximum 0 (recenter has
+        checked its sites, and decode_key makes them from a checked key),
+        so that no offset is checked twice."""
+        return super().__new__(cls, offsets)
 
     def __repr__(self):
         return f"EdgeConfiguration({{{', '.join(str(x) for x in sorted(self))}}})"
@@ -92,47 +101,46 @@ def recenter(eta):
     if not sites:
         return EdgeConfiguration(), 0
     m = max(sites)
-    return EdgeConfiguration(x - m for x in sites), m
+    return EdgeConfiguration._trusted(x - m for x in sites), m
 
 
 def encode_key(cfg, depth):
-    """Canonical key of a depth-limited edge configuration.  Raises if any
-    offset lies at or beyond -depth; use clip_key when truncation is meant."""
-    key = 0
-    for x in cfg:
-        i = -int(x)
-        if i < 0:
-            raise ParameterError(f"positive offset {x} in edge configuration")
-        if i >= depth:
-            raise ParameterError(
-                f"offset {x} beyond depth {depth}; clip_key handles truncation")
-        key |= 1 << i
-    if key and not key & 1:
-        raise ParameterError("nonempty edge configuration must contain 0")
+    """Canonical key of a depth-limited edge configuration, an
+    EdgeConfiguration or the offsets of one.  Raises if any offset lies at
+    or beyond -depth; use clip_key when truncation is meant."""
+    key, clipped = clip_key(cfg, depth)
+    if clipped:
+        raise ParameterError(f"{clipped} offsets beyond depth {depth}; "
+                             "clip_key handles truncation")
     return key
 
 
 def clip_key(cfg, depth):
-    """(key of cfg ∩ (-depth, 0], number of clipped offsets)."""
+    """(key of cfg ∩ (-depth, 0], number of clipped offsets); cfg is an
+    EdgeConfiguration or the offsets of one, which are checked."""
+    if not isinstance(cfg, EdgeConfiguration):
+        cfg = EdgeConfiguration(cfg)
     key = 0
     clipped = 0
     for x in cfg:
-        i = -int(x)
-        if i >= depth:
+        if x <= -depth:
             clipped += 1
         else:
-            key |= 1 << i
+            key |= 1 << -x
     return key, clipped
 
 
 def decode_key(key, depth):
+    key = check_integer(key, "key")
+    depth = check_integer(depth, "depth", 1)
     if key == 0:
         return EdgeConfiguration()
     if key < 0 or key >= 1 << depth:
         raise ParameterError(f"key {key} outside [0, 2^{depth})")
     if not key & 1:
         raise ParameterError(f"nonempty key {key} must be odd (bit 0 = site 0)")
-    return EdgeConfiguration(-i for i in range(depth) if key >> i & 1)
+    return EdgeConfiguration._trusted(-i for i in range(depth)
+                                      if key >> i & 1)
 
 
 # ===== empirical distributions =====
@@ -146,9 +154,10 @@ class EmpiricalDistribution:
     """
 
     def __init__(self, depth, weights=None, replica_count=0, meta=None):
-        self.depth = int(depth)
-        self.weights = {int(k): float(v) for k, v in (weights or {}).items()}
-        self.replica_count = int(replica_count)
+        self.depth = check_integer(depth, "depth", 1)
+        self.weights = {check_integer(k, "key", 0): float(v)
+                        for k, v in (weights or {}).items()}
+        self.replica_count = check_integer(replica_count, "replica count", 0)
         self.meta = dict(meta or {})
 
     @property
@@ -332,21 +341,24 @@ def sample_edge_distribution(init, lam, t, depth, seed, replicas):
 
     Runs `replicas` independent trajectories of simulate_edge_trajectory
     (stream = replica index) and counts canonical keys, the empty set
-    landing on key 0.  meta carries the replica count with clipped offsets
-    and a `censored` count, which is always 0: the direct event simulation
-    has no window to leave.
+    landing on key 0.  meta carries the number of extinct replicas (the
+    weight of key 0), the replica count with clipped offsets and a
+    `censored` count, which is always 0: the direct event simulation has no
+    window to leave.
     """
     _check_run(lam, t, depth)
     replicas = check_integer(replicas, "replicas", 1)
     dist = EmpiricalDistribution(depth)
     clipped = 0
+    extinct = 0
     for r in range(replicas):
         traj = simulate_edge_trajectory(init, lam, t, depth, seed, stream=r)
         dist.add(encode_key(traj.final, depth))
         clipped += traj.clipped > 0
+        extinct += not traj.survived
     dist.replica_count = replicas
     dist.meta = {"lambda": lam, "t": t, "seed": seed,
-                 "censored": 0, "clipped": clipped}
+                 "censored": 0, "clipped": clipped, "extinct": extinct}
     if isinstance(init, FullInterval):
         dist.meta["M"] = init.M
     return dist

@@ -4,7 +4,9 @@ States are the 2^(L-1) nonempty canonical keys (offsets in (-L, 0], pinned
 at 0).  The generator, its dominant eigentriple (alpha, nu, h), survival
 probabilities, and conditioned laws are all computed with certified
 residuals or rigorously truncated series, so downstream Monte Carlo has an
-exact finite-state object to be checked against.
+exact finite-state object to be checked against.  One eigen-solver, a
+thick-restart Arnoldi method on numpy alone, finds the eigentriple at every
+depth.
 
 Truncation policies: "clip" silently discards infections that would land
 at or below -L (self-loops are simply not transitions), "kill" routes that
@@ -30,19 +32,20 @@ from .errors import (ParameterError, ResolutionError, check_integer,
 POLICY_CLIP = "clip"
 POLICY_KILL = "kill"
 
-# deepest chain measured to build and solve (2-core, 8 GB machine): 2^21
-# states, 45M nonzeros, 1.7 GB peak, 80 s; each further L doubles both
+# deepest chain measured to build and solve (2-core, 8 GB machine, by the
+# ARPACK solver this module once used): 2^21 states, 45M nonzeros, 1.7 GB
+# peak, 80 s; each further L doubles both.  At L = 20 the Krylov solver
+# peaked 40 MB lower and solved in 6.6-7.5 s against 9.0-9.4 s
 _MAX_L = 22
-# largest chain solved by power iteration (L <= 12); ARPACK above.  Measured
-# crossover (2-core VM): at L = 12 power iteration takes 0.09-0.10 s, ARPACK
-# at _TOL / 1000 0.02 s plus 0.09 s to import scipy.sparse.linalg, which
-# small chains thus never load
-_POWER_MAX_STATES = 2048
+# the eigen-solver's Krylov basis size and the Ritz vectors it keeps at
+# each restart
+_BASIS = 12
+_KEEP = 4
 # the eigenpair certificate's bound: sup-norm residuals below _TOL, the l1
 # left residual below 10 * _TOL
 _TOL = 1e-10
-# a runaway guard on power-iteration steps, or on ARPACK's applications of
-# Q or Q.T; the solves in the BENCH_*.json records took at most 684
+# a runaway guard on the eigen-solver's applications of Q or Q.T, both
+# sides together; the solves in BENCH_16.json (L <= 20) took at most 231
 _MAX_ITERS = 200_000
 # where a semigroup series closes: its tail's l1 bound below _RTOL times the
 # mass kept
@@ -50,6 +53,7 @@ _RTOL = 1e-12
 
 
 def key_to_index(key):
+    key = check_integer(key, "key")
     if key < 1 or not key & 1:
         raise ParameterError(f"{key} is not a nonempty canonical key")
     return (key - 1) // 2
@@ -174,9 +178,8 @@ class SpectralResult:
     """Decay rate alpha with its eigenvectors, normalized nu*1 = 1 and
     nu.h = 1; residuals are sup norms of nu Q + alpha nu and Q h + alpha h.
 
-    `iterations` is the solver's work: power-iteration steps on chains of
-    at most _POWER_MAX_STATES states, applications of Q or Q.T (both sides
-    together) by ARPACK on larger ones."""
+    `iterations` is the solver's work: its applications of Q or Q.T, both
+    sides together, at every depth."""
 
     lam: float
     L: int
@@ -189,136 +192,116 @@ class SpectralResult:
     iterations: int
 
 
-def _sigma(gen):
-    """Uniformization rate of the power iteration's step v + vQ/sigma.
-    sigma sits 25% above the largest exit rate so the step's kernel has
-    positive diagonal everywhere: with sigma exactly at the maximum the
-    two-state chain alternates and power iteration cycles.  The semigroup
-    series needs no such margin and uniformizes at the maximum itself."""
-    return 1.25 * float(gen.exit_rates().max())
-
-
 def dominant_eigenpair(gen):
     """Perron triple (alpha, nu, h) of the truncated generator.
 
-    Chains of at most _POWER_MAX_STATES states use left and right power
-    iteration on the uniformized kernel (`iterations` counts its steps);
-    larger ones use ARPACK's implicitly restarted Arnoldi method on Q and
-    on Q.T (`iterations` counts applications of Q or Q.T, both sides
-    together).  Either way the result must pass the same certificate: the
-    sup-norm residuals below _TOL and the l1 left residual below 10*_TOL
-    (the l1 norm is what propagates into semigroup errors).  Raises
-    ResolutionError, quoting the residuals where known, when that fails or
-    when _MAX_ITERS is used up.
+    One solver serves every depth: _rightmost's thick-restart Arnoldi, on
+    Q.T from the singleton state, whose Krylov space holds the laws started
+    there, and on Q from 1, whose Krylov space holds the survival functions
+    P^k 1.  `iterations` counts its applications of Q or Q.T, both sides
+    together.  The result must pass the certificate: the sup-norm
+    residuals below _TOL and the l1 left residual below 10*_TOL (the l1
+    norm is what propagates into semigroup errors).  Raises
+    ResolutionError, quoting the residuals, when that fails, or when
+    _MAX_ITERS applications are used up.
     """
-    if gen.nstates <= _POWER_MAX_STATES:
-        return _power_eigenpair(gen)
-    return _arpack_eigenpair(gen)
+    n = gen.nstates
+    QT = gen.Q.T.tocsr()
+    # the left solve starts from the singleton state (index 0, key 1)
+    v, used = _rightmost(QT, np.eye(1, n)[0], 0)
+    h, used = _rightmost(gen.Q, np.ones(n), used)
+    v = v / v.sum()
+    h = h / float(np.sum(v * h))
+    alpha, residual_left, resid_l1, residual_right = _certificate(
+        gen.Q, QT, v, h)
+    if not (residual_left <= _TOL and resid_l1 <= 10 * _TOL
+            and residual_right <= _TOL):
+        raise ResolutionError(
+            f"eigenpair failed the certificate (residuals "
+            f"{residual_left:.3e} left, l1 {resid_l1:.3e}, "
+            f"{residual_right:.3e} right)")
+    return SpectralResult(gen.lam, gen.L, gen.policy, alpha, v, h,
+                          residual_left, residual_right, used)
 
 
 def _certificate(Q, QT, v, h):
     """Rayleigh quotient and residuals of the pair (v, h), v summing to 1.
 
-    Returns (alpha, sup left, l1 left, sup right residual, v Q, Q h); alpha
-    is the bi-orthogonal Rayleigh quotient, whose error is second order in
-    the vector errors, and the right residual is that of h / (v.h)."""
+    Returns (alpha, sup left, l1 left, sup right residual); alpha is the
+    bi-orthogonal Rayleigh quotient, whose error is second order in the
+    vector errors, and the right residual is that of h / (v.h)."""
     w = QT @ v
     z = Q @ h
     vh = float(np.sum(v * h))
     alpha = -float(np.sum(v * z)) / vh
     rl = w + alpha * v
     return (alpha, float(np.max(np.abs(rl))), float(np.sum(np.abs(rl))),
-            float(np.max(np.abs(z + alpha * h))) / vh, w, z)
+            float(np.max(np.abs(z + alpha * h))) / vh)
 
 
-def _certified(residual_left, resid_l1, residual_right):
-    return (residual_left <= _TOL and resid_l1 <= 10 * _TOL
-            and residual_right <= _TOL)
+def _rightmost(A, x, used):
+    """(eigenvector of A's rightmost eigenvalue, applications of A so far)
+    by thick-restart Arnoldi from x (Stewart, SIAM J. Matrix Anal. Appl. 23
+    (2001) 601; Wu and Simon, ibid. 22 (2000) 602); _MAX_ITERS bounds the
+    applications, `used` of them made before.
 
-
-def _power_eigenpair(gen):
-    """Left and right power iteration on the uniformized kernel."""
-    n = gen.nstates
-    QT = gen.Q.T.tocsr()
-    sigma = _sigma(gen)
-
-    # left and right vectors advance together, so neither residual is
-    # floored by the other side's
-    v = np.full(n, 1.0 / n)
-    h = np.ones(n)
-    for iters in range(1, _MAX_ITERS + 1):
-        alpha, residual_left, resid_l1, residual_right, w, z = _certificate(
-            gen.Q, QT, v, h)
-        if _certified(residual_left, resid_l1, residual_right):
-            break
-        v = v + w / sigma
-        v /= v.sum()
-        h = h + z / sigma
-        h /= h.max()
-    else:
-        raise ResolutionError(
-            f"power iteration did not converge in {_MAX_ITERS} steps "
-            f"(residuals {residual_left:.3e} left, {residual_right:.3e} right)")
-
-    return SpectralResult(gen.lam, gen.L, gen.policy, alpha, v,
-                          h / float(np.sum(v * h)), residual_left,
-                          residual_right, iters)
-
-
-class _Exhausted(Exception):
-    pass
-
-
-def _arpack_eigenpair(gen):
-    """Rightmost eigenvector of Q.T and of Q by ARPACK, from fixed start
-    vectors, so reruns are bit-identical.
-
-    ARPACK's relative Ritz tolerance is _TOL / 1000: the certificate asks
-    for residuals of _TOL, and running to machine precision (ARPACK's
-    tol=0) took a fifth to three quarters more operator applications at
-    L = 13-20 for digits the certificate discards.  The left solve starts
-    from the singleton state, whose Krylov space holds the laws started
-    there; the right one from 1, whose Krylov space holds the survival
-    functions P^k 1."""
-    # imported here: scipy.sparse.linalg costs several MB and tens of ms,
-    # which small chains never need
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-
-    n = gen.nstates
-    QT = gen.Q.T.tocsr()
-    applied = 0
-
-    def rightmost(M, v0):
-        def matvec(x):
-            nonlocal applied
-            if applied >= _MAX_ITERS:
-                raise _Exhausted
-            applied += 1
-            return M @ x
-
-        op = LinearOperator((n, n), matvec=matvec, dtype=float)
-        _, vecs = eigs(op, k=1, which="LR", tol=1e-3 * _TOL, v0=v0)
-        return np.real(vecs[:, 0])
-
-    try:
-        # the left solve starts from the singleton state (index 0, key 1)
-        v = rightmost(QT, np.eye(1, n)[0])
-        h = rightmost(gen.Q, np.ones(n))
-    except (_Exhausted, ArpackNoConvergence):
-        raise ResolutionError(
-            f"ARPACK did not converge in {_MAX_ITERS} operator applications "
-            f"({applied} used)") from None
-    v = v / v.sum()
-    h = h / float(np.sum(v * h))
-    alpha, residual_left, resid_l1, residual_right, _, _ = _certificate(
-        gen.Q, QT, v, h)
-    if not _certified(residual_left, resid_l1, residual_right):
-        raise ResolutionError(
-            f"ARPACK eigenpair failed the certificate (residuals "
-            f"{residual_left:.3e} left, l1 {resid_l1:.3e}, "
-            f"{residual_right:.3e} right)")
-    return SpectralResult(gen.lam, gen.L, gen.policy, alpha, v, h,
-                          residual_left, residual_right, applied)
+    The rows of V are an orthonormal basis, A V[:m]^T = V[:m]^T H[:m] +
+    V[m]^T H[m], each new row orthogonalised by two passes of classical
+    Gram-Schmidt.  With _BASIS rows, the rightmost Ritz pair (theta, y) of
+    H is accepted when it is real, as a generator's rightmost eigenvalue
+    is, and |H[m] y| <= 1e-3 _TOL |theta|, well inside the certificate's
+    _TOL.  Otherwise the _KEEP rightmost Ritz vectors, a complex pair as its
+    real and imaginary parts, orthonormalised by QR, restart the basis, and
+    H is projected onto them.  An invariant Krylov space (on chains of
+    L <= 3) holds exact pairs, and its rightmost one is returned as it is.
+    """
+    tol = 1e-3 * _TOL
+    m = min(_BASIS, A.shape[0])
+    V = np.empty((m + 1, A.shape[0]))
+    H = np.zeros((m + 1, m))
+    V[0] = x / np.linalg.norm(x)
+    k = 0
+    while True:
+        for j in range(k, m):
+            if used == _MAX_ITERS:
+                raise ResolutionError(f"eigen-solver did not converge in "
+                                      f"{_MAX_ITERS} applications of Q or Q.T")
+            w = A @ V[j]
+            used += 1
+            scale = np.linalg.norm(w)
+            B = V[:j + 1]
+            for _ in range(2):
+                c = B @ w
+                w -= c @ B
+                H[:j + 1, j] += c
+            beta = np.linalg.norm(w)
+            if beta <= tol * scale:
+                theta, Y = np.linalg.eig(H[:j + 1, :j + 1])
+                return Y[:, np.argmax(theta.real)].real @ B, used
+            H[j + 1, j] = beta
+            V[j + 1] = w / beta
+        theta, Y = np.linalg.eig(H[:m, :m])
+        order = np.argsort(-theta.real, kind="stable")
+        i = order[0]
+        if (theta[i].imag == 0
+                and abs(H[m, :m] @ Y[:, i]) <= tol * abs(theta[i])):
+            return Y[:, i].real @ V[:m], used
+        cols = []
+        for i in order:
+            if len(cols) >= _KEEP:
+                break
+            if theta[i].imag < 0:
+                continue
+            cols.append(Y[:, i].real)
+            if theta[i].imag > 0:
+                cols.append(Y[:, i].imag)
+        W = np.linalg.qr(np.column_stack(cols))[0]
+        k = W.shape[1]
+        V[:k] = W.T @ V[:m]
+        V[k] = V[m]
+        projected = np.vstack([W.T @ H[:m, :m], H[m, :m]]) @ W
+        H[:] = 0.0
+        H[:k + 1, :k] = projected
 
 
 # ===== uniformized semigroup series =====

@@ -340,6 +340,12 @@ class TestSampleDistribution:
             sample_edge_distribution(Finite({0}), lam, t, depth, seed=seed,
                                      replicas=replicas)
 
+    def test_extinct_count_is_the_weight_of_the_empty_set(self):
+        dist = sample_edge_distribution(FullInterval(2), 0.5, 3.0, 6,
+                                        seed=3, replicas=200)
+        assert 0 < dist.meta["extinct"] < 200
+        assert dist.meta["extinct"] == dist.weights[0]
+
     def test_reproducible(self):
         a = sample_edge_distribution(Finite({0}), 0.5, 1.5, 8, seed=11,
                                      replicas=200)

@@ -23,10 +23,8 @@ from cpqsd.edge import EmpiricalDistribution, cylinder_restrict, decode_key, tv_
 from cpqsd.errors import ParameterError, ResolutionError
 from cpqsd.spectral import (
     _MAX_L,
-    _POWER_MAX_STATES,
     POLICY_CLIP,
     POLICY_KILL,
-    _power_eigenpair,
     _tail_bound,
     build_generator,
     dominant_eigenpair,
@@ -117,6 +115,16 @@ def spectral(L, lam=0.5, policy=POLICY_CLIP):
     if (L, lam, policy) not in _EIG:
         _EIG[L, lam, policy] = dominant_eigenpair(build_generator(L, lam, policy))
     return _EIG[L, lam, policy]
+
+
+def assert_matches_reference(res, alpha, left, right):
+    """res against a reference rate and its left and right eigenvectors,
+    scaled here as the solver scales its own."""
+    nu = left / left.sum()
+    h = right / float(nu @ right)
+    assert abs(res.alpha - alpha) <= 1e-10
+    assert np.max(np.abs(res.nu - nu)) <= 1e-8
+    assert np.max(np.abs(res.h - h)) <= 1e-8
 
 
 class TestGeneratorOracle:
@@ -299,30 +307,52 @@ class TestDominantEigenpair:
                                         spectral(L - 2).nu)
             assert tv_distance(big, small) < 0.1
 
+    @pytest.mark.parametrize("lam", [0.5, 1.3])
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 10])
+    def test_matches_dense_eig(self, L, policy, lam):
+        # LAPACK's dense eigen-decomposition of Q and of Q.T, which shares
+        # no code with the Krylov solver
+        gen = build_generator(L, lam, policy)
+        Q = gen.Q.toarray()
+        rates, right = np.linalg.eig(Q)
+        i = np.argmax(rates.real)
+        rates_left, left = np.linalg.eig(Q.T)
+        j = np.argmax(rates_left.real)
+        assert rates[i].imag == 0 and rates_left[j].imag == 0
+        res = dominant_eigenpair(gen)
+        assert abs(rates_left[j].real - rates[i].real) <= 1e-10
+        assert_matches_reference(res, -rates[i].real, left[:, j].real,
+                                 right[:, i].real)
+
 
 class TestArpackEigenpair:
-    """Chains above _POWER_MAX_STATES are solved by ARPACK; the power
-    iteration, run on the same chain, is the reference."""
+    """The solver on both sides of 2048 states, the size that once split
+    power iteration from ARPACK.  Above it ARPACK (scipy's eigs, imported
+    by the test alone) is the reference."""
 
     @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
     @pytest.mark.parametrize("L", [13, 14, 15])
-    def test_agrees_with_power_iteration(self, L, policy):
+    def test_agrees_with_arpack(self, L, policy):
+        from scipy.sparse.linalg import eigs
+
         gen = build_generator(L, 0.5, policy)
-        assert gen.nstates > _POWER_MAX_STATES
+        v0 = np.ones(gen.nstates)
+        rate, right = eigs(gen.Q, k=1, which="LR", v0=v0)
+        rate_left, left = eigs(gen.Q.T.tocsr(), k=1, which="LR", v0=v0)
+        assert abs(rate_left[0] - rate[0]) <= 1e-10
         res = dominant_eigenpair(gen)
-        ref = _power_eigenpair(gen)
-        assert abs(res.alpha - ref.alpha) <= 1e-10
-        assert np.max(np.abs(res.nu - ref.nu)) <= 1e-8
-        assert np.max(np.abs(res.h - ref.h)) <= 1e-8
+        assert_matches_reference(res, -rate[0].real, left[:, 0].real,
+                                 right[:, 0].real)
         assert res.residual_left <= 1e-10
         assert res.residual_right <= 1e-10
         assert res.nu.sum() == pytest.approx(1.0, abs=1e-14)
         assert float(res.nu @ res.h) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
-    @pytest.mark.parametrize("L", [13, 14, 15])
+    @pytest.mark.parametrize("L", [8, 12, 13, 14, 15])
     def test_residuals_keep_a_tenfold_margin(self, L, policy):
-        # ARPACK stops at a relative Ritz tolerance derived from _TOL, so
+        # the solver stops at a relative Ritz residual of _TOL / 1000, so
         # the certificate must pass with room to spare, not by a hair
         tol = cpqsd.spectral._TOL
         res = spectral(L, policy=policy)
@@ -331,43 +361,50 @@ class TestArpackEigenpair:
 
     @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
     def test_positive_vectors(self, policy):
-        res = dominant_eigenpair(build_generator(14, 0.5, policy))
-        assert np.all(res.nu > 0)
-        assert np.all(res.h > 0)
+        for L in (10, 14):
+            res = dominant_eigenpair(build_generator(L, 0.5, policy))
+            assert np.all(res.nu > 0)
+            assert np.all(res.h > 0)
 
     def test_deterministic_rerun(self):
-        r1 = dominant_eigenpair(build_generator(13, 0.5))
-        r2 = dominant_eigenpair(build_generator(13, 0.5))
-        assert r1.alpha == r2.alpha
-        assert np.array_equal(r1.nu, r2.nu)
-        assert np.array_equal(r1.h, r2.h)
-        assert r1.iterations == r2.iterations
-        assert r1.residual_left == r2.residual_left
-        assert r1.residual_right == r2.residual_right
+        for L in (8, 13):
+            r1 = dominant_eigenpair(build_generator(L, 0.5))
+            r2 = dominant_eigenpair(build_generator(L, 0.5))
+            assert r1.alpha == r2.alpha
+            assert np.array_equal(r1.nu, r2.nu)
+            assert np.array_equal(r1.h, r2.h)
+            assert r1.iterations == r2.iterations
+            assert r1.residual_left == r2.residual_left
+            assert r1.residual_right == r2.residual_right
 
     def test_iterations_count_operator_applications(self, monkeypatch):
-        gen = build_generator(13, 0.5)
-        used = dominant_eigenpair(gen).iterations
-        monkeypatch.setattr(cpqsd.spectral, "_MAX_ITERS", used)
-        assert dominant_eigenpair(gen).iterations == used
-        monkeypatch.setattr(cpqsd.spectral, "_MAX_ITERS", used - 1)
-        with pytest.raises(ResolutionError, match="did not converge"):
-            dominant_eigenpair(gen)
+        limit = cpqsd.spectral._MAX_ITERS
+        for L in (8, 13):
+            gen = build_generator(L, 0.5)
+            monkeypatch.setattr(cpqsd.spectral, "_MAX_ITERS", limit)
+            used = dominant_eigenpair(gen).iterations
+            monkeypatch.setattr(cpqsd.spectral, "_MAX_ITERS", used)
+            assert dominant_eigenpair(gen).iterations == used
+            monkeypatch.setattr(cpqsd.spectral, "_MAX_ITERS", used - 1)
+            with pytest.raises(ResolutionError, match="did not converge"):
+                dominant_eigenpair(gen)
 
     def test_non_convergence_reported(self, monkeypatch):
         monkeypatch.setattr(cpqsd.spectral, "_MAX_ITERS", 10)
-        with pytest.raises(ResolutionError, match="did not converge"):
-            dominant_eigenpair(build_generator(13, 0.5))
+        for L in (8, 13):
+            with pytest.raises(ResolutionError, match="did not converge"):
+                dominant_eigenpair(build_generator(L, 0.5))
 
-    def test_small_chains_skip_arpack_import(self):
-        # scipy.sparse.linalg costs several MB of resident memory; solving
-        # and using a chain within the power-iteration range must not load it
+    def test_no_depth_loads_sparse_linalg(self):
+        # scipy.sparse.linalg costs several MB of resident memory; the
+        # solver and the series run on numpy and scipy.sparse alone, at
+        # every depth
         code = (
             "import sys\n"
             "import cpqsd.edge, cpqsd.graphical, cpqsd.yaglom\n"
             "from cpqsd import spectral as S\n"
             "for policy in (S.POLICY_CLIP, S.POLICY_KILL):\n"
-            "    gen = S.build_generator(12, 0.5, policy)\n"
+            "    gen = S.build_generator(14, 0.5, policy)\n"
             "    S.dominant_eigenpair(gen)\n"
             "    S.survival_curve(gen, 1, [1.0, 2.0])\n"
             "    S.yaglom_exact(gen, 1, 1.0)\n"

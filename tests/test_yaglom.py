@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from cpqsd import yaglom
-from cpqsd.edge import (EmpiricalDistribution, FreePopulation, FullInterval,
-                        cylinder_restrict, default_beta, recenter, tv_distance)
+from cpqsd.edge import (EdgeConfiguration, EmpiricalDistribution,
+                        FreePopulation, FullInterval, clip_key,
+                        cylinder_restrict, decode_key, default_beta,
+                        encode_key, recenter, tv_distance)
 from cpqsd.errors import ParameterError
 from cpqsd.graphical import EventLog, ceil_beta_t
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
@@ -425,6 +427,18 @@ def _bad_input_calls():
         "ceil-beta-t-negative-beta": lambda: ceil_beta_t(-1.0, 1.0),
         "ceil-beta-t-nan-time": lambda: ceil_beta_t(1.0, math.nan),
         "default-beta-nan-lambda": lambda: default_beta(math.nan),
+        "key-to-index-float-key": lambda: key_to_index(3.0),
+        "decode-key-float-key": lambda: decode_key(3.0, 4),
+        "encode-key-fractional-offset": lambda: encode_key({0, -0.5}, 4),
+        "clip-key-fractional-offset": lambda: clip_key({0, -1.5}, 4),
+        "edge-configuration-fractional-offset": lambda: EdgeConfiguration(
+            {0, -0.5}),
+        "empirical-distribution-depth-2.5": lambda: EmpiricalDistribution(
+            2.5, {3: 1.0}, replica_count=1),
+        "empirical-distribution-key-3.7": lambda: EmpiricalDistribution(
+            4, {3.7: 1.0}, replica_count=1),
+        "empirical-distribution-replicas-1.9": lambda: EmpiricalDistribution(
+            4, {3: 1.0}, replica_count=1.9),
     }
 
 
