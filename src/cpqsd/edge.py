@@ -69,8 +69,12 @@ class Finite:
     sites: frozenset
 
     def __init__(self, sites):
-        object.__setattr__(self, "sites",
-                           frozenset(check_integer(x, "site") for x in sites))
+        try:
+            sites = frozenset(check_integer(x, "site") for x in sites)
+        except TypeError:
+            raise ParameterError(f"sites must be a collection of integers, "
+                                 f"got {sites!r}") from None
+        object.__setattr__(self, "sites", sites)
 
 
 @dataclass(frozen=True)
@@ -330,7 +334,7 @@ def edge_evolve(zeta, offset, log, s, t):
     `offset`, evolve over (s, t], recenter.  Returns (zeta', offset',
     censored); offset' is the new absolute rightmost site, so successive
     steps compose exactly like one long step."""
-    eta = {x + offset for x in zeta}
+    eta = {x + offset for x in Finite(zeta).sites}
     out = evolve(eta, log, s, t)
     zeta2, shift = recenter(out)
     return zeta2, shift, out.censored

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the checks that every
-public entry point runs on its input: bad input raises ParameterError and
-never turns into a silently wrong number."""
+public entry point runs on its input: bad input, a non-number among them,
+raises ParameterError and never turns into a silently wrong number."""
 
 import math
 import operator
@@ -34,16 +34,22 @@ def check_integer(x, what, lo=None):
 
 def check_positive(x, what):
     """x, finite and > 0: a rate or a horizon."""
-    if not 0 < x < math.inf:
-        raise ParameterError(f"{what} must be finite and > 0, got {x}")
-    return x
+    try:
+        if 0 < x < math.inf:
+            return x
+    except TypeError:
+        pass
+    raise ParameterError(f"{what} must be finite and > 0, got {x!r}")
 
 
 def check_time(t, what="time"):
     """t, finite and >= 0."""
-    if not 0 <= t < math.inf:
-        raise ParameterError(f"{what} must be finite and >= 0, got {t}")
-    return t
+    try:
+        if 0 <= t < math.inf:
+            return t
+    except TypeError:
+        pass
+    raise ParameterError(f"{what} must be finite and >= 0, got {t!r}")
 
 
 def check_seed(seed, what="seed"):

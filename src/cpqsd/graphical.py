@@ -227,7 +227,11 @@ def _site(x, window):
 
 
 def _as_sites(start, window):
-    return sorted({_site(x, window) for x in start})
+    try:
+        return sorted({_site(x, window) for x in start})
+    except TypeError:
+        raise ParameterError(f"start must be a collection of sites, "
+                             f"got {start!r}") from None
 
 
 def _check_span(log, s, t):
@@ -330,8 +334,8 @@ def max_jump_count(z, s, log, t):
     """
     w = log.window
     z = _site(z, w)
-    if t < 0 or not (0 <= s <= s + t <= w.horizon):
-        raise ParameterError(f"need 0 <= s <= s+t <= horizon, got s={s}, t={t}")
+    if check_time(s, "start time") + check_time(t, "duration") > w.horizon:
+        raise ParameterError(f"need s + t <= horizon, got s={s}, t={t}")
     J = np.full(w.nsites, -1, np.int32)
     best, cen = K.jump_dp(log.times, log.kinds, log.src, log.dst, len(log),
                           J, w.lo, w.hi, z, float(s), float(s + t))

@@ -399,7 +399,7 @@ def survival_curve(gen, start, times):
     probability (up to rounding).
     """
     v = _start_vector(gen, start)
-    times = [check_time(float(t)) for t in times]
+    times = [float(check_time(t)) for t in times]
     mass, _ = _series(gen, v, times)
     return [mass[t] if t > 0 else 1.0 for t in times]
 
@@ -412,7 +412,7 @@ def yaglom_exact(gen, start, t):
     _RTOL times the mass kept, so the normalized law is within 2 _RTOL of
     the exact one in l1 (up to rounding).
     """
-    t = check_time(float(t))
+    t = float(check_time(t))
     v = _start_vector(gen, start)
     row = _series(gen, v, [t], law=True)[1] if t > 0 else v
     total = row.sum()
@@ -424,5 +424,8 @@ def yaglom_exact(gen, start, t):
 def vector_distribution(gen, vec):
     """Wrap a probability vector over the generator's states as an
     EmpiricalDistribution for TV comparisons."""
+    if np.shape(vec) != (gen.nstates,):
+        raise ParameterError(f"vector has shape {np.shape(vec)}, "
+                             f"want ({gen.nstates},)")
     weights = {index_to_key(i): float(p) for i, p in enumerate(vec) if p > 0}
     return EmpiricalDistribution(gen.L, weights)

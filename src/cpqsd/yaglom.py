@@ -4,10 +4,11 @@ The estimators here are the stochastic counterparts of the exact spectral
 module: the conditioned law of the edge configuration given survival, the
 decay rate from log-survival slopes, the survival-scaled h values, and the
 h-transformed (honest) chain.  Survival to large times is exponentially
-rare, so every estimator runs multilevel splitting: the population is
-advanced between checkpoints, extinct replicas are resampled uniformly from
-the survivors, and a shared weight keeps the product of stage survival
-fractions, which is itself the survival-probability estimate.
+rare, so every estimator reads the stages of one multilevel splitting
+loop, _split: it advances the population between checkpoints, resamples
+extinct replicas uniformly from the survivors, keeps the product of stage
+survival fractions as the survival-probability estimate, and yields the
+population at the end of every stage.
 
 Randomness discipline: every kernel stream is derived from a seed tuple, the
 resampler has its own stream, and resampling is done by a single generator
@@ -36,7 +37,7 @@ from . import _kernels as K
 from .edge import (EmpiricalDistribution, FreePopulation, _check_run,
                    _init_sites, _words, decode_key)
 from .errors import (ParameterError, ResolutionError, check_integer,
-                     check_positive, check_seed, check_time)
+                     check_positive, check_time)
 from .spectral import build_generator, dominant_eigenpair, index_to_key, key_to_index
 
 
@@ -64,8 +65,8 @@ def _rough_alpha(lam):
 def _chain_walk(gen, h=None):
     """The arrays K's chain walks run on: CSR row pointers and int64
     targets of the off-diagonal rates of gen.Q, their cumulative sum over
-    the matrix and its value before each row, the row sums (in row order:
-    pass j adds the j-th entry of every longer row) and the exit rates.
+    the matrix and its value before each row, the row sums (CSR's matvec
+    adds each row's entries in row order) and the exit rates.
     With h, each rate Q(x, y) is scaled by h(y) / h(x): the h-transformed
     chain is honest, so its exit rates are its row sums."""
     coo = gen.Q.tocoo()
@@ -77,16 +78,11 @@ def _chain_walk(gen, h=None):
             raise ResolutionError("negative transformed rate; h is not "
                                   "positive to working precision")
     csr = sp.csr_matrix((rates, (rows, cols)), shape=gen.Q.shape)
-    indptr, rates = csr.indptr, csr.data
-    lengths = np.diff(indptr)
-    off = np.zeros(gen.nstates)
-    for j in range(int(lengths.max(initial=0))):
-        long_rows = np.nonzero(lengths > j)[0]
-        off[long_rows] += rates[indptr[long_rows] + j]
-    cum = np.cumsum(rates)
-    base = np.concatenate(([0.0], cum))[indptr[:-1]]
+    off = csr @ np.ones(gen.nstates)
+    cum = np.cumsum(csr.data)
+    base = np.concatenate(([0.0], cum))[csr.indptr[:-1]]
     exits = off if h is not None else off + gen.absorption
-    return indptr, csr.indices.astype(np.int64), cum, base, off, exits
+    return csr.indptr, csr.indices.astype(np.int64), cum, base, off, exits
 
 
 class _ChainPopulation:
@@ -111,12 +107,11 @@ class _ChainPopulation:
         self.tnows[dst] = self.tnows[src]
 
     def final_keys(self, idx, depth):
-        """(keys truncated to depth, number of them that lost offsets) of
-        the surviving replicas idx."""
+        """(keys truncated to depth, at most the chain's L, number of them
+        that lost offsets) of the surviving replicas idx."""
         keys = index_to_key(self.idxs[idx])
-        cut = min(depth, 62)  # keys are below 2**62
-        return ((keys & ((1 << cut) - 1)).tolist(),
-                int(np.count_nonzero(keys >> cut)))
+        return ((keys & ((1 << depth) - 1)).tolist(),
+                int(np.count_nonzero(keys >> depth)))
 
 
 # ===== splitting core =====
@@ -155,15 +150,18 @@ def _starter(lam, gen):
     return start
 
 
-def _split(populate, lam, n, t, dt0, seeds, record_times=()):
-    """Splitting run of n replicas to time t: the population's kernel words
-    come from the stream seeds + (0,), its resampler from seeds + (1,), and
-    dt0 = None picks the rough guess 1/alpha.
+def _split(populate, lam, n, stops, dt0, seeds):
+    """Splitting run of n replicas through the sorted times stops.  The
+    population's kernel words come from the stream seeds + (0,), its
+    resampler from seeds + (1,); dt0 = None picks the rough guess 1/alpha.
 
-    Returns (population, alive indices, log weight, stage times, survivor
-    counts, records, final ess).  records[t_k] = (survival estimate,
-    accumulated delta-method variance of its log, ess at t_k) for each
-    requested time.  At t = 0 no stage runs and every replica is alive.
+    Yields (time, population, alive indices, log weight, delta-method
+    variance of the log weight, ancestors): at t = 0 with every replica
+    alive, then at the end of each stage, before its dead replicas are
+    resampled from the survivors.  A stage is dt long, cut short to land
+    exactly on the next stop, and dt halves after a stage that keeps under
+    a fifth of the replicas.  ancestors[i] is the replica whose state
+    replica i took at the last resampling.
     """
     if dt0 is None:
         dt0 = 1.0 / _rough_alpha(lam)
@@ -172,39 +170,13 @@ def _split(populate, lam, n, t, dt0, seeds, record_times=()):
     pop = populate(n, _words(seeds + (0,), n))
     resample_rng = np.random.default_rng(np.random.SeedSequence(seeds + (1,)))
     alive = ancestors = np.arange(n)
-    log_w = 0.0
-    var_acc = 0.0
-    stages = []
-    survivor_counts = []
-    records = {}
-    pending = sorted(rt for rt in record_times if 0.0 < rt <= t)
+    frac = 1.0
+    log_w = var = t_now = 0.0
     dt = dt0
-    t_now = 0.0
-    while t_now < t:
-        t_next = min(t_now + dt, t)
-        while pending and pending[0] <= t_now + 1e-12:
-            pending.pop(0)
-        if pending and pending[0] < t_next:
-            t_next = pending[0]
-        ess_pop = _grouped_ess(ancestors)
-        pop.advance_to(t_next)
-        mask = pop.alive_mask()
-        alive = np.nonzero(mask)[0]
-        if alive.size == 0:
-            raise ResolutionError(
-                f"population collapse: 0 of {n} replicas survive the stage "
-                f"ending at t={t_next:.6g}; increase population")
-        frac = alive.size / n
-        log_w += math.log(frac)
-        var_acc += (1.0 - frac) / (frac * ess_pop)
-        stages.append(t_next)
-        survivor_counts.append(int(alive.size))
-        if pending and pending[0] == t_next:
-            pending.pop(0)
-            records[t_next] = (math.exp(log_w), var_acc,
-                               _grouped_ess(ancestors[alive]))
-        if t_next < t:
-            dead = np.nonzero(~mask)[0]
+    yield t_now, pop, alive, log_w, var, ancestors
+    for stop in stops:
+        while t_now < stop:
+            dead = np.nonzero(~pop.alive_mask())[0]
             ancestors = np.arange(n)
             if dead.size:
                 # dead and alive are disjoint, so one fancy-indexed copy
@@ -213,10 +185,19 @@ def _split(populate, lam, n, t, dt0, seeds, record_times=()):
                 pop.copy(src, dead)
                 ancestors[dead] = src
             if frac < _MIN_STAGE_FRACTION:
-                dt = max(dt / 2.0, t / 1024.0)
-        t_now = t_next
-    ess = _grouped_ess(ancestors[alive])
-    return pop, alive, log_w, stages, survivor_counts, records, ess
+                dt = max(dt / 2.0, stops[-1] / 1024.0)
+            t_now = min(t_now + dt, stop)
+            ess_pop = _grouped_ess(ancestors)
+            pop.advance_to(t_now)
+            alive = np.nonzero(pop.alive_mask())[0]
+            if alive.size == 0:
+                raise ResolutionError(
+                    f"population collapse: 0 of {n} replicas survive the "
+                    f"stage ending at t={t_now:.6g}; increase population")
+            frac = alive.size / n
+            log_w += math.log(frac)
+            var += (1.0 - frac) / (frac * ess_pop)
+            yield t_now, pop, alive, log_w, var, ancestors
 
 
 # ===== conditioned-law estimation =====
@@ -227,20 +208,25 @@ def yaglom_estimate(init, lam, t, replicas, strategy, depth, seed, gen=None):
 
     init is a finite set of sites (free process on Z); passing a
     TruncatedGenerator via gen runs the depth-L chain instead, with init
-    read as a canonical key.  strategy is a Splitting.  Returns
-    (EmpiricalDistribution, diagnostics); diagnostics carry the stage
-    layout, survivor counts, the survival estimate (`weight`), and a
+    read as a canonical key and depth at most L.  strategy is a Splitting.
+    Returns (EmpiricalDistribution, diagnostics); diagnostics carry the
+    stage layout, survivor counts, the survival estimate (`weight`), and a
     conservative effective sample size that counts replicas sharing an
     ancestor since the last resampling as one.
     """
     _check_run(lam, t, depth)
+    if gen is not None and depth > gen.L:
+        raise ParameterError(f"depth {depth} exceeds the generator's {gen.L}")
     n = check_integer(replicas, "replicas", 1)
     if not isinstance(strategy, Splitting):
         raise ParameterError(f"unknown strategy {strategy!r}")
     populate = _starter(lam, gen)(init)
     dt0 = strategy.checkpoint_dt
-    pop, alive, log_w, stages, counts, _, ess = _split(
-        populate, lam, n, t, dt0, (seed, 0))
+    stages, counts = [], []
+    for t_k, pop, alive, log_w, _, ancestors in _split(
+            populate, lam, n, [t], dt0, (seed, 0)):
+        stages.append(t_k)
+        counts.append(int(alive.size))
     keys, clipped = pop.final_keys(alive, depth)
     # equal counts share one float, so a law holds a float per distinct
     # count rather than one per key
@@ -251,8 +237,9 @@ def yaglom_estimate(init, lam, t, replicas, strategy, depth, seed, gen=None):
         replica_count=n, meta={"lambda": lam, "t": t, "seed": seed})
     diag = {"strategy": "Splitting(checkpoint_dt="
                         f"{dt0 if dt0 is not None else 'auto'})",
-            "stages": stages, "survivor_counts": counts,
-            "weight": math.exp(log_w), "ess": ess, "clipped": clipped}
+            "stages": stages[1:], "survivor_counts": counts[1:],
+            "weight": math.exp(log_w), "ess": _grouped_ess(ancestors[alive]),
+            "clipped": clipped}
     return dist, diag
 
 
@@ -273,7 +260,7 @@ def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None):
     and the mean estimate over 200 seeds of 1000 replicas was 0.417, a bias
     of +0.008.  A later t_1 makes it smaller.
     """
-    grid = [check_time(float(x), "grid time") for x in t_grid]
+    grid = [float(check_time(x, "grid time")) for x in t_grid]
     if len(grid) < 3:
         raise ParameterError(f"t_grid needs >= 3 points, got {len(grid)}")
     if not (0 < grid[0] and all(a < b for a, b in zip(grid, grid[1:]))):
@@ -281,20 +268,16 @@ def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None):
     n = check_integer(replicas, "replicas", 2)
     check_positive(lam, "lambda")
     populate = _starter(lam, gen)(init)
-    *_, records, _ = _split(populate, lam, n, grid[-1], None, (seed, 1),
-                            record_times=grid)
-    pts = [records[tk] for tk in grid]
-    num = 0.0
-    den = 0.0
+    pts = [(t_k, math.exp(log_w), var) for t_k, _, _, log_w, var, _
+           in _split(populate, lam, n, grid, None, (seed, 1)) if t_k in grid]
+    num = den = 0.0
     usable = 0
-    for k in range(1, len(grid)):
-        w_prev, v_prev, _ = pts[k - 1]
-        w_k, v_k, _ = pts[k]
-        dv = v_k - v_prev
-        if not (w_k > 0 and w_prev > 0 and dv > 0):
+    for (t0, w0, v0), (t1, w1, v1) in zip(pts, pts[1:]):
+        dv = v1 - v0
+        if not (w1 > 0 and w0 > 0 and dv > 0):
             continue
-        dy = math.log(w_prev) - math.log(w_k)
-        dt_seg = grid[k] - grid[k - 1]
+        dy = math.log(w0) - math.log(w1)
+        dt_seg = t1 - t0
         num += dy * dt_seg / dv
         den += dt_seg * dt_seg / dv
         usable += 1
@@ -322,16 +305,15 @@ def h_estimate(states, alpha, lam, t, replicas, depth, seed, gen=None,
             f"depth {depth} differs from the generator's {gen.L}")
     _check_run(lam, t, depth)
     n = check_integer(replicas, "replicas", 1)
-    check_seed(seed)
     check_positive(alpha, "alpha")
     keys = [check_integer(k, "key") for k in states]
-    out = np.ones(len(keys))
+    out = np.empty(len(keys))
     start = _starter(lam, gen)
     for j, key in enumerate(keys):
         populate = start(key if gen is not None else decode_key(key, depth))
-        if t > 0:
-            _, _, log_w, *_ = _split(populate, lam, n, t, None, (seed, 2, j))
-            out[j] = math.exp(alpha * t + log_w)
+        *_, log_w, _, _ = collections.deque(
+            _split(populate, lam, n, [t], None, (seed, 2, j)), maxlen=1)[0]
+        out[j] = math.exp(alpha * t + log_w)
     if nu is not None:
         mass = np.array([nu.get(k, 0.0) for k in keys])
         if mass.sum() <= 0:

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from cpqsd import yaglom
-from cpqsd.edge import (EdgeConfiguration, EmpiricalDistribution,
+from cpqsd.edge import (EdgeConfiguration, EmpiricalDistribution, Finite,
                         FreePopulation, FullInterval, clip_key,
                         cylinder_restrict, decode_key, default_beta,
-                        encode_key, recenter, tv_distance)
+                        edge_evolve, encode_key, recenter,
+                        sample_edge_distribution, simulate_edge_trajectory,
+                        tv_distance)
 from cpqsd.errors import ParameterError
-from cpqsd.graphical import EventLog, ceil_beta_t
+from cpqsd.graphical import (EventLog, SiteWindow, ceil_beta_t, evolve,
+                             max_jump_count, sample_event_log)
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
                             dominant_eigenpair, key_to_index, survival_curve,
                             vector_distribution, yaglom_exact)
@@ -295,6 +298,19 @@ def test_free_alpha_estimate_stderr_covers_the_decay_rate():
     assert alpha - K_SIGMA * sem < est.mean() < slope + K_SIGMA * sem
 
 
+def test_alpha_grid_point_just_past_a_stage_end_is_fitted():
+    # the first stage after t = 1 is 1/_rough_alpha long and ends 5e-13
+    # before the second grid point; the loop used to skip any grid point
+    # within 1e-12 of a stage end, then raised KeyError looking it up
+    grid = (1.0, 1.0 + 1.0 / yaglom._rough_alpha(0.5) + 5e-13, 10.0)
+    est, se = yaglom.alpha_estimate({0}, 0.5, grid, 200, 0)
+    assert math.isfinite(est) and 0 < se < math.inf
+    populate = yaglom._starter(0.5, None)({0})
+    times = [stage[0] for stage in yaglom._split(populate, 0.5, 200, grid,
+                                                 None, (0, 1))]
+    assert times[0] == 0.0 and set(grid) <= set(times)
+
+
 # ===== h against the exact chain =====
 
 # standard deviation of log h_hat at L = 8, lambda 0.5, t = 4 with 300
@@ -401,11 +417,14 @@ def _bad_input_calls():
     """name -> a call with one bad argument, each of which ran silently,
     truncated the argument, or raised something other than ParameterError
     before every entry point took its input through cpqsd.errors."""
+    g4 = build_generator(4, 0.5)
     g6 = build_generator(6, 0.5)
+    log = sample_event_log(SiteWindow(-4, 4, 2.0), 0.5, 0)
 
-    def estimate(replicas=10, depth=4, seed=0):
-        return lambda: yaglom.yaglom_estimate({0}, 0.5, 1.0, replicas,
-                                              yaglom.Splitting(), depth, seed)
+    def estimate(replicas=10, depth=4, seed=0, init=frozenset({0}), gen=None):
+        return lambda: yaglom.yaglom_estimate(init, 0.5, 1.0, replicas,
+                                              yaglom.Splitting(), depth, seed,
+                                              gen=gen)
 
     return {
         "yaglom-replicas-2.5": estimate(replicas=2.5),
@@ -439,6 +458,40 @@ def _bad_input_calls():
             4, {3.7: 1.0}, replica_count=1),
         "empirical-distribution-replicas-1.9": lambda: EmpiricalDistribution(
             4, {3: 1.0}, replica_count=1.9),
+        # a non-number failed the comparison with a TypeError, or was
+        # converted by float() before the check
+        "build-generator-string-lambda": lambda: build_generator(4, "0.5"),
+        "sample-distribution-string-time": lambda: sample_edge_distribution(
+            {0}, 0.5, "1", 4, 0, 2),
+        "site-window-string-horizon": lambda: SiteWindow(0, 3, "1"),
+        "max-jump-count-string-time": lambda: max_jump_count(0, 0.0, log,
+                                                             "0.5"),
+        "h-estimate-string-alpha": lambda: yaglom.h_estimate(
+            [1], "0.4", 0.5, 1.0, 10, 4, 0),
+        "yaglom-none-lambda": lambda: yaglom.yaglom_estimate(
+            {0}, None, 1.0, 10, yaglom.Splitting(), 4, 0),
+        "survival-curve-string-time": lambda: survival_curve(g4, 1, ["1"]),
+        "survival-curve-none-time": lambda: survival_curve(g4, 1, [None]),
+        "yaglom-exact-string-time": lambda: yaglom_exact(g4, 1, "1"),
+        "yaglom-exact-none-time": lambda: yaglom_exact(g4, 1, None),
+        "alpha-string-grid": lambda: yaglom.alpha_estimate(
+            {0}, 0.5, ("1", "2", "3"), 10, 0),
+        "alpha-none-grid": lambda: yaglom.alpha_estimate(
+            {0}, 0.5, (1.0, None, 3.0), 10, 0),
+        # a start that is not a collection raised "'int' object is not
+        # iterable"
+        "finite-int-start": lambda: Finite(5),
+        "yaglom-int-start": estimate(init=0),
+        "trajectory-int-start": lambda: simulate_edge_trajectory(
+            5, 0.5, 1.0, 4, 0),
+        "sample-distribution-int-start": lambda: sample_edge_distribution(
+            5, 0.5, 1.0, 4, 0, 2),
+        "evolve-int-start": lambda: evolve(5, log, 0.0, 1.0),
+        "edge-evolve-int-start": lambda: edge_evolve(5, 0, log, 0.0, 1.0),
+        # a depth-9 law was read off a depth-4 chain
+        "yaglom-chain-depth-above-L": estimate(init=1, depth=9, gen=g4),
+        "vector-distribution-short-vector": lambda: vector_distribution(
+            g4, [0.5, 0.5]),
     }
 
 
