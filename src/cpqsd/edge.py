@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import (ParameterError, ResolutionError, check_integer,
-                     check_positive, check_seed, check_time)
+                     check_positive, check_seed, check_sites, check_time)
 from .graphical import evolve
 
 
@@ -44,8 +44,7 @@ class EdgeConfiguration(frozenset):
     so the key codec, which takes one, checks none of them again."""
 
     def __new__(cls, offsets=()):
-        obj = super().__new__(cls, (check_integer(x, "offset")
-                                    for x in offsets))
+        obj = super().__new__(cls, check_sites(offsets, "offset"))
         if obj and max(obj) != 0:
             raise ParameterError(
                 f"edge configuration must have max offset 0, got {sorted(obj)}")
@@ -69,12 +68,7 @@ class Finite:
     sites: frozenset
 
     def __init__(self, sites):
-        try:
-            sites = frozenset(check_integer(x, "site") for x in sites)
-        except TypeError:
-            raise ParameterError(f"sites must be a collection of integers, "
-                                 f"got {sites!r}") from None
-        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "sites", check_sites(sites, "site"))
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ def _init_sites(init):
 
 def recenter(eta):
     """(edge configuration, shift): offsets eta - max(eta), or (∅, 0)."""
-    sites = [check_integer(x, "site") for x in eta]
+    sites = check_sites(eta, "site")
     if not sites:
         return EdgeConfiguration(), 0
     m = max(sites)
@@ -134,15 +128,19 @@ def clip_key(cfg, depth):
     return key, clipped
 
 
-def decode_key(key, depth):
+def _check_key(key, depth):
+    """key as an int, a canonical key at a checked depth: 0 (the empty
+    set), or odd (bit 0 is the site 0) and below 2^depth."""
     key = check_integer(key, "key")
+    if key < 0 or key.bit_length() > depth or (key and not key & 1):
+        raise ParameterError(f"key {key} is not a depth-{depth} key: need "
+                             f"0 <= key < 2^{depth}, odd unless 0")
+    return key
+
+
+def decode_key(key, depth):
     depth = check_integer(depth, "depth", 1)
-    if key == 0:
-        return EdgeConfiguration()
-    if key < 0 or key >= 1 << depth:
-        raise ParameterError(f"key {key} outside [0, 2^{depth})")
-    if not key & 1:
-        raise ParameterError(f"nonempty key {key} must be odd (bit 0 = site 0)")
+    key = _check_key(key, depth)
     return EdgeConfiguration._trusted(-i for i in range(depth)
                                       if key >> i & 1)
 
@@ -152,14 +150,14 @@ def decode_key(key, depth):
 class EmpiricalDistribution:
     """Weighted counts over canonical keys at one depth.
 
-    Weights are nonnegative reals (importance sampling and splitting produce
-    fractional weights); merging is associative and commutative, so replica
-    batches can be aggregated in any order.
+    Keys are canonical keys at the depth, and weights finite nonnegative
+    floats (importance sampling and splitting produce fractional weights).
     """
 
     def __init__(self, depth, weights=None, replica_count=0, meta=None):
         self.depth = check_integer(depth, "depth", 1)
-        self.weights = {check_integer(k, "key", 0): float(v)
+        self.weights = {_check_key(k, self.depth):
+                        float(check_time(v, "weight"))
                         for k, v in (weights or {}).items()}
         self.replica_count = check_integer(replica_count, "replica count", 0)
         self.meta = dict(meta or {})
@@ -169,18 +167,9 @@ class EmpiricalDistribution:
         return sum(self.weights.values())
 
     def add(self, key, weight=1.0):
-        self.weights[key] = self.weights.get(key, 0.0) + weight
-
-    def merge(self, other):
-        if other.depth != self.depth:
-            raise ParameterError(
-                f"depth mismatch: {self.depth} vs {other.depth}")
-        out = EmpiricalDistribution(self.depth, self.weights,
-                                    self.replica_count + other.replica_count,
-                                    self.meta)
-        for k, v in other.weights.items():
-            out.add(k, v)
-        return out
+        key = _check_key(key, self.depth)
+        self.weights[key] = (self.weights.get(key, 0.0)
+                             + float(check_time(weight, "weight")))
 
     def normalized(self):
         tot = self.total
@@ -334,7 +323,8 @@ def edge_evolve(zeta, offset, log, s, t):
     `offset`, evolve over (s, t], recenter.  Returns (zeta', offset',
     censored); offset' is the new absolute rightmost site, so successive
     steps compose exactly like one long step."""
-    eta = {x + offset for x in Finite(zeta).sites}
+    offset = check_integer(offset, "offset")
+    eta = {x + offset for x in check_sites(zeta, "offset")}
     out = evolve(eta, log, s, t)
     zeta2, shift = recenter(out)
     return zeta2, shift, out.censored

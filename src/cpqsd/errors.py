@@ -43,13 +43,24 @@ def check_positive(x, what):
 
 
 def check_time(t, what="time"):
-    """t, finite and >= 0."""
+    """t, finite and >= 0: a time, or another amount that may be 0, such
+    as a weight."""
     try:
         if 0 <= t < math.inf:
             return t
     except TypeError:
         pass
     raise ParameterError(f"{what} must be finite and >= 0, got {t!r}")
+
+
+def check_sites(sites, what):
+    """sites as a frozenset of ints: a finite set of sites of Z, or of
+    offsets; each element is a `what`."""
+    try:
+        return frozenset(check_integer(x, what) for x in sites)
+    except TypeError:
+        raise ParameterError(f"expected a collection of {what}s, "
+                             f"got {sites!r}") from None
 
 
 def check_seed(seed, what="seed"):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import (CensoredError, ParameterError, check_integer,
-                     check_positive, check_seed, check_time)
+                     check_positive, check_seed, check_sites, check_time)
 
 logger = logging.getLogger(__name__)
 
@@ -227,15 +227,13 @@ def _site(x, window):
 
 
 def _as_sites(start, window):
-    try:
-        return sorted({_site(x, window) for x in start})
-    except TypeError:
-        raise ParameterError(f"start must be a collection of sites, "
-                             f"got {start!r}") from None
+    return sorted(_site(x, window) for x in check_sites(start, "site"))
 
 
 def _check_span(log, s, t):
-    if not (0 <= s <= t <= log.window.horizon):
+    check_time(s, "start time")
+    check_time(t, "end time")
+    if not s <= t <= log.window.horizon:
         raise ParameterError(f"need 0 <= s <= t <= horizon, "
                              f"got s={s}, t={t}, horizon={log.window.horizon}")
 
@@ -289,7 +287,7 @@ class BackwardReach:
     def _marks_below(self, s):
         """Number of marks at or below query time s, which must lie in
         [0, t]."""
-        if not (0 <= s <= self.t):
+        if check_time(s, "query time") > self.t:
             raise ParameterError(f"query time {s} outside [0, {self.t}]")
         return bisect_right(self._times, s)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .edge import EmpiricalDistribution
+from .edge import EmpiricalDistribution, _check_key
 from .errors import (ParameterError, ResolutionError, check_integer,
                      check_positive, check_time)
 
@@ -83,19 +83,6 @@ class TruncatedGenerator:
     @property
     def nstates(self):
         return self.Q.shape[0]
-
-    def row_of(self, key):
-        """Off-diagonal transitions out of `key` as [(target_key, rate)]."""
-        i = key_to_index(key)
-        row = self.Q.getrow(i).tocoo()
-        return sorted((index_to_key(int(j)), float(r))
-                      for j, r in zip(row.col, row.data) if j != i)
-
-    def absorption_rate_of(self, key):
-        return float(self.absorption[key_to_index(key)])
-
-    def exit_rates(self):
-        return -self.Q.diagonal()
 
 
 def build_generator(L, lam, policy=POLICY_CLIP):
@@ -321,7 +308,7 @@ def _series(gen, v, times, law=False):
     _tail_bound's bound on that is below _RTOL times its mass.  Returns
     ({t: mass}, row), the row None unless law=True.
     """
-    sigma = float(gen.exit_rates().max())
+    sigma = float((-gen.Q.diagonal()).max())
     # P^T from a transposed copy: Q stores every diagonal entry, so adding
     # 1 there keeps the sparsity pattern
     PT = gen.Q.T.tocsr()
@@ -372,10 +359,7 @@ def _tail_bound(w, m, k):
 
 def _start_vector(gen, start):
     if np.isscalar(start):
-        key = check_integer(start, "start key")
-        i = key_to_index(key)
-        if i >= gen.nstates:
-            raise ParameterError(f"{key} is not a depth-{gen.L} key")
+        i = key_to_index(_check_key(start, gen.L))
         v = np.zeros(gen.nstates)
         v[i] = 1.0
         return v

@@ -258,7 +258,10 @@ def alpha_estimate(init, lam, t_grid, replicas, seed, gen=None):
     {0} at lambda 0.5 on the grid 2, 4, .., 10 the exact slopes of the
     fitted segments are 0.439, 0.417, 0.412 and 0.410 against alpha 0.409,
     and the mean estimate over 200 seeds of 1000 replicas was 0.417, a bias
-    of +0.008.  A later t_1 makes it smaller.
+    of +0.008.  A later t_1 makes it smaller.  The reported stderr is
+    conservative: on those runs it was 0.0149-0.0171 (mean 0.0160), 1.5x
+    the seed-to-seed standard deviation of the estimates, 0.0104, and 157
+    of the 200 estimates lay within one stderr of alpha, all within two.
     """
     grid = [float(check_time(x, "grid time")) for x in t_grid]
     if len(grid) < 3:

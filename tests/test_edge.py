@@ -111,15 +111,6 @@ class TestEmpiricalDistribution:
         assert d.total == 4.0
         assert d.normalized() == {1: 0.5, 3: 0.5}
 
-    def test_merge(self):
-        a = EmpiricalDistribution(6, {1: 2.0}, replica_count=2)
-        b = EmpiricalDistribution(6, {1: 1.0, 5: 3.0}, replica_count=4)
-        m = a.merge(b)
-        assert m.weights == {1: 3.0, 5: 3.0}
-        assert m.replica_count == 6
-        with pytest.raises(ParameterError):
-            a.merge(EmpiricalDistribution(4))
-
     def test_normalize_empty(self):
         with pytest.raises(ResolutionError):
             EmpiricalDistribution(6).normalized()
@@ -258,7 +249,10 @@ class TestIndependentReference:
         # and TV exceeds its mean by sqrt(ln(1e4) (1/n1 + 1/n2) / 2) with
         # probability below 1e-4 (McDiarmid)
         inv = 1.0 / n_sim + 1.0 / n_ref
-        pooled = sim.merge(ref).normalized()
+        pooled = EmpiricalDistribution(6, sim.weights)
+        for key, weight in ref.weights.items():
+            pooled.add(key, weight)
+        pooled = pooled.normalized()
         bound = (0.5 * sum(math.sqrt(q * (1.0 - q) * inv)
                            for q in pooled.values())
                  + math.sqrt(math.log(1e4) * inv / 2.0))

@@ -91,10 +91,14 @@ def oracle_row(S, L, lam, policy):
 
 
 def generator_row(gen, key):
-    targets = {}
-    for tkey, rate in gen.row_of(key):
-        targets[frozenset(decode_key(tkey, gen.L))] = rate
-    return targets, gen.absorption_rate_of(key)
+    """(off-diagonal rates out of key by target configuration, absorption
+    rate), read from gen.Q's CSR row and gen.absorption."""
+    i = key_to_index(key)
+    lo, hi = gen.Q.indptr[i], gen.Q.indptr[i + 1]
+    targets = {frozenset(decode_key(index_to_key(int(j)), gen.L)): float(r)
+               for j, r in zip(gen.Q.indices[lo:hi], gen.Q.data[lo:hi])
+               if j != i}
+    return targets, float(gen.absorption[i])
 
 
 _EIG = {}
@@ -189,22 +193,15 @@ class TestGeneratorOracle:
     def test_L1_chains(self):
         clip = build_generator(1, 0.5, POLICY_CLIP)
         assert clip.nstates == 1
-        assert clip.row_of(1) == []
-        assert clip.absorption_rate_of(1) == 1.0
+        assert generator_row(clip, 1) == ({}, 1.0)
         kill = build_generator(1, 0.5, POLICY_KILL)
-        assert kill.absorption_rate_of(1) == 2.0
+        assert generator_row(kill, 1)[1] == 2.0
 
     def test_exit_rates(self):
         gen = build_generator(5, 0.5)
-        exits = gen.exit_rates()
+        exits = -gen.Q.diagonal()
         assert np.all(exits > 0)
         assert exits[key_to_index(1)] == 1.0 + 2 * 0.5
-
-    def test_row_of_returns_python_numbers(self):
-        row = build_generator(6, 0.5, POLICY_KILL).row_of(5)
-        assert row
-        for key, rate in row:
-            assert type(key) is int and type(rate) is float
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):

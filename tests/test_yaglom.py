@@ -16,7 +16,8 @@ from cpqsd.edge import (EdgeConfiguration, EmpiricalDistribution, Finite,
                         tv_distance)
 from cpqsd.errors import ParameterError
 from cpqsd.graphical import (EventLog, SiteWindow, ceil_beta_t, evolve,
-                             max_jump_count, sample_event_log)
+                             max_jump_count, reach_backward,
+                             sample_event_log)
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
                             dominant_eigenpair, key_to_index, survival_curve,
                             vector_distribution, yaglom_exact)
@@ -413,6 +414,12 @@ def test_q_process_rejects_a_mismatched_generator():
 
 # ===== input checks across the package =====
 
+# weights that a law rejected only after counting them: -1 made tv_distance
+# read 1.5, NaN a NaN total, and None and "x" raised TypeError or ValueError
+_BAD_WEIGHTS = {"negative": -1.0, "nan": math.nan, "inf": math.inf,
+                "none": None, "string": "x"}
+
+
 def _bad_input_calls():
     """name -> a call with one bad argument, each of which ran silently,
     truncated the argument, or raised something other than ParameterError
@@ -492,6 +499,34 @@ def _bad_input_calls():
         "yaglom-chain-depth-above-L": estimate(init=1, depth=9, gen=g4),
         "vector-distribution-short-vector": lambda: vector_distribution(
             g4, [0.5, 0.5]),
+        # a site set, key or log span that is not one raised TypeError, or
+        # was accepted and then read wrongly
+        "recenter-int-sites": lambda: recenter(5),
+        "edge-configuration-int-offsets": lambda: EdgeConfiguration(5),
+        "clip-key-int-offsets": lambda: clip_key(5, 4),
+        "encode-key-none-offsets": lambda: encode_key(None, 4),
+        "evolve-string-start-time": lambda: evolve({0}, log, "0", 1.0),
+        "evolve-none-end-time": lambda: evolve({0}, log, 0.0, None),
+        "reach-backward-string-time": lambda: reach_backward(log, "1"),
+        "reach-query-string-time": lambda: reach_backward(log, 1.0).query(
+            0, "0.5"),
+        "reach-at-string-time": lambda: reach_backward(log, 1.0).at("0.5"),
+        "edge-evolve-string-offset": lambda: edge_evolve({0}, "1", log, 0.0,
+                                                         1.0),
+        "empirical-distribution-key-beyond-depth":
+            lambda: EmpiricalDistribution(4, {99: 1.0}),
+        "empirical-distribution-even-key": lambda: EmpiricalDistribution(
+            4, {2: 1.0}),
+        "empirical-distribution-add-key-beyond-depth":
+            lambda: EmpiricalDistribution(4).add(99),
+        "empirical-distribution-add-even-key":
+            lambda: EmpiricalDistribution(4).add(2),
+        **{f"empirical-distribution-weight-{name}":
+           (lambda w=w: EmpiricalDistribution(4, {1: w}))
+           for name, w in _BAD_WEIGHTS.items()},
+        **{f"empirical-distribution-add-weight-{name}":
+           (lambda w=w: EmpiricalDistribution(4).add(1, w))
+           for name, w in _BAD_WEIGHTS.items()},
     }
 
 
