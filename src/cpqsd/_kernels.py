@@ -2,9 +2,9 @@
 
 Every kernel is a plain Python function, never compiled:
   * evolve_sweep and jump_dp run one mark at a time over the
-    struct-of-arrays marks; backward_sweep walks an EventLog's cached
-    plain lists, since indexing a list is several times cheaper than
-    reading a numpy scalar;
+    struct-of-arrays marks, and evolve_sweep ends at extinction;
+    backward_sweep walks an EventLog's cached plain lists, since indexing
+    a list is several times cheaper than reading a numpy scalar;
   * gen_marks and sort_marks, the mark generator and sorter, are called
     only by the benchmark's tracer, which wraps them by name: logs are
     sampled by graphical.sample_event_log in numpy;
@@ -145,23 +145,28 @@ def evolve_sweep(times, kinds, src, dst, n, occ, lo, hi, s, t):
     """Apply marks with s < time <= t to occupancy occ (int8, index site-lo).
 
     Returns 1 if the occupied set ever included a window boundary site
-    while marks were pending (truncation may matter), else 0.
+    while marks were pending (truncation may matter), else 0.  The sweep
+    ends at extinction: once no site is occupied, no later mark can change
+    occ or the flag.
     """
     touched = 0
     if occ[0] != 0 or occ[hi - lo] != 0:
         touched = 1
+    count = np.count_nonzero(occ)
     i = np.searchsorted(times[:n], s, side="right")
-    while i < n and times[i] <= t:
+    while count and i < n and times[i] <= t:
         x = src[i] - lo
-        if kinds[i] == 0:
-            occ[x] = 0
-        else:
-            if occ[x] != 0:
+        if kinds[i]:
+            if occ[x]:
                 y = dst[i] - lo
-                if occ[y] == 0:
+                if not occ[y]:
                     occ[y] = 1
+                    count += 1
                     if y == 0 or y == hi - lo:
                         touched = 1
+        elif occ[x]:
+            occ[x] = 0
+            count -= 1
         i += 1
     return touched
 

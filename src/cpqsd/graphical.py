@@ -243,7 +243,8 @@ def evolve(start, log, s, t):
     from start x {s} by open paths at time t.
 
     Sweeps marks with time in (s, t]: a recovery on an occupied site clears
-    it, an arrow from an occupied site occupies its target.  The returned
+    it, an arrow from an occupied site occupies its target.  The sweep ends
+    once the set is empty, since no later mark can revive it.  The returned
     Configuration's `censored` attribute is True when the occupied set ever
     included a window boundary site, in which case the untruncated process
     could differ.

@@ -12,7 +12,9 @@ from cpqsd.edge import (
     EdgeConfiguration,
     EmpiricalDistribution,
     Finite,
+    FreePopulation,
     FullInterval,
+    _words,
     clip_key,
     cylinder_restrict,
     decode_key,
@@ -26,7 +28,7 @@ from cpqsd.edge import (
 )
 from cpqsd.errors import ParameterError, ResolutionError
 from cpqsd.graphical import SiteWindow, evolve, sample_event_log
-from cpqsd.spectral import build_generator, survival_curve
+from cpqsd.spectral import POLICY_KILL, build_generator, survival_curve
 
 
 class TestRecenterAndKeys:
@@ -257,6 +259,59 @@ class TestIndependentReference:
                            for q in pooled.values())
                  + math.sqrt(math.log(1e4) * inv / 2.0))
         assert tv_distance(sim, ref) < bound
+
+
+def free_hits(start, target, t, n, seed):
+    """Per replica of a FreePopulation of n from `start` run to t at lambda
+    0.5, whether its infected set at t meets `target`, read from the
+    population's absolute occupancy (occ, lo)."""
+    pop = FreePopulation(sorted(start), 0.5, n, _words(seed, n))
+    pop.advance_to(t)
+    width = pop.occ.shape[1]
+    cols = [x - pop.lo for x in target if 0 <= x - pop.lo < width]
+    return pop.occ[:, cols].any(axis=1)
+
+
+class TestSelfDuality:
+    # P(eta_t^A meets B) = P(eta_t^B meets A) for finite A, B: the two sides
+    # run the same walk from different starts, so a bias in window growth,
+    # capacity doubling or thinning shows as a mismatch.  The event is read
+    # from the sites, not from the rightmost one: r_t > -k is a different
+    # event from eta_t meeting (-k, 0], since r_t can lie right of 0.
+    @pytest.mark.parametrize("row, a, b, t", [
+        (0, range(-102, 1), range(-3, 1), 4.0),
+        (1, {0, 5}, {-3, 2, 4}, 1.5),
+        (2, {0}, range(-2, 3), 1.0),
+        (3, range(-8, 1), {2}, 2.0),
+    ])
+    def test_forward_and_dual_hit_alike(self, row, a, b, t):
+        n = 20_000
+        p = free_hits(a, b, t, n, (19, row, 0)).mean()
+        q = free_hits(b, a, t, n, (19, row, 1)).mean()
+        sigma = math.sqrt((p * (1 - p) + q * (1 - q)) / n)
+        assert 0.01 < q < 0.99  # the bound below has power
+        assert abs(p - q) <= 4.0 * sigma
+
+
+class TestFullIntervalStandIn:
+    def test_bulk_density_is_the_survival_from_one_site(self):
+        # by self-duality the density at a bulk site x of [-400, 0] at t is
+        # P(eta_t^{x} meets [-400, 0]); x is 40 or more sites from either
+        # end, and an arrow path from x crosses 40 sites by t = 4 with
+        # chance below sum_{n >= 40} (2 lam t)^n / n! ~ 2e-24, so this is
+        # P(tau^{0} > t), which the depth-16 chain gives exactly
+        n, t = 4000, 4.0
+        pop = FreePopulation(range(-400, 1), 0.5, n, _words((1408, 4), n))
+        pop.advance_to(t)
+        per_replica = pop.occ[:, np.arange(-360, -40) - pop.lo].mean(axis=1)
+        density = per_replica.mean()
+        err = per_replica.std(ddof=1) / math.sqrt(n)
+        (clip,) = survival_curve(build_generator(16, 0.5), 1, [t])
+        (kill,) = survival_curve(build_generator(16, 0.5, POLICY_KILL), 1,
+                                 [t])
+        # the truncation's own spread is nothing beside the error bar
+        assert abs(clip - kill) < 0.01 * err
+        assert abs(density - clip) <= 4.0 * err
 
 
 class TestFlowConsistency:

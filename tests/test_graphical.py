@@ -219,6 +219,49 @@ class TestEvolve:
         assert inner == {0, 1}
         assert not inner.censored
 
+    def test_arrows_after_extinction_change_nothing(self):
+        # {0} dies at 0.1; the later arrows onto and off the boundary sites
+        # -2 and 2 start from empty sites, so they neither revive the set
+        # nor set the flag
+        log = log_of([("R", 0, 0.1), ("A", 0, 1, 0.2), ("A", 1, 2, 0.3),
+                      ("A", 2, 1, 0.4), ("A", -1, -2, 0.5),
+                      ("A", -2, -1, 0.6)], lo=-2, hi=2, horizon=1.0)
+        out = evolve({0}, log, 0.0, 1.0)
+        assert out == frozenset()
+        assert not out.censored
+
+    def test_boundary_contact_before_extinction_stays_censored(self):
+        # the set reaches the boundary site 2 at 0.2 and dies at 0.5; the
+        # flag keeps the contact, and the arrows after 0.5 revive nothing
+        log = log_of([("A", 0, 1, 0.1), ("A", 1, 2, 0.2), ("R", 0, 0.3),
+                      ("R", 1, 0.4), ("R", 2, 0.5), ("A", 2, 1, 0.6),
+                      ("A", 1, 0, 0.7)], lo=-2, hi=2, horizon=1.0)
+        out = evolve({0}, log, 0.0, 1.0)
+        assert out == frozenset()
+        assert out.censored
+
+    def test_matches_path_oracle_when_the_set_dies(self):
+        # sampled logs at lambda 0.5 on a 7-site window, from one site: most
+        # starts die inside the span with marks still pending, the cases in
+        # which the sweep ends early
+        rng = np.random.default_rng(1408)
+        cases = 300
+        early = 0
+        for r in range(cases):
+            log = sample_event_log(SiteWindow(-3, 3, 2.0), 0.5, 1408, r)
+            marks = tuples_of(log)
+            start = {int(rng.integers(-1, 2))}
+            s = float(rng.uniform(0.0, 0.5))
+            t = float(rng.uniform(1.5, 2.0))
+            got = evolve(start, log, s, t)
+            assert got == open_reach(marks, start, s, t)
+            span = [m[-1] for m in marks if s < m[-1] <= t]
+            if not got:
+                dead_at = next(u for u in span
+                               if not open_reach(marks, start, s, u))
+                early += dead_at < span[-1]
+        assert early >= cases // 2
+
     def test_rejects_sites_outside_window(self):
         log = log_of([], lo=0, hi=3)
         with pytest.raises(ParameterError):
