@@ -18,6 +18,7 @@ configurations must share one set of marks.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -116,6 +117,7 @@ def encode_key(cfg, depth):
 def clip_key(cfg, depth):
     """(key of cfg ∩ (-depth, 0], number of clipped offsets); cfg is an
     EdgeConfiguration or the offsets of one, which are checked."""
+    depth = check_integer(depth, "depth", 1)
     if not isinstance(cfg, EdgeConfiguration):
         cfg = EdgeConfiguration(cfg)
     key = 0
@@ -181,6 +183,17 @@ class EmpiricalDistribution:
         return (f"EmpiricalDistribution(depth={self.depth}, "
                 f"{len(self.weights)} keys, total={self.total:g}, "
                 f"replicas={self.replica_count})")
+
+
+def _tally(depth, keys, replica_count, meta):
+    """EmpiricalDistribution of weight 1 per drawn key.  Equal counts share
+    one float, so a law holds a float per distinct count rather than one
+    per key."""
+    tally = collections.Counter(keys)
+    as_float = {c: float(c) for c in set(tally.values())}
+    return EmpiricalDistribution(
+        depth, {key: as_float[c] for key, c in tally.items()},
+        replica_count, meta)
 
 
 def tv_distance(p, q):
@@ -342,17 +355,16 @@ def sample_edge_distribution(init, lam, t, depth, seed, replicas):
     """
     _check_run(lam, t, depth)
     replicas = check_integer(replicas, "replicas", 1)
-    dist = EmpiricalDistribution(depth)
+    keys = []
     clipped = 0
     extinct = 0
     for r in range(replicas):
         traj = simulate_edge_trajectory(init, lam, t, depth, seed, stream=r)
-        dist.add(encode_key(traj.final, depth))
+        keys.append(encode_key(traj.final, depth))
         clipped += traj.clipped > 0
         extinct += not traj.survived
-    dist.replica_count = replicas
-    dist.meta = {"lambda": lam, "t": t, "seed": seed,
-                 "censored": 0, "clipped": clipped, "extinct": extinct}
+    meta = {"lambda": lam, "t": t, "seed": seed,
+            "censored": 0, "clipped": clipped, "extinct": extinct}
     if isinstance(init, FullInterval):
-        dist.meta["M"] = init.M
-    return dist
+        meta["M"] = init.M
+    return _tally(depth, keys, replicas, meta)

@@ -98,6 +98,17 @@ class Configuration(frozenset):
         return f"Configuration({{{body}}}{tag})"
 
 
+def _mark_integers(a, dtype, what):
+    """a as a contiguous array of dtype.  Any other dtype must hold
+    integers that dtype holds, so that no cast makes a different mark."""
+    a = np.asarray(a)
+    if a.dtype != dtype and a.size and (a.dtype.kind not in "biu" or
+                                        not np.array_equal(a.astype(dtype), a)):
+        raise ParameterError(f"mark {what}s must be integers in the range "
+                             f"of {np.dtype(dtype)}, got {a.dtype}")
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
 class EventLog:
     """Immutable, time-sorted mark sequence on a window.
 
@@ -113,9 +124,9 @@ class EventLog:
     def __init__(self, window, times, kinds, src, dst):
         _check_window(window)
         times = np.ascontiguousarray(times, dtype=np.float64)
-        kinds = np.ascontiguousarray(kinds, dtype=np.int8)
-        src = np.ascontiguousarray(src, dtype=np.int32)
-        dst = np.ascontiguousarray(dst, dtype=np.int32)
+        kinds = _mark_integers(kinds, np.int8, "kind")
+        src = _mark_integers(src, np.int32, "source")
+        dst = _mark_integers(dst, np.int32, "target")
         n = times.shape[0]
         if not (kinds.shape[0] == src.shape[0] == dst.shape[0] == n):
             raise ParameterError("mark arrays have mismatched lengths")

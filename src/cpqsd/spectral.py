@@ -198,6 +198,10 @@ def dominant_eigenpair(gen):
     v, used = _rightmost(QT, np.eye(1, n)[0], 0)
     h, used = _rightmost(gen.Q, np.ones(n), used)
     v = v / v.sum()
+    if v.min() < 0:
+        # rounding leaves entries of -1e-17 where nu is that small: clip them
+        v = np.maximum(v, 0.0)
+        v /= v.sum()
     h = h / float(np.sum(v * h))
     alpha, residual_left, resid_l1, residual_right = _certificate(
         gen.Q, QT, v, h)
@@ -357,19 +361,29 @@ def _tail_bound(w, m, k):
     return tail
 
 
+def _measure(gen, vec, what):
+    """vec as a float array, a finite nonnegative measure on gen's states."""
+    v = np.asarray(vec)
+    if v.dtype.kind not in "biuf":
+        raise ParameterError(f"{what} must hold numbers, got {v.dtype}")
+    v = v.astype(float, copy=False)
+    if v.shape != (gen.nstates,):
+        raise ParameterError(
+            f"{what} has shape {v.shape}, want ({gen.nstates},)")
+    if not np.all((0 <= v) & (v < np.inf)):
+        raise ParameterError(f"{what} must be a finite nonnegative measure")
+    return v
+
+
 def _start_vector(gen, start):
     if np.isscalar(start):
         i = key_to_index(_check_key(start, gen.L))
         v = np.zeros(gen.nstates)
         v[i] = 1.0
         return v
-    v = np.asarray(start, dtype=float)
-    if v.shape != (gen.nstates,):
-        raise ParameterError(
-            f"start vector has shape {v.shape}, want ({gen.nstates},)")
-    if not np.all(np.isfinite(v)) or np.any(v < 0) or v.sum() <= 0:
-        raise ParameterError(
-            "start vector must be a finite nonnegative measure")
+    v = _measure(gen, start, "start vector")
+    if v.sum() <= 0:
+        raise ParameterError("start vector has no mass")
     return v / v.sum()
 
 
@@ -406,10 +420,8 @@ def yaglom_exact(gen, start, t):
 
 
 def vector_distribution(gen, vec):
-    """Wrap a probability vector over the generator's states as an
-    EmpiricalDistribution for TV comparisons."""
-    if np.shape(vec) != (gen.nstates,):
-        raise ParameterError(f"vector has shape {np.shape(vec)}, "
-                             f"want ({gen.nstates},)")
+    """Wrap a measure on the generator's states, a vector, as an
+    EmpiricalDistribution for TV comparisons, leaving out states of mass 0."""
+    vec = _measure(gen, vec, "vector")
     weights = {index_to_key(i): float(p) for i, p in enumerate(vec) if p > 0}
     return EmpiricalDistribution(gen.L, weights)

@@ -35,10 +35,11 @@ import scipy.sparse as sp
 
 from . import _kernels as K
 from .edge import (EmpiricalDistribution, FreePopulation, _check_run,
-                   _init_sites, _words, decode_key)
+                   _init_sites, _tally, _words, decode_key)
 from .errors import (ParameterError, ResolutionError, check_integer,
                      check_positive, check_time)
-from .spectral import build_generator, dominant_eigenpair, index_to_key, key_to_index
+from .spectral import (build_generator, dominant_eigenpair, index_to_key,
+                       key_to_index, vector_distribution)
 
 
 @dataclass(frozen=True)
@@ -228,13 +229,7 @@ def yaglom_estimate(init, lam, t, replicas, strategy, depth, seed, gen=None):
         stages.append(t_k)
         counts.append(int(alive.size))
     keys, clipped = pop.final_keys(alive, depth)
-    # equal counts share one float, so a law holds a float per distinct
-    # count rather than one per key
-    tally = collections.Counter(keys)
-    as_float = {c: float(c) for c in set(tally.values())}
-    dist = EmpiricalDistribution(
-        depth, {key: as_float[c] for key, c in tally.items()},
-        replica_count=n, meta={"lambda": lam, "t": t, "seed": seed})
+    dist = _tally(depth, keys, n, {"lambda": lam, "t": t, "seed": seed})
     diag = {"strategy": "Splitting(checkpoint_dt="
                         f"{dt0 if dt0 is not None else 'auto'})",
             "stages": stages[1:], "survivor_counts": counts[1:],
@@ -298,8 +293,9 @@ def h_estimate(states, alpha, lam, t, replicas, depth, seed, gen=None,
 
     Survival probabilities come from splitting runs (one per state, each on
     its own stream).  With the exact alpha the raw values already sit in the
-    nu.h = 1 normalization; passing nu (a mapping from key to mass, covering
-    `states`) rescales so that sum nu(A) h_hat(A) = sum nu(A), removing the
+    nu.h = 1 normalization; passing nu (a mapping from depth-`depth` key to
+    mass, read as an EmpiricalDistribution, covering `states`) rescales so
+    that sum nu(A) h_hat(A) = sum nu(A), removing the
     exp((alpha - alpha_true) t) scale error of an estimated alpha.  With
     gen, lam and depth must equal gen.lam and gen.L.
     """
@@ -309,6 +305,8 @@ def h_estimate(states, alpha, lam, t, replicas, depth, seed, gen=None,
     _check_run(lam, t, depth)
     n = check_integer(replicas, "replicas", 1)
     check_positive(alpha, "alpha")
+    if nu is not None:
+        nu = EmpiricalDistribution(depth, nu).weights
     keys = [check_integer(k, "key") for k in states]
     out = np.empty(len(keys))
     start = _starter(lam, gen)
@@ -357,8 +355,8 @@ def q_process_simulate(spectral, gen, n_steps, seed):
     if final < 0:
         raise ResolutionError("transformed chain absorbed; rounding broke "
                               "row conservation")
-    weights = {index_to_key(i): float(w) for i, w in enumerate(occ) if w > 0}
-    return EmpiricalDistribution(gen.L, weights, replica_count=1,
-                                 meta={"lambda": gen.lam, "policy": gen.policy,
-                                       "n_steps": n_steps, "seed": seed,
-                                       "start_key": index_to_key(start)})
+    dist = vector_distribution(gen, occ)
+    dist.replica_count = 1
+    dist.meta = {"lambda": gen.lam, "policy": gen.policy, "n_steps": n_steps,
+                 "seed": seed, "start_key": index_to_key(start)}
+    return dist

@@ -467,6 +467,13 @@ class TestTextRoundTrip:
                       [0.1, 0.5, math.nan]):
             with pytest.raises(ParameterError):
                 EventLog(window, times, [1, 0, 0], [0, 1, 1], [1, 1, 1])
+        # fractional marks, which a cast would turn into other marks: a
+        # recovery at 1.5, an arrow 0.7 -> 1.2 and kind 1.9
+        window = SiteWindow(0, 3, 1.0)
+        for kinds, src, dst in (([0], [1.5], [1.5]), ([1], [0.7], [1.2]),
+                                ([1.9], [0], [1])):
+            with pytest.raises(ParameterError):
+                EventLog(window, [0.5], kinds, src, dst)
 
 
 # ===== interval convention edge cases =====

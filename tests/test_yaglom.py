@@ -424,6 +424,7 @@ def _bad_input_calls():
     """name -> a call with one bad argument, each of which ran silently,
     truncated the argument, or raised something other than ParameterError
     before every entry point took its input through cpqsd.errors."""
+    g3 = build_generator(3, 0.5)
     g4 = build_generator(4, 0.5)
     g6 = build_generator(6, 0.5)
     log = sample_event_log(SiteWindow(-4, 4, 2.0), 0.5, 0)
@@ -527,6 +528,22 @@ def _bad_input_calls():
         **{f"empirical-distribution-add-weight-{name}":
            (lambda w=w: EmpiricalDistribution(4).add(1, w))
            for name, w in _BAD_WEIGHTS.items()},
+        # a mass on the chain's states, or in h_estimate's nu, that is not
+        # finite and >= 0 was dropped, rescaled h, or raised TypeError
+        # (an infinite mass already failed the law's weight check)
+        **{f"vector-distribution-mass-{name}":
+           (lambda w=w: vector_distribution(g3, [w, 1.0, 0.5, 0.5]))
+           for name, w in _BAD_WEIGHTS.items() if name != "inf"},
+        "survival-curve-numeric-string-start": lambda: survival_curve(
+            g3, ["0.5", "1", "0", "0"], [1.0]),
+        **{f"h-estimate-nu-mass-{name}":
+           (lambda w=w: yaglom.h_estimate([1, 3], 0.4, 0.5, 1.0, 10, 4, 0,
+                                          gen=g4, nu={1: w, 3: 2.0}))
+           for name, w in _BAD_WEIGHTS.items()},
+        # a fractional or zero depth was truncated or read as no depth
+        "clip-key-depth-2.5": lambda: clip_key([0, -1, -2], 2.5),
+        "encode-key-depth-2.5": lambda: encode_key([0, -1, -2], 2.5),
+        "clip-key-depth-0": lambda: clip_key([0], 0),
     }
 
 
