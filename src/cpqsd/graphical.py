@@ -123,6 +123,10 @@ class EventLog:
 
     def __init__(self, window, times, kinds, src, dst):
         _check_window(window)
+        times = np.asarray(times)
+        if times.dtype.kind not in "biuf":
+            raise ParameterError(f"mark times must be numbers, got "
+                                 f"{times.dtype}")
         times = np.ascontiguousarray(times, dtype=np.float64)
         kinds = _mark_integers(kinds, np.int8, "kind")
         src = _mark_integers(src, np.int32, "source")

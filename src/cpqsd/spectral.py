@@ -6,7 +6,7 @@ probabilities, and conditioned laws are all computed with certified
 residuals or rigorously truncated series, so downstream Monte Carlo has an
 exact finite-state object to be checked against.  One eigen-solver, a
 thick-restart Arnoldi method on numpy alone, finds the eigentriple at every
-depth.
+depth; its two solves, nu on Q.T and h on Q, run at once on two threads.
 
 Truncation policies: "clip" silently discards infections that would land
 at or below -L (self-loops are simply not transitions), "kill" routes that
@@ -20,6 +20,7 @@ alpha.  Measured, not proved: alpha_clip(L) falls at every L toward alpha.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,9 @@ POLICY_KILL = "kill"
 # deepest chain measured to build and solve (2-core, 8 GB machine, by the
 # ARPACK solver this module once used): 2^21 states, 45M nonzeros, 1.7 GB
 # peak, 80 s; each further L doubles both.  At L = 20 the Krylov solver
-# peaked 40 MB lower and solved in 6.6-7.5 s against 9.0-9.4 s
+# peaked 40 MB lower and solved in 6.6-7.5 s against 9.0-9.4 s; with its
+# two solves on two threads it solves in 4.1-4.6 s against 5.0-5.5 s in
+# series, at a peak of 405-415 MB (BENCH_21.json)
 _MAX_L = 22
 # the eigen-solver's Krylov basis size and the Ritz vectors it keeps at
 # each restart
@@ -45,7 +48,8 @@ _KEEP = 4
 # left residual below 10 * _TOL
 _TOL = 1e-10
 # a runaway guard on the eigen-solver's applications of Q or Q.T, both
-# sides together; the solves in BENCH_16.json (L <= 20) took at most 231
+# sides together, counted under one lock by the two threads; the solves
+# in BENCH_16.json (L <= 20) took at most 231
 _MAX_ITERS = 200_000
 # where a semigroup series closes: its tail's l1 bound below _RTOL times the
 # mass kept
@@ -185,18 +189,57 @@ def dominant_eigenpair(gen):
     One solver serves every depth: _rightmost's thick-restart Arnoldi, on
     Q.T from the singleton state, whose Krylov space holds the laws started
     there, and on Q from 1, whose Krylov space holds the survival functions
-    P^k 1.  `iterations` counts its applications of Q or Q.T, both sides
-    together.  The result must pass the certificate: the sup-norm
-    residuals below _TOL and the l1 left residual below 10*_TOL (the l1
-    norm is what propagates into semigroup errors).  Raises
-    ResolutionError, quoting the residuals, when that fails, or when
-    _MAX_ITERS applications are used up.
+    P^k 1.  The two solves are independent and run at once: h on a worker
+    thread started and joined here, nu on the calling thread.  Both spend
+    their time in code that releases the interpreter lock (scipy's sparse
+    products and numpy's own loops), so on two cores the pair takes about
+    the time of the longer one.  A thread per call, not a pool, because a
+    pool's worker does not exist in a child made by os.fork.  The calling
+    thread allocates both Krylov bases: a basis allocated on the worker comes
+    from a second malloc arena and raised the peak resident memory.
+    `iterations` counts the applications of Q or Q.T, both sides together,
+    against one _MAX_ITERS budget.  The result must pass the certificate:
+    the sup-norm residuals below _TOL and the l1 left residual below
+    10*_TOL (the l1 norm is what propagates into semigroup errors).
+    Raises ResolutionError, quoting the residuals, when that fails, or when
+    _MAX_ITERS applications are used up, always after the worker has
+    finished.
     """
     n = gen.nstates
-    QT = gen.Q.T.tocsr()
-    # the left solve starts from the singleton state (index 0, key 1)
-    v, used = _rightmost(QT, np.eye(1, n)[0], 0)
-    h, used = _rightmost(gen.Q, np.ones(n), used)
+    # Q.T is a CSC view of Q, no copy; its products sum in the same order
+    # as those of a CSR copy
+    QT = gen.Q.T
+    rows = min(_BASIS, n) + 1
+    lock = threading.Lock()
+    used = 0
+
+    def take():
+        nonlocal used
+        with lock:
+            if used == _MAX_ITERS:
+                raise ResolutionError(f"eigen-solver did not converge in "
+                                      f"{_MAX_ITERS} applications of Q or Q.T")
+            used += 1
+
+    right = []
+
+    def solve_right(*args):
+        try:
+            right.append(_rightmost(*args))
+        except Exception as exc:  # handed to the caller, which raises it
+            right.append(exc)
+
+    worker = threading.Thread(target=solve_right, args=(
+        gen.Q, np.ones(n), np.empty((rows, n)), take))
+    worker.start()
+    try:
+        # the left solve starts from the singleton state (index 0, key 1)
+        v = _rightmost(QT, np.eye(1, n)[0], np.empty((rows, n)), take)
+    finally:
+        worker.join()
+    h, = right
+    if isinstance(h, Exception):
+        raise h
     v = v / v.sum()
     if v.min() < 0:
         # rounding leaves entries of -1e-17 where nu is that small: clip them
@@ -230,11 +273,17 @@ def _certificate(Q, QT, v, h):
             float(np.max(np.abs(z + alpha * h))) / vh)
 
 
-def _rightmost(A, x, used):
-    """(eigenvector of A's rightmost eigenvalue, applications of A so far)
-    by thick-restart Arnoldi from x (Stewart, SIAM J. Matrix Anal. Appl. 23
-    (2001) 601; Wu and Simon, ibid. 22 (2000) 602); _MAX_ITERS bounds the
-    applications, `used` of them made before.
+def _norm(w):
+    """Euclidean norm of w by numpy's own loops (see _rightmost)."""
+    return math.sqrt(np.einsum("i,i", w, w))
+
+
+def _rightmost(A, x, V, take):
+    """Eigenvector of A's rightmost eigenvalue by thick-restart Arnoldi from
+    x (Stewart, SIAM J. Matrix Anal. Appl. 23 (2001) 601; Wu and Simon,
+    ibid. 22 (2000) 602), in the Krylov basis V of min(_BASIS, n) + 1 rows
+    of n that the caller allocated; take() is called before each
+    application of A and raises when the budget is spent.
 
     The rows of V are an orthonormal basis, A V[:m]^T = V[:m]^T H[:m] +
     V[m]^T H[m], each new row orthogonalised by two passes of classical
@@ -245,30 +294,33 @@ def _rightmost(A, x, used):
     real and imaginary parts, orthonormalised by QR, restart the basis, and
     H is projected onto them.  An invariant Krylov space (on chains of
     L <= 3) holds exact pairs, and its rightmost one is returned as it is.
+
+    Every product with a length-n operand goes through np.einsum, numpy's
+    own loops, and none through BLAS: the two solves of dominant_eigenpair
+    run on two threads, and BLAS's own threads, one team per solve,
+    contended for the cores until the pair ran slower than in series.
+    Only the small H stays with LAPACK's eig and qr.
     """
     tol = 1e-3 * _TOL
-    m = min(_BASIS, A.shape[0])
-    V = np.empty((m + 1, A.shape[0]))
+    m = V.shape[0] - 1
     H = np.zeros((m + 1, m))
-    V[0] = x / np.linalg.norm(x)
+    V[0] = x / _norm(x)
     k = 0
     while True:
         for j in range(k, m):
-            if used == _MAX_ITERS:
-                raise ResolutionError(f"eigen-solver did not converge in "
-                                      f"{_MAX_ITERS} applications of Q or Q.T")
+            take()
             w = A @ V[j]
-            used += 1
-            scale = np.linalg.norm(w)
+            scale = _norm(w)
             B = V[:j + 1]
             for _ in range(2):
-                c = B @ w
-                w -= c @ B
+                c = np.einsum("ij,j->i", B, w)
+                w -= np.einsum("i,ij->j", c, B)
                 H[:j + 1, j] += c
-            beta = np.linalg.norm(w)
+            beta = _norm(w)
             if beta <= tol * scale:
                 theta, Y = np.linalg.eig(H[:j + 1, :j + 1])
-                return Y[:, np.argmax(theta.real)].real @ B, used
+                return np.einsum("i,ij->j", Y[:, np.argmax(theta.real)].real,
+                                 B)
             H[j + 1, j] = beta
             V[j + 1] = w / beta
         theta, Y = np.linalg.eig(H[:m, :m])
@@ -276,7 +328,7 @@ def _rightmost(A, x, used):
         i = order[0]
         if (theta[i].imag == 0
                 and abs(H[m, :m] @ Y[:, i]) <= tol * abs(theta[i])):
-            return Y[:, i].real @ V[:m], used
+            return np.einsum("i,ij->j", Y[:, i].real, V[:m])
         cols = []
         for i in order:
             if len(cols) >= _KEEP:
@@ -288,7 +340,7 @@ def _rightmost(A, x, used):
                 cols.append(Y[:, i].imag)
         W = np.linalg.qr(np.column_stack(cols))[0]
         k = W.shape[1]
-        V[:k] = W.T @ V[:m]
+        V[:k] = np.einsum("ik,ij->kj", W, V[:m])
         V[k] = V[m]
         projected = np.vstack([W.T @ H[:m, :m], H[m, :m]]) @ W
         H[:] = 0.0
@@ -362,7 +414,8 @@ def _tail_bound(w, m, k):
 
 
 def _measure(gen, vec, what):
-    """vec as a float array, a finite nonnegative measure on gen's states."""
+    """vec as a float array, a finite nonnegative measure of positive mass
+    on gen's states."""
     v = np.asarray(vec)
     if v.dtype.kind not in "biuf":
         raise ParameterError(f"{what} must hold numbers, got {v.dtype}")
@@ -372,6 +425,8 @@ def _measure(gen, vec, what):
             f"{what} has shape {v.shape}, want ({gen.nstates},)")
     if not np.all((0 <= v) & (v < np.inf)):
         raise ParameterError(f"{what} must be a finite nonnegative measure")
+    if v.sum() <= 0:
+        raise ParameterError(f"{what} has no mass")
     return v
 
 
@@ -382,8 +437,6 @@ def _start_vector(gen, start):
         v[i] = 1.0
         return v
     v = _measure(gen, start, "start vector")
-    if v.sum() <= 0:
-        raise ParameterError("start vector has no mass")
     return v / v.sum()
 
 

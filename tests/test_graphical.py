@@ -474,6 +474,9 @@ class TestTextRoundTrip:
                                 ([1.9], [0], [1])):
             with pytest.raises(ParameterError):
                 EventLog(window, [0.5], kinds, src, dst)
+        # a time given as a string, which a float cast would parse
+        with pytest.raises(ParameterError):
+            EventLog(window, ["0.5"], [0], [1], [1])
 
 
 # ===== interval convention edge cases =====

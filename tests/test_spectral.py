@@ -9,9 +9,11 @@ the comparison is literal equality.
 
 import itertools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -387,10 +389,13 @@ class TestArpackEigenpair:
                 dominant_eigenpair(gen)
 
     def test_non_convergence_reported(self, monkeypatch):
+        # the worker thread is joined before the error is raised
         monkeypatch.setattr(cpqsd.spectral, "_MAX_ITERS", 10)
+        threads = threading.active_count()
         for L in (8, 13):
             with pytest.raises(ResolutionError, match="did not converge"):
                 dominant_eigenpair(build_generator(L, 0.5))
+            assert threading.active_count() == threads
 
     def test_no_depth_loads_sparse_linalg(self):
         # scipy.sparse.linalg costs several MB of resident memory; the
@@ -407,6 +412,74 @@ class TestArpackEigenpair:
             "    S.yaglom_exact(gen, 1, 1.0)\n"
             "assert 'scipy.sparse.linalg' not in sys.modules\n")
         run_fresh(code)
+
+
+def _solve_in_child(alpha):
+    if dominant_eigenpair(build_generator(8, 0.5)).alpha != alpha:
+        sys.exit(1)
+
+
+class TestTwoThreadSolve:
+    """dominant_eigenpair solves nu and h on two threads, one started and
+    joined per call."""
+
+    def test_concurrent_callers_match_a_serial_call(self):
+        gen = build_generator(12, 0.5)
+        serial = dominant_eigenpair(gen)
+        results = [None, None]
+
+        def solve(i):
+            results[i] = dominant_eigenpair(gen)
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for res in results:
+            assert repr(res) == repr(serial)
+            assert np.array_equal(res.nu, serial.nu)
+            assert np.array_equal(res.h, serial.h)
+
+    def test_worker_joined_when_the_calling_side_raises(self, monkeypatch):
+        # the left solve fails at once while h's solve on the worker runs
+        # on: the error is raised only after the worker has finished
+        solve = cpqsd.spectral._rightmost
+        caller = threading.get_ident()
+
+        def left_fails(*args):
+            if threading.get_ident() == caller:
+                raise ResolutionError("left solve failed")
+            return solve(*args)
+
+        gen = build_generator(16, 0.5)
+        monkeypatch.setattr(cpqsd.spectral, "_rightmost", left_fails)
+        threads = threading.active_count()
+        with pytest.raises(ResolutionError, match="left solve failed"):
+            dominant_eigenpair(gen)
+        assert threading.active_count() == threads
+
+    def test_forked_child_solves(self):
+        # a pool's worker would be missing in the child, and its solve
+        # would never run
+        alpha = dominant_eigenpair(build_generator(8, 0.5)).alpha
+        child = multiprocessing.get_context("fork").Process(
+            target=_solve_in_child, args=(alpha,))
+        child.start()
+        try:
+            child.join(timeout=60)
+            assert not child.is_alive()
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
 
 
 class TestSemigroup:

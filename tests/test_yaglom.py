@@ -534,6 +534,9 @@ def _bad_input_calls():
         **{f"vector-distribution-mass-{name}":
            (lambda w=w: vector_distribution(g3, [w, 1.0, 0.5, 0.5]))
            for name, w in _BAD_WEIGHTS.items() if name != "inf"},
+        # a vector of no mass made a law with no keys
+        "vector-distribution-no-mass": lambda: vector_distribution(
+            g3, [0, 0, 0, 0]),
         "survival-curve-numeric-string-start": lambda: survival_curve(
             g3, ["0.5", "1", "0", "0"], [1.0]),
         **{f"h-estimate-nu-mass-{name}":
