@@ -3,9 +3,11 @@
 Builds and solves build_generator(L, lam, policy) for L = 2 .. max-L and
 writes one JSON record: per (L, policy) the decay rate, both residuals,
 the solver's iteration count (its applications of Q or Q.T), state and
-nonzero counts, build and solve seconds, and the process's peak resident
-memory so far (depths run in increasing order and the chain doubles with
-each L, so that peak is the current depth's).  Both truncations only
+nonzero counts, build and solve seconds, the semigroup series' seconds
+(`series_s`: the benchmark's `law` op, survival_curve(gen, 1, t = 1..16)
+and yaglom_exact(gen, 1, 8.0)), and the process's peak resident memory so
+far (depths run in increasing order and the chain doubles with each L, so
+that peak is the current depth's).  Both truncations only
 remove infected sites, so alpha_kill(L) >= alpha_clip(L) >= alpha: they
 do not bracket the untruncated rate, and `spread` lists kill - clip per
 depth.  `convergence` lists per depth the ratio of successive alpha_clip
@@ -30,6 +32,9 @@ import scipy
 
 from cpqsd import _kernels
 from cpqsd import spectral as S
+
+# the survival curve's times in the benchmark's `law` op
+TIMES = [float(t) for t in range(1, 17)]
 
 
 def convergence(alpha):
@@ -68,6 +73,9 @@ def main(argv=None):
             t1 = time.perf_counter()
             res = S.dominant_eigenpair(gen)
             t2 = time.perf_counter()
+            S.survival_curve(gen, 1, TIMES)
+            S.yaglom_exact(gen, 1, 8.0)
+            t3 = time.perf_counter()
             rows.append({
                 "L": L, "policy": policy, "nstates": gen.nstates,
                 "nnz": int(gen.Q.nnz), "alpha": res.alpha,
@@ -75,6 +83,7 @@ def main(argv=None):
                 "residual_right": res.residual_right,
                 "iterations": res.iterations,
                 "build_s": round(t1 - t0, 4), "solve_s": round(t2 - t1, 4),
+                "series_s": round(t3 - t2, 4),
                 "peak_rss_mb": round(resource.getrusage(
                     resource.RUSAGE_SELF).ru_maxrss / 1024, 1)})
             del gen, res

@@ -7,6 +7,11 @@ residuals or rigorously truncated series, so downstream Monte Carlo has an
 exact finite-state object to be checked against.  One eigen-solver, a
 thick-restart Arnoldi method on numpy alone, finds the eigentriple at every
 depth; its two solves, nu on Q.T and h on Q, run at once on two threads.
+The semigroup series runs on both cores too: a survival mass v P^k 1 is
+the product (v P^i).(P^j 1) with i + j = k, so the left powers come on the
+calling thread and the right ones on a worker, in blocks of _BLOCK.  Those
+masses agree with a one-sided sum within relative _RTOL, not to the bit;
+the conditioned law stays on one thread and is the same to the bit.
 
 Truncation policies: "clip" silently discards infections that would land
 at or below -L (self-loops are simply not transitions), "kill" routes that
@@ -54,6 +59,11 @@ _MAX_ITERS = 200_000
 # where a semigroup series closes: its tail's l1 bound below _RTOL times the
 # mass kept
 _RTOL = 1e-12
+# the semigroup series' powers per block, between two rounds of its
+# bookkeeping and two handovers of its threads; of 4, 8, 16 and 32, 8 and
+# 16 measured about even at L 12-16 and 8 the faster at L 18, where a
+# longer block computes more powers past the last term (BENCH_22.json)
+_BLOCK = 8
 
 
 def key_to_index(key):
@@ -355,61 +365,175 @@ def _series(gen, v, times, law=False):
     itself at the largest of them.
 
     With sigma the largest exit rate, P = I + Q/sigma is nonnegative and
-    substochastic, and v e^{Qt} = sum_k w_k u_k with u_k = v P^k and the
-    Poisson weights w_k = e^{-m} m^k / k!, m = sigma t (from math.lgamma).
-    u_k is computed once; each time adds w_k sum(u_k) to its mass, and with
-    law=True the largest time adds w_k u_k to the row.  sum(u_k) does not
-    increase with k, so the l1 norm of the tail after k terms is at most
-    P(Poisson(m) > k) sum(u_k), and a time's series closes once
-    _tail_bound's bound on that is below _RTOL times its mass.  Returns
-    ({t: mass}, row), the row None unless law=True.
+    substochastic, and v e^{Qt} = sum_k w_k v P^k with the Poisson weights
+    w_k = e^{-m} m^k / k!, m = sigma t (from math.lgamma).  Each time's
+    mass is sum_k w_k a_k with a_k = v P^k 1.  The powers come _BLOCK at a
+    time into a preallocated (_BLOCK + 1, n) array, whose row 0 carries the
+    last power of the block before, and _Poisson does the bookkeeping once
+    per block.
+
+    With law=True one thread computes u_k = v P^k; a_k = sum(u_k), and the
+    largest time adds w_k u_k to the row in k order, so the row is the same
+    to the bit as a pass that computes one power per term.  Without it the
+    masses split over two threads as a_{i+j} = (v P^i).(P^j 1): the calling
+    thread computes u_i, a worker thread started and joined here computes
+    r_j = P^j 1 as r + (Q r)/sigma from gen.Q, so no second copy of the
+    matrix is made, and a_{2I+s} = u_{I+ceil(s/2)}.r_{I+floor(s/2)} for
+    s = 0 .. 2 _BLOCK - 1 from one block of each side, whose row 0 holds
+    u_I and r_I.  The two sides hand over once per block, and the dot
+    products go through np.einsum, numpy's own loops, not BLAS (see
+    _rightmost).  A thread per call, not a pool, because a pool's worker
+    does not exist in a child made by os.fork.  These masses round
+    differently from sum(u_k): they are the same within relative _RTOL,
+    not to the bit.  Returns ({t: mass}, row), the row None unless
+    law=True; with no time t > 0 it returns ({}, None) at once.
     """
+    ts = np.array(sorted({t for t in times if t > 0}))
+    if not ts.size:
+        return {}, None
     sigma = float((-gen.Q.diagonal()).max())
     # P^T from a transposed copy: Q stores every diagonal entry, so adding
     # 1 there keeps the sparsity pattern
     PT = gen.Q.T.tocsr()
     PT.data /= sigma
     PT.setdiag(PT.diagonal() + 1.0)
-    ts = np.array(sorted({t for t in times if t > 0}))
-    m = sigma * ts
-    log_m = np.log(m)
-    k_max = m + 60.0 * np.sqrt(m + 1) + 1000
-    mass = np.zeros(len(ts))
-    open_ = np.ones(len(ts), dtype=bool)
-    row = np.zeros(gen.nstates) if law else None
-    u = v
+    poisson = _Poisson(ts, sigma)
+    U = np.empty((_BLOCK + 1, gen.nstates))
+    U[0] = v
+    if not law:
+        return _paired(gen.Q, sigma, PT, U, poisson), None
+    row = np.zeros(gen.nstates)
     k = 0
-    while open_.any():
-        if k:
-            u = PT @ u
-        u_sum = float(u.sum())
-        w = np.exp(-m + k * log_m - math.lgamma(k + 1))
-        mass[open_] += w[open_] * u_sum
-        if law and open_[-1]:
-            row += w[-1] * u
+    while poisson.open.any():
+        _powers(PT, U)
+        for w, u in zip(poisson.add(k, U[:-1].sum(axis=1)), U):
+            row += w * u
+        k += _BLOCK
+        U[0] = U[-1]
+    return poisson.masses(), row
+
+
+def _powers(PT, U):
+    """U[j + 1] = U[j] P for j < _BLOCK, P^T given as PT."""
+    for j in range(_BLOCK):
+        U[j + 1] = PT @ U[j]
+
+
+def _paired(Q, sigma, PT, U, poisson):
+    """_series' masses from left powers u_i on the calling thread and right
+    powers r_j on a worker thread; U holds u_0 in row 0."""
+    R = np.empty_like(U)
+    R[0] = 1.0
+    go = threading.Semaphore(0)
+    done = threading.Semaphore(0)
+    stop = False
+    failed = []
+
+    def right():
+        while True:
+            go.acquire()
+            if stop:
+                return
+            try:
+                for j in range(_BLOCK):
+                    q = Q @ R[j]
+                    q /= sigma
+                    np.add(R[j], q, out=R[j + 1])
+            except Exception as exc:  # handed to the caller, which raises it
+                failed.append(exc)
+                return
+            finally:
+                done.release()
+
+    worker = threading.Thread(target=right)
+    worker.start()
+    a = np.empty(2 * _BLOCK)
+    k = 0
+    try:
+        while poisson.open.any():
+            go.release()
+            _powers(PT, U)
+            done.acquire()
+            if failed:
+                raise failed[0]
+            a[0::2] = np.einsum("ij,ij->i", U[:-1], R[:-1])
+            a[1::2] = np.einsum("ij,ij->i", U[1:], R[:-1])
+            poisson.add(k, a)
+            k += 2 * _BLOCK
+            U[0] = U[-1]
+            R[0] = R[-1]
+    finally:
+        stop = True
+        go.release()
+        worker.join()
+    return poisson.masses()
+
+
+class _Poisson:
+    """Bookkeeping of the uniformized series, one block of terms at a time.
+
+    Per time t, with m = sigma t, it keeps the mass sum_k w_k a_k of the
+    terms added so far and whether the series is still open.  The l1 norm
+    of the row's tail after k terms is at most P(Poisson(m) > k) a_k, as
+    a_k does not increase with k, and a time closes at the first k >= 1
+    where _tail_bound's bound on that is at most _RTOL times its mass.
+    """
+
+    def __init__(self, ts, sigma):
+        self.ts = ts
+        self.m = sigma * ts
+        self.log_m = np.log(self.m)
+        self.k_max = self.m + 60.0 * np.sqrt(self.m + 1) + 1000
+        self.mass = np.zeros(len(ts))
+        self.open = np.ones(len(ts), dtype=bool)
+
+    def add(self, k0, a):
+        """Add the terms a_k, k = k0, k0 + 1, ..., given as the array a, to
+        every open time's mass in k order, as a cumulative sum from its
+        mass so far, and close each at its first k where the tail is small
+        enough.  Returns the largest time's weights w_k of the terms it
+        took (none if it was closed).  Raises ResolutionError where a time
+        is still open past k_max, quoting the first such k."""
+        o = np.flatnonzero(self.open)
+        m = self.m[o]
+        ks = range(k0, k0 + len(a))
+        k = np.array(ks, dtype=float)[:, None]
+        lgam = np.array([math.lgamma(j + 1) for j in ks])[:, None]
+        w = np.exp(-m + k * self.log_m[o] - lgam)
+        mass = np.cumsum(np.vstack([self.mass[o], w * a[:, None]]), axis=0)[1:]
         tail = _tail_bound(w, m, k)
-        if k >= 1:
-            open_ &= tail * u_sum > _RTOL * mass
-        stuck = np.flatnonzero(open_ & (k > k_max))
+        # open after term k: no closing at any term up to k, and none at 0
+        still = np.logical_and.accumulate(
+            (tail * a[:, None] > _RTOL * mass) | (k == 0), axis=0)
+        stuck = np.argwhere(still & (k > self.k_max[o]))
         if stuck.size:
-            i = stuck[0]
+            s, i = stuck[0]
             raise ResolutionError(
-                f"semigroup series for t={ts[i]} did not close by k={k} "
-                f"(tail {tail[i]:.3e})")
-        k += 1
-    return dict(zip(ts.tolist(), mass.tolist())), row
+                f"semigroup series for t={self.ts[o[i]]} did not close by "
+                f"k={k0 + s} (tail {tail[s, i]:.3e})")
+        took = np.minimum(still.sum(axis=0) + 1, len(a))
+        self.mass[o] = mass[took - 1, np.arange(len(o))]
+        self.open[o] = still[-1]
+        if o[-1] != len(self.ts) - 1:
+            return w[:0, 0]
+        return w[:took[-1], -1]
+
+    def masses(self):
+        return dict(zip(self.ts.tolist(), self.mass.tolist()))
 
 
 def _tail_bound(w, m, k):
-    """Upper bounds on P(Poisson(m) > k) for an array of means m, from the
-    weights w = P(Poisson(m) = k).  Past k the weights fall by the ratios
-    w_{j+1} / w_j = m / (j + 1) <= m / (k + 2), so the tail is at most the
-    geometric series w_{k+1} (k + 2) / (k + 2 - m) once k + 2 > m; before
-    that the bound is 1."""
-    tail = np.ones(len(m))
+    """Upper bounds on P(Poisson(m) > k) from the weights w = P(Poisson(m)
+    = k), elementwise over arrays that broadcast.  Past k the weights fall
+    by the ratios w_{j+1} / w_j = m / (j + 1) <= m / (k + 2), so the tail
+    is at most the geometric series w_{k+1} (k + 2) / (k + 2 - m) once
+    k + 2 > m; before that the bound is 1."""
+    w, m, k = np.broadcast_arrays(w, m, k)
     gap = k + 2 - m
+    tail = np.ones(gap.shape)
     near = gap > 0
-    tail[near] = w[near] * m[near] / (k + 1) * (k + 2) / gap[near]
+    tail[near] = (w[near] * m[near] / (k[near] + 1) * (k[near] + 2)
+                  / gap[near])
     return tail
 
 
@@ -447,7 +571,11 @@ def survival_curve(gen, start, times):
     scalar mass per time.  Each value is the mass of v e^{Qt} with its
     series truncated where the tail's l1 bound falls below _RTOL times the
     mass kept, so it lies within relative _RTOL below the exact survival
-    probability (up to rounding).
+    probability (up to rounding).  The terms v P^k 1 pair left powers
+    v P^i, on the calling thread, with right powers P^j 1, on a worker
+    thread started and joined per call (none when no t > 0), so the values
+    round differently from a sum of v P^k: within relative _RTOL, not to
+    the bit.
     """
     v = _start_vector(gen, start)
     times = [float(check_time(t)) for t in times]

@@ -469,17 +469,130 @@ class TestTwoThreadSolve:
         # a pool's worker would be missing in the child, and its solve
         # would never run
         alpha = dominant_eigenpair(build_generator(8, 0.5)).alpha
-        child = multiprocessing.get_context("fork").Process(
-            target=_solve_in_child, args=(alpha,))
-        child.start()
+        assert _run_forked(_solve_in_child, alpha) == 0
+
+
+def _run_forked(target, *args):
+    """Exit code of target(*args) in a child made by os.fork, joined within
+    60 s and killed if it is still alive then."""
+    child = multiprocessing.get_context("fork").Process(target=target,
+                                                        args=args)
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert not child.is_alive()
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    return child.exitcode
+
+
+_TIMES16 = [float(t) for t in range(1, 17)]
+
+
+def _survive_in_child(curve):
+    if survival_curve(build_generator(8, 0.5), 1, _TIMES16) != curve:
+        sys.exit(1)
+
+
+class TestTwoThreadSeries:
+    """survival_curve pairs left powers on the calling thread with right
+    powers on a worker thread, one started and joined per call."""
+
+    def test_concurrent_callers_match_a_serial_call(self):
+        gen = build_generator(12, 0.5)
+        serial = survival_curve(gen, 1, _TIMES16)
+        results = [None, None]
+
+        def survive(i):
+            results[i] = survival_curve(gen, 1, _TIMES16)
+
+        threads = [threading.Thread(target=survive, args=(i,))
+                   for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            child.join(timeout=60)
-            assert not child.is_alive()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
         finally:
-            if child.is_alive():
-                child.kill()
-                child.join()
-        assert child.exitcode == 0
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial, serial]
+
+    def test_worker_joined_when_the_series_does_not_close(self, monkeypatch):
+        # an _RTOL of 0 still closes once the Poisson weights underflow to
+        # 0; below 0 no tail bound is small enough, and the pass runs to
+        # its k_max
+        gen = build_generator(12, 0.5)
+        monkeypatch.setattr(cpqsd.spectral, "_RTOL", -1.0)
+        threads = threading.active_count()
+        with pytest.raises(ResolutionError, match="did not close"):
+            survival_curve(gen, 1, _TIMES16)
+        assert threading.active_count() == threads
+
+    def test_worker_error_raised_by_the_caller(self):
+        # the right powers fail on the worker while the left ones run on
+        caller = threading.get_ident()
+
+        class WorkerFails(type(build_generator(2, 0.5).Q)):
+            def __matmul__(self, x):
+                if threading.get_ident() != caller:
+                    raise ResolutionError("right powers failed")
+                return super().__matmul__(x)
+
+        gen = build_generator(12, 0.5)
+        gen.Q = WorkerFails(gen.Q)
+        threads = threading.active_count()
+        with pytest.raises(ResolutionError, match="right powers failed"):
+            survival_curve(gen, 1, _TIMES16)
+        assert threading.active_count() == threads
+
+    def test_forked_child_survives(self):
+        curve = survival_curve(build_generator(8, 0.5), 1, _TIMES16)
+        assert _run_forked(_survive_in_child, curve) == 0
+
+    def test_no_thread_without_a_positive_time(self, monkeypatch):
+        started = []
+        thread = threading.Thread
+
+        def counted(*args, **kwargs):
+            started.append(1)
+            return thread(*args, **kwargs)
+
+        gen = build_generator(8, 0.5)
+        monkeypatch.setattr(cpqsd.spectral.threading, "Thread", counted)
+        assert survival_curve(gen, 1, []) == []
+        assert survival_curve(gen, 1, [0.0]) == [1.0]
+        assert started == []
+        survival_curve(gen, 1, [1.0])
+        assert started == [1]
+
+
+def _series_by_term(gen, v, t):
+    """(mass, row) of v e^{Qt} by the uniformized series one term at a
+    time: u_k = v P^k, the weight w_k, and the closing check after each."""
+    sigma = float((-gen.Q.diagonal()).max())
+    PT = gen.Q.T.tocsr()
+    PT.data /= sigma
+    PT.setdiag(PT.diagonal() + 1.0)
+    m = np.array([sigma * t])
+    mass = 0.0
+    row = np.zeros(gen.nstates)
+    u = v
+    k = 0
+    while True:
+        if k:
+            u = PT @ u
+        a = float(u.sum())
+        w = np.exp(-m + k * np.log(m) - math.lgamma(k + 1))
+        mass += w[0] * a
+        row += w[0] * u
+        if k and not _tail_bound(w, m, k)[0] * a > cpqsd.spectral._RTOL * mass:
+            return mass, row
+        k += 1
 
 
 class TestSemigroup:
@@ -529,6 +642,23 @@ class TestSemigroup:
         assert got == [survival_curve(gen, 1, [t])[0] for t in times]
         assert got[1] == 1.0
         assert got[0] == got[3]
+
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    @pytest.mark.parametrize("L", [8, 12])
+    def test_law_pass_matches_the_loop_by_term(self, L, policy):
+        # the blocked law pass adds the same terms in the same order as
+        # one power and one closing check per term, so its mass and row
+        # are the same to the bit; the paired survival masses are not
+        gen = build_generator(L, 0.5, policy)
+        v = np.eye(1, gen.nstates)[0]
+        for t in (0.3, 8.0):
+            mass, row = _series_by_term(gen, v, t)
+            got_mass, got_row = cpqsd.spectral._series(gen, v, [t], law=True)
+            assert got_mass == {t: mass}
+            assert np.array_equal(got_row, row)
+            assert np.array_equal(yaglom_exact(gen, 1, t), row / row.sum())
+            (p,) = survival_curve(gen, 1, [t])
+            assert abs(p - mass) <= cpqsd.spectral._RTOL * mass
 
     def test_mixture_survival_at_zero_is_one(self):
         gen = build_generator(6, 0.5)
@@ -660,6 +790,19 @@ class TestSemigroupAgainstExpm:
                 assert p <= want * (1 + 1e-14), (start, t)
                 law = yaglom_exact(gen, start, t)
                 assert np.abs(law - row / want).sum() <= 1e-11, (start, t)
+
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    @pytest.mark.parametrize("L", [8, 10])
+    def test_benchmark_curve_matches_dense_expm(self, L, policy):
+        # the benchmark's sixteen times close in different blocks of the
+        # paired pass
+        gen = build_generator(L, 0.5, policy)
+        Q = gen.Q.toarray()
+        got = survival_curve(gen, 1, _TIMES16)
+        for t, p in zip(_TIMES16, got):
+            want = float(scipy.linalg.expm(Q * t)[0].sum())
+            assert abs(p - want) <= 1e-11 * want, t
+            assert p <= want * (1 + 1e-14), t
 
 
 class TestTruncationOrder:
