@@ -14,9 +14,8 @@ ops (one/point and one/interval: 100 calls of simulate_edge_trajectory
 from Finite({0}) and from FullInterval(20), lambda 0.5, t 2, depth 12);
 the stragglers op (free/interval_1440: a FreePopulation of 20 replicas
 from FullInterval(1440) advanced to t 20 at lambda 0.5, where late steps
-carry few replicas); and three chain-walk ops (walk_L12 and walk_L14:
-building the walk arrays of the depth-12 and depth-14 chains; q_process:
-20 000 jumps of the h-transformed depth-10 chain).
+carry few replicas); and two chain-walk ops (walk_L12 and walk_L14:
+building the walk arrays of the depth-12 and depth-14 chains).
 
 Each repeat runs one fresh child process per tree, in an order that
 alternates between repeats, and the child times every op once on the
@@ -56,8 +55,6 @@ def ops():
 
     g12 = S.build_generator(12, LAM, S.POLICY_CLIP)
     g14 = S.build_generator(14, LAM, S.POLICY_CLIP)
-    g10 = S.build_generator(10, LAM, S.POLICY_CLIP)
-    res10 = S.dominant_eigenpair(g10)
 
     def one(init):
         def call(s):
@@ -118,8 +115,6 @@ def ops():
         "free/interval_1440": stragglers,
         "chain/walk_L12": lambda s: Y._chain_walk(g12),
         "chain/walk_L14": lambda s: Y._chain_walk(g14),
-        "chain/q_process": lambda s: Y.q_process_simulate(res10, g10, 20_000,
-                                                          s),
     }
 
 

@@ -8,12 +8,11 @@ Every kernel is a plain Python function, never compiled:
   * gen_marks and sort_marks, the mark generator and sorter, are called
     only by the benchmark's tracer, which wraps them by name: logs are
     sampled by graphical.sample_event_log in numpy;
-  * the walks each come as a population moved in lockstep and as one path
-    that takes a block of draws at a time, and the two make the same draws
-    by the same rule: for the contact process on Z, gillespie_free_batch
-    and free_run (thinning at rate n (1 + 2 lam) over an unordered site
-    list); for the depth-L chain, gillespie_chain_batch and occupation_run
-    (targets by _chain_jump).
+  * the contact process on Z has two walks that make the same draws by the
+    same rule (thinning at rate n (1 + 2 lam) over an unordered site
+    list): gillespie_free_batch, a population moved in lockstep, and
+    free_run, one path that takes a block of draws at a time; the depth-L
+    chain has one walk, the lockstep gillespie_chain_batch.
 
 Conventions:
   * marks are struct-of-arrays: times f8, kinds i1 (0=recovery, 1=arrow),
@@ -392,19 +391,7 @@ def _grow_capacity(sites, need):
     return bigger
 
 
-# ===== truncated-chain walks (CSR) =====
-
-def _chain_jump(indptr, indices, cum, base, off, exits, s, u):
-    """The target rule of both chain walks, for one state index s and its
-    target draw u, or for arrays of them.  Returns (target, absorbed):
-    with r = u * exits[s], the jump is absorbed if r >= off[s]; otherwise
-    the target is the first entry of the row whose running sum over the
-    whole matrix exceeds base[s] + r, clamped to the row against rounding.
-    """
-    r = u * exits[s]
-    k = cum.searchsorted(base[s] + r, side="right")
-    return indices[np.minimum(k, indptr[s + 1] - 1)], r >= off[s]
-
+# ===== truncated-chain walk (CSR) =====
 
 def gillespie_chain_batch(indptr, indices, cum, base, off, exits, idxs,
                           tnows, t_end, states):
@@ -415,8 +402,11 @@ def gillespie_chain_batch(indptr, indices, cum, base, off, exits, idxs,
     the whole matrix, base[s] its value before row s starts, off[s] the row's
     sum in row order and exits[s] = off[s] + absorption rate.  One step
     draws, for every live replica from its own word, a holding time and then
-    a target (_chain_jump), so a replica's path is the one its word alone
-    would walk, whatever the other replicas do.
+    a target u, so a replica's path is the one its word alone would walk,
+    whatever the other replicas do.  Target rule: with r = u * exits[s],
+    the jump is absorbed if r >= off[s]; otherwise the target is the first
+    entry of the row whose running sum over the whole matrix exceeds
+    base[s] + r, clamped to the row against rounding.
     """
     pos = np.nonzero(idxs >= 0)[0]
     s = idxs[pos]
@@ -431,8 +421,10 @@ def gillespie_chain_batch(indptr, indices, cum, base, off, exits, idxs,
             states[pos[held]] = w[held]
             go = ~held
             pos, s, t, w = pos[go], s[go], t[go], w[go]
-        s, dead = _chain_jump(indptr, indices, cum, base, off, exits, s,
-                              _units(w))
+        r = _units(w) * exits[s]
+        dead = r >= off[s]
+        k = cum.searchsorted(base[s] + r, side="right")
+        s = indices[np.minimum(k, indptr[s + 1] - 1)]
         if dead.any():
             idxs[pos[dead]] = -1
             tnows[pos[dead]] = t[dead]
@@ -440,36 +432,3 @@ def gillespie_chain_batch(indptr, indices, cum, base, off, exits, idxs,
             go = ~dead
             pos, s, t, w = pos[go], s[go], t[go], w[go]
     return 0
-
-
-_PATH_BLOCK = 4096  # jumps whose draws occupation_run takes in one go
-
-
-def occupation_run(indptr, indices, cum, base, off, exits, s, n_jumps, state,
-                   occ_time):
-    """Jump n_jumps times from state index s on the arrays of
-    gillespie_chain_batch, adding each holding time to occ_time.  Returns
-    the final state index, or -1 if the path is absorbed.
-
-    One _block call gives a block of jumps their draws, clock then target,
-    in the order and with the end word of jump-by-jump drawing.  Only the
-    targets need a loop; np.add.at adds the holding times in path order.
-    """
-    walk = (indptr, indices, cum, base, off, exits)
-    while n_jumps > 0:
-        m = min(n_jumps, _PATH_BLOCK)
-        words, u = _block(state, 2 * m)
-        picks = u[1::2].tolist()
-        path = np.empty(m, np.int64)
-        for i in range(m):
-            path[i] = s
-            s, dead = _chain_jump(*walk, s, picks[i])
-            if dead:
-                m = i + 1
-                break
-        state[0] = words[2 * m - 1]
-        np.add.at(occ_time, path[:m], -np.log(u[:2 * m:2]) / exits[path[:m]])
-        if dead:
-            return -1
-        n_jumps -= m
-    return int(s)

@@ -2,13 +2,13 @@
 
 The estimators here are the stochastic counterparts of the exact spectral
 module: the conditioned law of the edge configuration given survival, the
-decay rate from log-survival slopes, the survival-scaled h values, and the
-h-transformed (honest) chain.  Survival to large times is exponentially
-rare, so every estimator reads the stages of one multilevel splitting
-loop, _split: it advances the population between checkpoints, resamples
-extinct replicas uniformly from the survivors, keeps the product of stage
-survival fractions as the survival-probability estimate, and yields the
-population at the end of every stage.
+decay rate from log-survival slopes and the survival-scaled h values.
+Survival to large times is exponentially rare, so every estimator reads
+the stages of one multilevel splitting loop, _split: it advances the
+population between checkpoints, resamples extinct replicas uniformly from
+the survivors, keeps the product of stage survival fractions as the
+survival-probability estimate, and yields the population at the end of
+every stage.
 
 Randomness discipline: every kernel stream is derived from a seed tuple, the
 resampler has its own stream, and resampling is done by a single generator
@@ -17,10 +17,7 @@ Each replica owns one uint64 word of its population's stream and draws from
 it with splitmix64.  The free process and the depth-L chain both move in
 lockstep walks that draw for all live replicas at once, each from its own
 word, so a replica's path is a function of its word, and of the resampling
-that copies another replica's state (never its word) onto it.  The
-h-transformed chain is one path on one word, by the chain walk's target
-rule; splitmix64 is a counter, so the path jumps its word ahead a block of
-jumps at a time, drawing what a jump-by-jump walk would, in the same order.
+that copies another replica's state (never its word) onto it.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from .edge import (EmpiricalDistribution, FreePopulation, _check_run,
 from .errors import (ParameterError, ResolutionError, check_integer,
                      check_positive, check_time)
 from .spectral import (build_generator, dominant_eigenpair, index_to_key,
-                       key_to_index, vector_distribution)
+                       key_to_index)
 
 
 @dataclass(frozen=True)
@@ -63,27 +60,21 @@ def _rough_alpha(lam):
 
 # ===== populations =====
 
-def _chain_walk(gen, h=None):
-    """The arrays K's chain walks run on: CSR row pointers and int64
-    targets of the off-diagonal rates of gen.Q, their cumulative sum over
-    the matrix and its value before each row, the row sums (CSR's matvec
-    adds each row's entries in row order) and the exit rates.
-    With h, each rate Q(x, y) is scaled by h(y) / h(x): the h-transformed
-    chain is honest, so its exit rates are its row sums."""
+def _chain_walk(gen):
+    """The arrays K.gillespie_chain_batch runs on: CSR row pointers and
+    int64 targets of the off-diagonal rates of gen.Q, their cumulative sum
+    over the matrix and its value before each row, the row sums (CSR's
+    matvec adds each row's entries in row order) and the exit rates, the
+    row sums plus the absorption rates."""
     coo = gen.Q.tocoo()
     keep = coo.row != coo.col
-    rows, cols, rates = coo.row[keep], coo.col[keep], coo.data[keep]
-    if h is not None:
-        rates = rates * h[cols] / h[rows]
-        if np.any(~np.isfinite(rates)) or np.any(rates < 0):
-            raise ResolutionError("negative transformed rate; h is not "
-                                  "positive to working precision")
-    csr = sp.csr_matrix((rates, (rows, cols)), shape=gen.Q.shape)
+    csr = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
+                        shape=gen.Q.shape)
     off = csr @ np.ones(gen.nstates)
     cum = np.cumsum(csr.data)
     base = np.concatenate(([0.0], cum))[csr.indptr[:-1]]
-    exits = off if h is not None else off + gen.absorption
-    return csr.indptr, csr.indices.astype(np.int64), cum, base, off, exits
+    return (csr.indptr, csr.indices.astype(np.int64), cum, base, off,
+            off + gen.absorption)
 
 
 class _ChainPopulation:
@@ -166,8 +157,12 @@ def _split(populate, lam, n, stops, dt0, seeds):
     """
     if dt0 is None:
         dt0 = 1.0 / _rough_alpha(lam)
-    if not dt0 > 0:
-        raise ParameterError(f"checkpoint_dt must be > 0, got {dt0}")
+    try:
+        positive = dt0 > 0
+    except TypeError:  # a string or a list, say
+        positive = False
+    if not positive:
+        raise ParameterError(f"checkpoint_dt must be > 0, got {dt0!r}")
     pop = populate(n, _words(seeds + (0,), n))
     resample_rng = np.random.default_rng(np.random.SeedSequence(seeds + (1,)))
     alive = ancestors = np.arange(n)
@@ -325,38 +320,3 @@ def h_estimate(states, alpha, lam, t, replicas, depth, seed, gen=None,
         out /= scale
     return out
 
-
-# ===== h-transformed chain =====
-
-def q_process_simulate(spectral, gen, n_steps, seed):
-    """Occupation measure of the h-transformed jump chain after n_steps.
-
-    The transform q(x,y) = Q(x,y) h(y) / h(x) with the diagonal shifted by
-    +alpha is an honest chain whose stationary law is nu.h renormalized;
-    holding times are sampled, so the returned weights are time-weighted.
-    """
-    if max(spectral.residual_left, spectral.residual_right) > 1e-8:
-        raise ParameterError(
-            "spectral residuals too large for a trustworthy h-transform: "
-            f"{spectral.residual_left:.2e}, {spectral.residual_right:.2e}")
-    n_steps = check_integer(n_steps, "n_steps", 1)
-    if ((spectral.L, spectral.policy, spectral.lam)
-            != (gen.L, gen.policy, gen.lam)):
-        raise ParameterError("spectral result and generator disagree")
-    h = spectral.h
-    walk = _chain_walk(gen, h)
-    if np.any(walk[5] <= 0):
-        raise ResolutionError("transformed chain has a rateless state; the "
-                              "truncated chain admits no surviving motion")
-    start = int(np.argmax(spectral.nu * h))
-    occ = np.zeros(gen.nstates)
-    final = K.occupation_run(*walk, start, n_steps,
-                             _words((seed, 3, 0), 1), occ)
-    if final < 0:
-        raise ResolutionError("transformed chain absorbed; rounding broke "
-                              "row conservation")
-    dist = vector_distribution(gen, occ)
-    dist.replica_count = 1
-    dist.meta = {"lambda": gen.lam, "policy": gen.policy, "n_steps": n_steps,
-                 "seed": seed, "start_key": index_to_key(start)}
-    return dist

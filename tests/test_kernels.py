@@ -1,14 +1,16 @@
 """Tests for the kernels' one splitmix64 (against a Python-int reference)
-and their independence of numpy's error state, the chain walks (the
-lockstep walk against the exact semigroup, both walks and the walk arrays'
-row sums against a reference built from the generator's rows and its own
-splitmix64), the free-process walks (each lockstep replica against the
-one-replica path on its word, window and capacity growth, keys read from
-the bitmap), and guards that every public kernel, and every other public
-function and method of the package, has a caller."""
+and their independence of numpy's error state, the chain walk (against
+the exact semigroup, and the walk and its arrays' row sums against a
+reference built from the generator's rows and its own splitmix64), the
+free-process walks (each lockstep replica against the one-replica path on
+its word, window and capacity growth, keys read from the bitmap), and
+guards that every public kernel, and every other public function and
+method of the package, has a caller, and that every function the
+benchmark's tracer wraps exists."""
 
 import ast
 import collections
+import importlib.util
 import re
 import warnings
 from pathlib import Path
@@ -24,7 +26,7 @@ from cpqsd import yaglom
 from cpqsd.edge import (FreePopulation, FullInterval, _words, clip_key,
                         encode_key, recenter, simulate_edge_trajectory)
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
-                            dominant_eigenpair, index_to_key, key_to_index)
+                            key_to_index)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,7 +53,7 @@ def test_every_kernel_has_a_caller():
                 live.add(node.id)
                 todo.append(node.id)
     assert {"free_run", "gillespie_free_batch", "gillespie_chain_batch",
-            "occupation_run", "gen_marks"} <= set(public)
+            "gen_marks"} <= set(public)
     assert sorted(set(public) - live) == []
 
 
@@ -105,6 +107,23 @@ def test_every_public_function_has_a_caller():
                          if not f.name.startswith("_")
                          and reads[f.name] == _references(f)[f.name]]
     assert sorted(uncalled) == sorted(_UNCALLED)
+
+
+def test_every_traced_function_exists(monkeypatch):
+    # the benchmark's tracer looks each wrapped function up only in traced
+    # runs, so a deleted or renamed one would break them unseen; the lookup
+    # here is the tracer's: a class's own attribute, a module's attribute
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [f"{owner.__name__}.{attr}"
+               for owner, attr, _, _ in layers.WRAPS
+               if not callable(owner.__dict__.get(attr) if isinstance(
+                   owner, type) else getattr(owner, attr, None))]
+    assert layers.WRAPS
+    assert missing == []
 
 
 # ===== splitmix64 =====
@@ -199,8 +218,8 @@ def test_kernels_raise_no_overflow_warning_and_restore_errstate():
 
 # ===== lockstep chain walk =====
 
-def _chain(L):
-    gen = build_generator(L, 0.5)
+def _chain(L, policy=POLICY_CLIP):
+    gen = build_generator(L, 0.5, policy)
     return gen, yaglom._chain_walk(gen)
 
 
@@ -229,29 +248,25 @@ def test_lockstep_walk_matches_the_semigroup(L, key):
 
 
 class _ReferenceChain:
-    """Reference for the chain walks, sharing no code with
+    """Reference for the chain walk, sharing no code with
     yaglom._chain_walk: gen.Q read one row at a time, its off-diagonal
-    entries kept in row order (each rate scaled by h(y) / h(x) when h is
-    given), row sums added up entry by entry, and each target found by a
-    sequential scan of its row."""
+    entries kept in row order, row sums added up entry by entry, and each
+    target found by a sequential scan of its row."""
 
-    def __init__(self, gen, h=None):
+    def __init__(self, gen):
         Q = gen.Q
         self.rows = []
         self.off = []
         for x in range(gen.nstates):
             lo, hi = Q.indptr[x], Q.indptr[x + 1]
-            row = [(y, q if h is None else q * h[y] / h[x])
-                   for y, q in zip(Q.indices[lo:hi].tolist(),
-                                   Q.data[lo:hi].tolist()) if y != x]
+            row = [(y, q) for y, q in zip(Q.indices[lo:hi].tolist(),
+                                          Q.data[lo:hi].tolist()) if y != x]
             acc = 0.0
             for _, q in row:
                 acc += q
             self.rows.append(row)
             self.off.append(acc)
-        # the h-transformed chain is honest: no absorption
-        self.exits = (self.off if h is not None else
-                      [a + b for a, b in zip(self.off, gen.absorption)])
+        self.exits = [a + b for a, b in zip(self.off, gen.absorption)]
 
     def step(self, s, state):
         """One jump's target from s, drawn from the _SplitMix64 `state`;
@@ -277,24 +292,14 @@ class _ReferenceChain:
             if s < 0:
                 return -1, t_now, state.word
 
-    def path(self, s, n_jumps, word):
-        """n_jumps jumps from s, each holding time added to the occupation
-        of its state.  Returns (state index or -1, occupation, word)."""
-        state = _SplitMix64(word)
-        occ = np.zeros(len(self.rows))
-        for _ in range(n_jumps):
-            occ[s] += state.exponential(self.exits[s])
-            s = self.step(s, state)
-            if s < 0:
-                break
-        return s, occ, state.word
 
-
-def test_lockstep_walk_equals_the_scalar_walk():
+@pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+def test_lockstep_walk_equals_the_scalar_walk(policy):
     # same draws in the same order, so each replica ends where the scalar
     # walk of its word alone ends, whatever the other replicas do (a target
-    # could differ only if a draw fell within rounding of an entry's bound)
-    gen, walk = _chain(8)
+    # could differ only if a draw fell within rounding of an entry's bound);
+    # under kill, infecting the deep site is absorption too
+    gen, walk = _chain(8, policy)
     ref = _ReferenceChain(gen)
     n = 300
     start = key_to_index(5)
@@ -309,57 +314,14 @@ def test_lockstep_walk_equals_the_scalar_walk():
 
 
 @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
-@pytest.mark.parametrize("transformed", [True, False])
-def test_chain_walk_row_sums_are_sequential(policy, transformed):
+def test_chain_walk_row_sums_are_sequential(policy):
     # the vectorised passes add each row's entries in row order, so the
     # row sums equal a per-row Python sum bit for bit
-    gen = build_generator(8, 0.5, policy)
-    h = dominant_eigenpair(gen).h if transformed else None
-    ref = _ReferenceChain(gen, h)
-    *_, off, exits = yaglom._chain_walk(gen, h)
+    gen, walk = _chain(8, policy)
+    ref = _ReferenceChain(gen)
+    *_, off, exits = walk
     assert off.tolist() == ref.off
     assert exits.tolist() == ref.exits
-
-
-@pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
-def test_q_process_path_equals_the_scalar_path(policy):
-    # the block-drawn path takes the draws of a jump-by-jump walk, so its
-    # state, occupation and word equal the reference's bit for bit; the
-    # run crosses two block boundaries
-    gen = build_generator(6, 0.5, policy)
-    res = dominant_eigenpair(gen)
-    ref = _ReferenceChain(gen, res.h)
-    walk = yaglom._chain_walk(gen, res.h)
-    start = int(np.argmax(res.nu * res.h))
-    n_steps = 2 * K._PATH_BLOCK + 123
-    seed = 4
-    word = yaglom._words((seed, 3, 0), 1)
-    state = word.copy()
-    occ = np.zeros(gen.nstates)
-    final = K.occupation_run(*walk, start, n_steps, state, occ)
-    want_final, want_occ, want_word = ref.path(start, n_steps, word[0])
-    assert (final, state[0]) == (want_final, want_word)
-    assert np.array_equal(occ, want_occ)
-    got = yaglom.q_process_simulate(res, gen, n_steps, seed)
-    assert got.weights == {index_to_key(i): float(w)
-                           for i, w in enumerate(want_occ) if w > 0}
-
-
-def test_absorbed_path_stops_where_the_scalar_path_stops():
-    # on the untransformed chain the path is absorbed mid-block: the run
-    # returns -1 with the occupation and word of the jumps made so far
-    gen, walk = _chain(6)
-    ref = _ReferenceChain(gen)
-    for seed in range(5):
-        word = np.random.SeedSequence(seed).generate_state(1, np.uint64)
-        state = word.copy()
-        occ = np.zeros(gen.nstates)
-        final = K.occupation_run(*walk, key_to_index(1), 10_000, state, occ)
-        want_final, want_occ, want_word = ref.path(key_to_index(1), 10_000,
-                                                   word[0])
-        assert final == want_final == -1
-        assert state[0] == want_word
-        assert np.array_equal(occ, want_occ)
 
 
 # ===== lockstep free walk =====

@@ -167,7 +167,8 @@ def test_infinite_lambda_is_rejected():
         yaglom.alpha_estimate({0}, math.inf, (1.0, 2.0, 3.0), 10, 0)
 
 
-@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+# a string or a list failed the comparison with a TypeError
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, "1", [1.0]])
 def test_bad_checkpoint_spacing_is_rejected(dt):
     with pytest.raises(ParameterError):
         yaglom.yaglom_estimate({0}, 0.5, 1.0, 10, yaglom.Splitting(dt), 4, 0)
@@ -389,29 +390,6 @@ def test_h_estimate_parameter_validation(args):
         yaglom.h_estimate(**call)
 
 
-# ===== h-transformed chain =====
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_q_process_occupation_matches_nu_h(seed):
-    gen = build_generator(6, 0.5)
-    res = dominant_eigenpair(gen)
-    nu_h = res.nu * res.h
-    law = vector_distribution(gen, nu_h / nu_h.sum())
-    occ = yaglom.q_process_simulate(res, gen, 20_000, seed)
-    # over seeds 0-19 the TV distance averages 0.015 and peaks at 0.022;
-    # nu itself sits 0.145 away from nu.h
-    assert tv_distance(occ, law) < 0.04
-
-
-def test_q_process_rejects_a_mismatched_generator():
-    res = dominant_eigenpair(build_generator(6, 0.5))
-    for other in (build_generator(7, 0.5),
-                  build_generator(6, 0.5, POLICY_KILL),
-                  build_generator(6, 0.6)):
-        with pytest.raises(ParameterError):
-            yaglom.q_process_simulate(res, other, 10, 0)
-
-
 # ===== input checks across the package =====
 
 # weights that a law rejected only after counting them: -1 made tv_distance
@@ -426,7 +404,6 @@ def _bad_input_calls():
     before every entry point took its input through cpqsd.errors."""
     g3 = build_generator(3, 0.5)
     g4 = build_generator(4, 0.5)
-    g6 = build_generator(6, 0.5)
     log = sample_event_log(SiteWindow(-4, 4, 2.0), 0.5, 0)
 
     def estimate(replicas=10, depth=4, seed=0, init=frozenset({0}), gen=None):
@@ -443,8 +420,6 @@ def _bad_input_calls():
         "yaglom-seed-2**64": estimate(seed=2**64),
         "alpha-replicas-2.5": lambda: yaglom.alpha_estimate(
             {0}, 0.5, (1.0, 2.0, 3.0), 2.5, 0),
-        "q-process-n-steps-2.5": lambda: yaglom.q_process_simulate(
-            dominant_eigenpair(g6), g6, 2.5, 0),
         "build-generator-L-3.5": lambda: build_generator(3.5, 0.5),
         "recenter-fractional-sites": lambda: recenter({0.5, 1.7}),
         "cylinder-restrict-2.5": lambda: cylinder_restrict(
