@@ -20,22 +20,35 @@ class CensoredError(RuntimeError):
     silently wrong rather than approximate."""
 
 
+def is_scalar(x):
+    """Whether x is one value and not a bool: a bool compares as 0 or 1,
+    and an array with axes compares elementwise, so a range check would
+    take either for a number.  Python and numpy numbers and 0-d arrays
+    are scalars."""
+    dtype = getattr(x, "dtype", None)
+    if dtype is None:
+        return not isinstance(x, bool)
+    return dtype.kind != "b" and x.ndim == 0
+
+
 def check_integer(x, what, lo=None):
     """x as an int, at least lo if given; a float is rejected, not
-    truncated."""
+    truncated, and so is a bool."""
     try:
-        x = operator.index(x)
+        i = operator.index(x)
     except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {x!r}") from None
-    if lo is not None and x < lo:
-        raise ParameterError(f"{what} must be >= {lo}, got {x}")
-    return x
+        i = None
+    if i is None or isinstance(x, bool):
+        raise ParameterError(f"{what} must be an integer, got {x!r}")
+    if lo is not None and i < lo:
+        raise ParameterError(f"{what} must be >= {lo}, got {i}")
+    return i
 
 
 def check_positive(x, what):
-    """x, finite and > 0: a rate or a horizon."""
+    """x, one finite number > 0: a rate or a horizon."""
     try:
-        if 0 < x < math.inf:
+        if is_scalar(x) and 0 < x < math.inf:
             return x
     except TypeError:
         pass
@@ -43,10 +56,10 @@ def check_positive(x, what):
 
 
 def check_time(t, what="time"):
-    """t, finite and >= 0: a time, or another amount that may be 0, such
-    as a weight."""
+    """t, one finite number >= 0: a time, or another amount that may be
+    0, such as a weight."""
     try:
-        if 0 <= t < math.inf:
+        if is_scalar(t) and 0 <= t < math.inf:
             return t
     except TypeError:
         pass

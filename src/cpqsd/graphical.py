@@ -10,6 +10,10 @@ the event-by-event simulation that edge and yaglom use for independent
 replicas (TestIndependentReference).  The exact chain in spectral never
 reads a log.
 
+A log never changes, so it keeps what its queries derive from it: its marks
+as plain lists, and its last backward sweep, one entry, so that repeated
+backward predicates at one top time sweep the marks once.
+
 Truncation rule: marks outside the window do not exist.  Reachability
 grown from small seeds therefore reports a `censored` flag whenever the
 reached set touched lo or hi, at which point a wider window could change
@@ -118,7 +122,10 @@ class EventLog:
 
     `reach_backward` does not read the arrays: it walks `lists`, the same
     marks as plain Python lists, built on first use and kept, since a log
-    never changes.  `evolve` and `max_jump_count` read the arrays.
+    never changes.  The log also keeps its last backward sweep, one
+    (n, flips) pair for the n marks it covered; a `BackwardReach` whose top
+    time covers the same n marks reuses it, and any other replaces it.
+    `evolve` and `max_jump_count` read the arrays.
     """
 
     def __init__(self, window, times, kinds, src, dst):
@@ -165,6 +172,7 @@ class EventLog:
         self.src = src
         self.dst = dst
         self.tie_flag = tie_flag
+        self._sweep = (None, None)
 
     def __len__(self):
         return self.times.shape[0]
@@ -288,7 +296,14 @@ class BackwardReach:
     takes k, the number of marks at or below s, by one bisect in the mark
     times; the marks of index >= k lie above s, and (x, s) reaches the top
     iff an even number of x's changes are among them, one bisect in x's
-    list."""
+    list.
+
+    The flips depend on t only through the number n of marks at or below
+    it, so the log keeps the last (n, flips) pair: one entry, reused by
+    every predicate on the same n marks and replaced by the next other n.
+    The flips are never changed after the sweep and the pair is replaced in
+    one assignment, so predicates may be built on one log from several
+    threads."""
 
     def __init__(self, log, t):
         _check_span(log, 0.0, t)
@@ -297,8 +312,12 @@ class BackwardReach:
         self.t = float(t)
         times, kinds, src, dst = log.lists
         self._times = times
-        self._flips = K.backward_sweep(kinds, src, dst,
-                                       bisect_right(times, t), w.nsites)
+        n = bisect_right(times, t)
+        kept, flips = log._sweep
+        if kept != n:
+            flips = K.backward_sweep(kinds, src, dst, n, w.nsites)
+            log._sweep = (n, flips)
+        self._flips = flips
 
     def _marks_below(self, s):
         """Number of marks at or below query time s, which must lie in

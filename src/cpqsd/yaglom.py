@@ -34,7 +34,7 @@ from . import _kernels as K
 from .edge import (EmpiricalDistribution, FreePopulation, _check_run,
                    _init_sites, _tally, _words, decode_key)
 from .errors import (ParameterError, ResolutionError, check_integer,
-                     check_positive, check_time)
+                     check_positive, check_time, is_scalar)
 from .spectral import (build_generator, dominant_eigenpair, index_to_key,
                        key_to_index)
 
@@ -158,7 +158,7 @@ def _split(populate, lam, n, stops, dt0, seeds):
     if dt0 is None:
         dt0 = 1.0 / _rough_alpha(lam)
     try:
-        positive = dt0 > 0
+        positive = is_scalar(dt0) and dt0 > 0
     except TypeError:  # a string or a list, say
         positive = False
     if not positive:

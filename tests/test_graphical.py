@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpqsd import _kernels as K
 from cpqsd.errors import CensoredError, ParameterError
 from cpqsd.graphical import (
     Configuration,
@@ -383,6 +386,93 @@ class TestReachBackward:
         cfg = back.at(0.0)
         assert 0 not in cfg and 2 not in cfg
         assert 1 in cfg and -5 in cfg
+
+
+class TestKeptSweep:
+    """A log keeps its last backward sweep, keyed by the number of marks at
+    or below the top time; every predicate must still answer for its own
+    top time."""
+
+    MARKS = [("R", 0, 0.2), ("A", 1, 0, 0.3), ("R", 1, 0.5),
+             ("A", 0, -1, 0.6), ("A", -1, 0, 0.7), ("R", -1, 0.8)]
+
+    def _points(self, t):
+        """Every site of [-2, 2] at 0, t and each mark time at or below t,
+        and just above and below it."""
+        return [(x, q) for x in range(-2, 3)
+                for q in sorted({0.0, t} | {m[-1] + d for m in self.MARKS
+                                            for d in (-1e-9, 0.0, 1e-9)
+                                            if 0.0 <= m[-1] + d <= t})]
+
+    def _oracle(self, t):
+        return [reaches_top_line(self.MARKS, x, q, t)
+                for x, q in self._points(t)]
+
+    def _answers(self, back, t):
+        return [back.query(x, q) for x, q in self._points(t)]
+
+    def test_predicates_at_alternating_top_times_match_oracle(self):
+        log = log_of(self.MARKS, -2, 2, 1.0)
+        first = reach_backward(log, 0.65)
+        assert self._answers(first, 0.65) == self._oracle(0.65)
+        second = reach_backward(log, 0.9)
+        assert self._answers(second, 0.9) == self._oracle(0.9)
+        again = reach_backward(log, 0.65)
+        assert self._answers(again, 0.65) == self._oracle(0.65)
+        assert self._answers(first, 0.65) == self._oracle(0.65)
+
+    def test_one_sweep_per_number_of_marks_covered(self, monkeypatch):
+        covered = []
+        sweep = K.backward_sweep
+
+        def counted(kinds, src, dst, n, nsites):
+            covered.append(n)
+            return sweep(kinds, src, dst, n, nsites)
+
+        monkeypatch.setattr(K, "backward_sweep", counted)
+        log = log_of(self.MARKS, -2, 2, 1.0)
+        for _ in range(3):
+            reach_backward(log, 0.55)
+        assert covered == [3]
+        reach_backward(log, 0.58)
+        assert covered == [3]
+        reach_backward(log, 0.65)
+        assert covered == [3, 4]
+
+    def test_threads_on_one_log_get_the_oracle_answers(self):
+        # 69 marks: the sweep to 3.9 covers all but three and outlasts the
+        # switch interval, the sweep to 0.5 covers nine, so the short one
+        # often starts and ends inside the long one; each thread queries
+        # near its own top, where the two sweeps' answers differ
+        log = sample_event_log(SiteWindow(-3, 3, 4.0), 1.0, seed=8)
+        marks = tuples_of(log)
+        tops = (0.5, 3.9)
+        points = {t: [(x, t - d) for x in range(-3, 4)
+                      for d in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)] for t in tops}
+        want = {t: [reaches_top_line(marks, x, q, t) for x, q in points[t]]
+                for t in tops}
+        got = {t: [] for t in tops}
+        start = threading.Barrier(2, timeout=60)
+
+        def run(t):
+            start.wait()
+            for _ in range(300):
+                back = reach_backward(log, t)
+                got[t].append([back.query(x, q) for x, q in points[t]])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in tops]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for t in tops:
+            assert got[t] == [want[t]] * 300
 
 
 # ===== jump counts and goodness =====

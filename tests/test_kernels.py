@@ -60,11 +60,11 @@ def test_every_kernel_has_a_caller():
 # public functions and methods with no caller in src/, bench/ or
 # perfbench/, each with the reason it stays
 _UNCALLED = {
-    "default_beta": "good points: kept or deleted with ROADMAP item 8's "
+    "default_beta": "good points: kept or deleted with ROADMAP item 4's "
                     "coupling decision",
     "is_good_pair": "good points, as default_beta",
-    "edge_evolve": "steps on a shared log, for item 8's coupling times",
-    "BackwardReach.at": "the reached line at one time, for item 8's "
+    "edge_evolve": "steps on a shared log, for item 4's coupling times",
+    "BackwardReach.at": "the reached line at one time, for item 4's "
                         "break points",
     "h_estimate": "the h of the decay triple (alpha, nu, h), which "
                   "alpha_estimate and yaglom_estimate do not give",

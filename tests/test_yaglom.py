@@ -14,7 +14,8 @@ from cpqsd.edge import (EdgeConfiguration, EmpiricalDistribution, Finite,
                         edge_evolve, encode_key, recenter,
                         sample_edge_distribution, simulate_edge_trajectory,
                         tv_distance)
-from cpqsd.errors import ParameterError
+from cpqsd.errors import (ParameterError, check_integer, check_positive,
+                          check_time)
 from cpqsd.graphical import (EventLog, SiteWindow, ceil_beta_t, evolve,
                              max_jump_count, reach_backward,
                              sample_event_log)
@@ -167,11 +168,28 @@ def test_infinite_lambda_is_rejected():
         yaglom.alpha_estimate({0}, math.inf, (1.0, 2.0, 3.0), 10, 0)
 
 
-# a string or a list failed the comparison with a TypeError
-@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, "1", [1.0]])
+# a string or a list failed the comparison with a TypeError, a bool ran
+# as a spacing of 1 and an array raised numpy's ambiguous-truth ValueError
+@pytest.mark.parametrize("dt", [
+    0.0, -1.0, math.nan, "1", [1.0], True,
+    pytest.param(np.True_, id="numpy-True"),
+    pytest.param(np.array([1.0, 2.0]), id="array")])
 def test_bad_checkpoint_spacing_is_rejected(dt):
     with pytest.raises(ParameterError):
         yaglom.yaglom_estimate({0}, 0.5, 1.0, 10, yaglom.Splitting(dt), 4, 0)
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64, np.array])
+def test_numpy_scalars_and_0d_arrays_are_numbers(wrap):
+    assert check_positive(wrap(0.5), "rate") == 0.5
+    assert check_time(wrap(0.0)) == 0.0
+    assert check_integer(np.int64(3), "count") == 3
+    assert check_integer(np.array(3), "count") == 3
+    law, _ = yaglom.yaglom_estimate({0}, wrap(0.5), wrap(1.0), 10,
+                                    yaglom.Splitting(wrap(0.5)), 4, 0)
+    want, _ = yaglom.yaglom_estimate({0}, 0.5, 1.0, 10,
+                                     yaglom.Splitting(0.5), 4, 0)
+    assert law.weights == want.weights
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -522,6 +540,22 @@ def _bad_input_calls():
         "clip-key-depth-2.5": lambda: clip_key([0, -1, -2], 2.5),
         "encode-key-depth-2.5": lambda: encode_key([0, -1, -2], 2.5),
         "clip-key-depth-0": lambda: clip_key([0], 0),
+        # a bool passed as the number 0 or 1, and an array with axes raised
+        # numpy's ambiguous-truth ValueError
+        "build-generator-array-lambda": lambda: build_generator(
+            4, np.array([0.5, 0.6])),
+        "build-generator-bool-lambda": lambda: build_generator(4, True),
+        "build-generator-numpy-bool-lambda": lambda: build_generator(
+            4, np.True_),
+        "site-window-bool-horizon": lambda: SiteWindow(0, 3, True),
+        "yaglom-exact-bool-time": lambda: yaglom_exact(g4, 1, True),
+        "yaglom-exact-array-time": lambda: yaglom_exact(
+            g4, 1, np.array([1.0, 2.0])),
+        "reach-query-0d-bool-time": lambda: reach_backward(log, 1.0).query(
+            0, np.array(True)),
+        "yaglom-seed-True": estimate(seed=True),
+        "trajectory-bool-depth": lambda: simulate_edge_trajectory(
+            {0}, 0.5, 1.0, True, 0),
     }
 
 
