@@ -14,8 +14,12 @@ ops (one/point and one/interval: 100 calls of simulate_edge_trajectory
 from Finite({0}) and from FullInterval(20), lambda 0.5, t 2, depth 12);
 the stragglers op (free/interval_1440: a FreePopulation of 20 replicas
 from FullInterval(1440) advanced to t 20 at lambda 0.5, where late steps
-carry few replicas); and two chain-walk ops (walk_L12 and walk_L14:
-building the walk arrays of the depth-12 and depth-14 chains).
+carry few replicas); the bulk op (free/bulk_400: 1000 replicas from
+FullInterval(400) advanced to t 4 at lambda 0.5, the lockstep free walk
+at a size where every step carries many replicas); two chain-walk ops
+(walk_L12 and walk_L14: building the walk arrays of the depth-12 and
+depth-14 chains); and the chain walk itself (chain/advance_L12: 2000
+replicas of the depth-12 chain from key 1 advanced to t 8).
 
 Each repeat runs one fresh child process per tree, in an order that
 alternates between repeats, and the child times every op once on the
@@ -55,6 +59,7 @@ def ops():
 
     g12 = S.build_generator(12, LAM, S.POLICY_CLIP)
     g14 = S.build_generator(14, LAM, S.POLICY_CLIP)
+    walk12 = Y._chain_walk(g12)
 
     def one(init):
         def call(s):
@@ -105,6 +110,14 @@ def ops():
         words = np.random.SeedSequence((s, 0)).generate_state(20, np.uint64)
         E.FreePopulation(range(-1440, 1), LAM, 20, words).advance_to(20.0)
 
+    def bulk(s):
+        words = np.random.SeedSequence((s, 0)).generate_state(1000, np.uint64)
+        E.FreePopulation(range(-400, 1), LAM, 1000, words).advance_to(4.0)
+
+    def advance(s):
+        words = np.random.SeedSequence((s, 0)).generate_state(2000, np.uint64)
+        Y._ChainPopulation(walk12, 1, 2000, words).advance_to(8.0)
+
     return {
         "edge_log/query.evolve": query(evolve_part),
         "edge_log/query.reach": query(reach_part),
@@ -113,8 +126,10 @@ def ops():
         "one/point": one(E.Finite({0})),
         "one/interval": one(E.FullInterval(20)),
         "free/interval_1440": stragglers,
+        "free/bulk_400": bulk,
         "chain/walk_L12": lambda s: Y._chain_walk(g12),
         "chain/walk_L14": lambda s: Y._chain_walk(g14),
+        "chain/advance_L12": advance,
     }
 
 
@@ -126,9 +141,9 @@ def child(seed):
     from cpqsd import _kernels
 
     table = ops()
-    # warm-up: every first call
+    # warm-up: every first call but of the two long free-process ops
     for name, call in table.items():
-        if name != "free/interval_1440":
+        if name not in ("free/interval_1440", "free/bulk_400"):
             call(0)
     secs = {}
     for name, call in table.items():
@@ -183,8 +198,8 @@ def main(argv=None):
     record = {
         "what": "seconds per op of the probes the benchmark has no op "
                 "for: the edge_log query op by part, the tiny-log op, the "
-                "one-replica and stragglers ops of the free process and "
-                "the chain-walk ops, median and quartiles over --repeats "
+                "one-replica, stragglers and bulk ops of the free process "
+                "and the chain-walk ops, median and quartiles over --repeats "
                 "seeds; each repeat times every tree in a fresh child "
                 "process, in alternating order.  The benchmark's own ops "
                 "are in timings.<kind>_s of the perfbench/run.py records, "

@@ -11,8 +11,10 @@ Every kernel is a plain Python function, never compiled:
   * the contact process on Z has two walks that make the same draws by the
     same rule (thinning at rate n (1 + 2 lam) over an unordered site
     list): gillespie_free_batch, a population moved in lockstep, and
-    free_run, one path that takes a block of draws at a time; the depth-L
-    chain has one walk, the lockstep gillespie_chain_batch.
+    free_run, one path; the depth-L chain has one walk, the lockstep
+    gillespie_chain_batch.  Every walk takes its draws a block at a time
+    from _block: free_run up to _FREE_BLOCK events, a lockstep walk _LOCK
+    steps of all its live replicas.
 
 Conventions:
   * marks are struct-of-arrays: times f8, kinds i1 (0=recovery, 1=arrow),
@@ -26,6 +28,9 @@ Conventions:
     draw goes through the one splitmix64, _units, which mixes whole uint64
     arrays, whose arithmetic wraps silently: no kernel does scalar uint64
     arithmetic, so none depends on numpy's floating-point error state.
+    splitmix64 is a counter, so _block makes the next m draws of many words
+    in one _units call, and a walk leaves each word exactly where drawing
+    one value at a time would: after the last draw it used.
 """
 
 from __future__ import annotations
@@ -60,16 +65,22 @@ def _units(words):
     return z.astype(np.float64) * _U53
 
 
-_STEPS = np.arange(8192, dtype=np.uint64) * _SM_GAMMA
+_STEPS = np.arange(8192, dtype=np.uint64)[:, None] * _SM_GAMMA
 
 
-def _block(state, m):
-    """(words, units) of the next m <= 8192 draws of the word state[0]:
-    splitmix64 is a counter (draw k mixes state[0] + (k + 1) gamma), so one
-    _units call makes them in order, and words[k] is the word after draw
-    k."""
-    words = state[0] + _STEPS[:m]
-    return words, _units(words)
+def _block(words, m):
+    """(W, U), the next m <= 8192 draws of every word of the uint64 array
+    `words`, which stays as it is: splitmix64 is a counter (draw k of a word
+    mixes word + (k + 1) gamma), so one _units call makes them all, and
+    column i of the (m, words.size) arrays is the stream of words[i], with
+    W[k, i] the word after draw k and U[k, i] its unit."""
+    W = words + _STEPS[:m]
+    return W, _units(W)
+
+
+# steps whose draws a lockstep walk takes from one _block call; at 8 or
+# 16 the chain walk of 2000 replicas ran slower than drawing step by step
+_LOCK = 4
 
 
 def _exponential(state, rate):
@@ -254,7 +265,8 @@ def free_run(sites, lam, t_now, t_end, state):
     n = len(sites)
     m = 16  # blocks double up to _FREE_BLOCK events: most runs are short
     while n:
-        words, u = _block(state, 2 * m)
+        W, U = _block(state, 2 * m)
+        words, u = W[:, 0], U[:, 0]
         logs = np.log(u[::2]).tolist()
         picks = u[1::2].tolist()
         for i in range(m):
@@ -292,13 +304,18 @@ def gillespie_free_batch(sites, occ, lo, counts, tnows, lam, t_end, states):
     Replica i holds its counts[i] infected sites, unordered, in
     sites[i, :counts[i]], and occ[i, x - lo] = 1 marks each of them.  One
     step draws, for every live replica from its own word, a clock and then
-    a pick, by free_run's rule and arithmetic.  The bitmap window and the
+    a pick, by free_run's rule and arithmetic.  One _block call makes the
+    draws of _LOCK steps: step s reads its clock from row 2s and its pick
+    from row 2s + 1, through the column (slot) of each replica still live.
+    A replica leaves the walk with the word after its last used draw: the
+    clock past t_end if held, the pick if it died, the pick ending the
+    last block if handed to free_run.  The bitmap window and the
     site capacity are doubled before an arrow would leave them, so no event
-    is lost and the result does not depend on the sizes.  Once at most
-    _ALONE replicas are live, and fewer than the events the largest of them
-    expects before t_end, a step costs more than their events would alone:
-    free_run finishes each of them, which changes nothing but the time
-    taken.  Returns (sites, occ, lo), reallocated if they grew.
+    is lost and the result does not depend on the sizes.  Once a block
+    starts with at most _ALONE replicas live, and fewer than the events the
+    largest of them expects before t_end, a step costs more than their
+    events would alone: free_run finishes each of them, which changes
+    nothing but the time taken.  Returns (sites, occ, lo), reallocated if they grew.
     """
     c = 1.0 + 2.0 * lam
     right = 1.0 + lam
@@ -310,44 +327,50 @@ def gillespie_free_batch(sites, occ, lo, counts, tnows, lam, t_end, states):
         if (pos.size <= _ALONE
                 and pos.size < n.max() * c * (t_end - t.min())):
             break
-        t = t - np.log(_units(w)) / (n * c)
-        held = t > t_end
-        if held.any():
-            counts[pos[held]] = n[held]
-            tnows[pos[held]] = t_end
-            states[pos[held]] = w[held]
-            go = ~held
-            pos, n, t, w = pos[go], n[go], t[go], w[go]
-            if not pos.size:
-                break
-        q = _units(w) * n
-        j = np.minimum(q.astype(np.int64), n - 1)
-        f = (q - j) * c
-        rec = f < 1.0
-        row = pos * sites.shape[1]
-        x = sites.ravel()[row + j]
-        y = x + np.where(f < right, 1, -1) * ~rec
-        if y.min() < lo or y.max() >= lo + occ.shape[1]:
-            occ, lo = _grow_window(occ, lo, y.min(), y.max())
-        cell = pos * occ.shape[1] + (y - lo)
-        born = occ.ravel()[cell] == 0
-        occ.ravel()[cell] = ~rec
-        # a recovery moves the last entry into slot j; an arrow writes
-        # slot n, which counts only if the site was born
-        col = np.where(rec, j, n)
-        if col.max() >= sites.shape[1]:
-            sites = _grow_capacity(sites, col.max() + 1)
+        W, U = _block(w, 2 * _LOCK)
+        slot = np.arange(pos.size)
+        for k in range(0, 2 * _LOCK, 2):
+            t = t - np.log(U[k].take(slot)) / (n * c)
+            held = t > t_end
+            if held.any():
+                counts[pos[held]] = n[held]
+                tnows[pos[held]] = t_end
+                states[pos[held]] = W[k, slot[held]]
+                go = ~held
+                pos, n, t, slot = pos[go], n[go], t[go], slot[go]
+                if not pos.size:
+                    break
+            q = U[k + 1].take(slot) * n
+            j = np.minimum(q.astype(np.int64), n - 1)
+            f = (q - j) * c
+            rec = f < 1.0
             row = pos * sites.shape[1]
-        flat = sites.ravel()
-        flat[row + col] = np.where(rec, flat[row + n - 1], y)
-        n = n + born - rec
-        dead = n == 0
-        if dead.any():
-            counts[pos[dead]] = 0
-            tnows[pos[dead]] = t[dead]
-            states[pos[dead]] = w[dead]
-            go = ~dead
-            pos, n, t, w = pos[go], n[go], t[go], w[go]
+            x = sites.ravel()[row + j]
+            y = x + np.where(f < right, 1, -1) * ~rec
+            if y.min() < lo or y.max() >= lo + occ.shape[1]:
+                occ, lo = _grow_window(occ, lo, y.min(), y.max())
+            cell = pos * occ.shape[1] + (y - lo)
+            born = occ.ravel()[cell] == 0
+            occ.ravel()[cell] = ~rec
+            # a recovery moves the last entry into slot j; an arrow writes
+            # slot n, which counts only if the site was born
+            col = np.where(rec, j, n)
+            if col.max() >= sites.shape[1]:
+                sites = _grow_capacity(sites, col.max() + 1)
+                row = pos * sites.shape[1]
+            flat = sites.ravel()
+            flat[row + col] = np.where(rec, flat[row + n - 1], y)
+            n = n + born - rec
+            dead = n == 0
+            if dead.any():
+                counts[pos[dead]] = 0
+                tnows[pos[dead]] = t[dead]
+                states[pos[dead]] = W[k + 1, slot[dead]]
+                go = ~dead
+                pos, n, t, slot = pos[go], n[go], t[go], slot[go]
+                if not pos.size:
+                    break
+        w = W[-1, slot]
     for i, n_i, t_i, word in zip(pos.tolist(), n.tolist(), t.tolist(), w):
         alone = sites[i, :n_i].tolist()
         occ[i, sites[i, :n_i] - lo] = 0
@@ -403,32 +426,39 @@ def gillespie_chain_batch(indptr, indices, cum, base, off, exits, idxs,
     sum in row order and exits[s] = off[s] + absorption rate.  One step
     draws, for every live replica from its own word, a holding time and then
     a target u, so a replica's path is the one its word alone would walk,
-    whatever the other replicas do.  Target rule: with r = u * exits[s],
-    the jump is absorbed if r >= off[s]; otherwise the target is the first
-    entry of the row whose running sum over the whole matrix exceeds
-    base[s] + r, clamped to the row against rounding.
+    whatever the other replicas do.  The draws come _LOCK steps at a time
+    from one _block call, as in gillespie_free_batch: step s reads rows 2s
+    and 2s + 1, and a replica held at t_end keeps the word after its
+    holding time, an absorbed one the word after its target.  Target rule:
+    with r = u * exits[s], the jump is absorbed if r >= off[s]; otherwise
+    the target is the first entry of the row whose running sum over the
+    whole matrix exceeds base[s] + r, clamped to the row against rounding.
     """
     pos = np.nonzero(idxs >= 0)[0]
     s = idxs[pos]
     t = tnows[pos]
     w = states[pos]
     while pos.size:
-        t = t - np.log(_units(w)) / exits[s]
-        held = t > t_end
-        if held.any():
-            idxs[pos[held]] = s[held]
-            tnows[pos[held]] = t_end
-            states[pos[held]] = w[held]
-            go = ~held
-            pos, s, t, w = pos[go], s[go], t[go], w[go]
-        r = _units(w) * exits[s]
-        dead = r >= off[s]
-        k = cum.searchsorted(base[s] + r, side="right")
-        s = indices[np.minimum(k, indptr[s + 1] - 1)]
-        if dead.any():
-            idxs[pos[dead]] = -1
-            tnows[pos[dead]] = t[dead]
-            states[pos[dead]] = w[dead]
-            go = ~dead
-            pos, s, t, w = pos[go], s[go], t[go], w[go]
+        W, U = _block(w, 2 * _LOCK)
+        slot = np.arange(pos.size)
+        for k in range(0, 2 * _LOCK, 2):
+            t = t - np.log(U[k].take(slot)) / exits[s]
+            held = t > t_end
+            if held.any():
+                idxs[pos[held]] = s[held]
+                tnows[pos[held]] = t_end
+                states[pos[held]] = W[k, slot[held]]
+                go = ~held
+                pos, s, t, slot = pos[go], s[go], t[go], slot[go]
+            r = U[k + 1].take(slot) * exits[s]
+            dead = r >= off[s]
+            j = cum.searchsorted(base[s] + r, side="right")
+            s = indices[np.minimum(j, indptr[s + 1] - 1)]
+            if dead.any():
+                idxs[pos[dead]] = -1
+                tnows[pos[dead]] = t[dead]
+                states[pos[dead]] = W[k + 1, slot[dead]]
+                go = ~dead
+                pos, s, t, slot = pos[go], s[go], t[go], slot[go]
+        w = W[-1, slot]
     return 0

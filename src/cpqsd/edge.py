@@ -250,10 +250,26 @@ class FreePopulation:
     sites[i, :counts[i]], and occ[i, x - lo] = 1 marks each of them; words
     holds one uint64 kernel state per replica.  The window and the site
     capacity start small and double when an arrow would leave them, which
-    continues the same run exactly, so nothing is ever cut off.
+    continues the same run exactly, so nothing is ever cut off.  sites is
+    a nonempty sequence of distinct sites, in the order the replicas list
+    them; words is a uint64 array of shape (n,).
     """
 
     def __init__(self, sites, lam, n, words):
+        try:
+            start = check_sites(sites, "site")
+            distinct = 0 < len(start) == len(sites)
+        except TypeError:  # an iterator, which has no len
+            distinct = False
+        if not distinct:
+            raise ParameterError(f"a population starts from a nonempty "
+                                 f"sequence of distinct sites, got {sites!r}")
+        check_positive(lam, "lambda")
+        n = check_integer(n, "replicas", 1)
+        if not (isinstance(words, np.ndarray) and words.dtype == np.uint64
+                and words.shape == (n,)):
+            raise ParameterError(f"words must be a uint64 array of shape "
+                                 f"({n},), got {words!r}")
         base = np.asarray(sites, np.int64)
         cap = 16
         while cap <= base.size:

@@ -104,9 +104,10 @@ class Configuration(frozenset):
 
 def _mark_integers(a, dtype, what):
     """a as a contiguous array of dtype.  Any other dtype must hold
-    integers that dtype holds, so that no cast makes a different mark."""
+    integers that dtype holds, and not bools, so that no cast makes a
+    different mark."""
     a = np.asarray(a)
-    if a.dtype != dtype and a.size and (a.dtype.kind not in "biu" or
+    if a.dtype != dtype and a.size and (a.dtype.kind not in "iu" or
                                         not np.array_equal(a.astype(dtype), a)):
         raise ParameterError(f"mark {what}s must be integers in the range "
                              f"of {np.dtype(dtype)}, got {a.dtype}")
@@ -131,7 +132,7 @@ class EventLog:
     def __init__(self, window, times, kinds, src, dst):
         _check_window(window)
         times = np.asarray(times)
-        if times.dtype.kind not in "biuf":
+        if times.dtype.kind not in "iuf":
             raise ParameterError(f"mark times must be numbers, got "
                                  f"{times.dtype}")
         times = np.ascontiguousarray(times, dtype=np.float64)

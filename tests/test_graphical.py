@@ -59,7 +59,7 @@ def log_of(marks, lo=-5, hi=5, horizon=2.0):
     """EventLog of hand-written oracle tuples, ("R", site, time) or
     ("A", src, dst, time), in the order given."""
     return EventLog(SiteWindow(lo, hi, horizon), [m[-1] for m in marks],
-                    [m[0] == "A" for m in marks], [m[1] for m in marks],
+                    [int(m[0] == "A") for m in marks], [m[1] for m in marks],
                     [m[-2] for m in marks])
 
 

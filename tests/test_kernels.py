@@ -3,8 +3,8 @@ and their independence of numpy's error state, the chain walk (against
 the exact semigroup, and the walk and its arrays' row sums against a
 reference built from the generator's rows and its own splitmix64), the
 free-process walks (each lockstep replica against the one-replica path on
-its word, window and capacity growth, keys read from the bitmap), and
-guards that every public kernel, and every other public function and
+its word, window and capacity growth, keys read from the bitmap), both
+lockstep walks against themselves at other block lengths, and guards that every public kernel, and every other public function and
 method of the package, has a caller, and that every function the
 benchmark's tracer wraps exists."""
 
@@ -172,18 +172,22 @@ def test_units_draw_the_reference_stream(words):
 
 
 @settings(derandomize=True, deadline=None)
-@given(_WORDS, st.integers(1, 8192))
-def test_block_draws_the_reference_stream(word, m):
-    state = np.array([word], np.uint64)
-    words, units = K._block(state, m)
-    assert state[0] == word
-    ref = _SplitMix64(word)
-    want_units, want_words = [], []
-    for _ in range(m):
-        want_units.append(ref.unit())
-        want_words.append(ref.word)
-    assert units.tolist() == want_units
-    assert words.tolist() == want_words
+@given(st.lists(_WORDS, min_size=1, max_size=40), st.integers(1, 8192))
+def test_block_draws_the_reference_stream(words, m):
+    # column i of a block is the stream of word i, whatever the others are
+    m = max(1, m // len(words))  # the reference is slow: 8192 draws in all
+    arr = np.array(words, np.uint64)
+    W, U = K._block(arr, m)
+    assert arr.tolist() == words
+    assert W.shape == U.shape == (m, len(words))
+    for i, word in enumerate(words):
+        ref = _SplitMix64(word)
+        want_units, want_words = [], []
+        for _ in range(m):
+            want_units.append(ref.unit())
+            want_words.append(ref.word)
+        assert U[:, i].tolist() == want_units
+        assert W[:, i].tolist() == want_words
 
 
 def test_kernels_raise_no_overflow_warning_and_restore_errstate():
@@ -401,6 +405,57 @@ def test_resume_after_full_buffer_is_exact(monkeypatch):
     assert roomy.sites.shape == (n, 1024) and roomy.occ.shape == (n, 4096)
     assert [_replica(tight, i) for i in range(n)] == [
         _replica(roomy, i) for i in range(n)]
+
+
+# ===== both lockstep walks =====
+
+def _two_stages(pop, read):
+    """read(pop) after each of two stages, with a resampling copy of
+    survivors onto the dead between them."""
+    pop.advance_to(1.5)
+    first = read(pop)
+    alive = np.nonzero(pop.alive_mask())[0]
+    dead = np.nonzero(~pop.alive_mask())[0]
+    assert 0 < alive.size and 0 < dead.size
+    src = alive[np.random.default_rng(3).integers(0, alive.size, dead.size)]
+    pop.copy(src, dead)
+    pop.advance_to(3.0)
+    return first, read(pop)
+
+
+@pytest.mark.parametrize("walk", ["free-lockstep", "free-tail", "chain"])
+def test_block_length_is_invisible(walk, monkeypatch):
+    # a walk takes the draws of _LOCK steps from one _block call, so its
+    # replicas are held, die or are handed to free_run part way through a
+    # block; each keeps the word after its last used draw, so every block
+    # length ends every replica with the same sites (in list order) or
+    # state, count, time and word
+    calls = []
+    free_run = K.free_run
+
+    def counted(*args):
+        calls.append(args)
+        return free_run(*args)
+
+    monkeypatch.setattr(K, "free_run", counted)
+    if walk == "free-lockstep":
+        monkeypatch.setattr(K, "_ALONE", 0)
+    _, chain = _chain(8)
+    runs = []
+    for lock in (1, 3, K._LOCK):
+        monkeypatch.setattr(K, "_LOCK", lock)
+        if walk == "chain":
+            n = 400
+            pop = yaglom._ChainPopulation(chain, 5, n, _words((25, 1), n))
+            read = lambda p: (p.idxs.tolist(), p.tnows.tolist(),
+                              p.states.tolist())
+        else:
+            n = 200
+            pop = FreePopulation([0, 1, 2, 3], 1.2, n, _words((25, 0), n))
+            read = lambda p: [_replica(p, i) for i in range(n)]
+        runs.append(_two_stages(pop, read))
+    assert runs[0] == runs[1] == runs[2]
+    assert bool(calls) == (walk == "free-tail")
 
 
 def test_final_keys_read_the_bitmap_as_clip_key_reads_the_sites():

@@ -423,6 +423,7 @@ def _bad_input_calls():
     g3 = build_generator(3, 0.5)
     g4 = build_generator(4, 0.5)
     log = sample_event_log(SiteWindow(-4, 4, 2.0), 0.5, 0)
+    words4 = yaglom._words((0, 0), 4)
 
     def estimate(replicas=10, depth=4, seed=0, init=frozenset({0}), gen=None):
         return lambda: yaglom.yaglom_estimate(init, 0.5, 1.0, replicas,
@@ -556,6 +557,33 @@ def _bad_input_calls():
         "yaglom-seed-True": estimate(seed=True),
         "trajectory-bool-depth": lambda: simulate_edge_trajectory(
             {0}, 0.5, 1.0, True, 0),
+        # a population took its input unchecked: no sites raised numpy's
+        # ValueError, a negative rate ran, a half site became 0, too few
+        # words raised IndexError and int64 words UFuncTypeError
+        "population-no-sites": lambda: FreePopulation([], 0.5, 4, words4),
+        "population-negative-lambda": lambda: FreePopulation(
+            [0], -1.0, 4, words4),
+        "population-half-site": lambda: FreePopulation([0.5], 0.5, 4,
+                                                       words4),
+        "population-repeated-site": lambda: FreePopulation([0, 0], 0.5, 4,
+                                                           words4),
+        "population-replicas-2.5": lambda: FreePopulation([0], 0.5, 2.5,
+                                                          words4),
+        "population-2-words-for-4": lambda: FreePopulation([0], 0.5, 4,
+                                                           words4[:2]),
+        "population-int64-words": lambda: FreePopulation(
+            [0], 0.5, 4, words4.astype(np.int64)),
+        "population-list-words": lambda: FreePopulation([0], 0.5, 4,
+                                                        words4.tolist()),
+        # a bool passed as a mark time or site
+        "event-log-bool-time": lambda: EventLog(SiteWindow(0, 3, 1.0),
+                                                [True], [0], [1], [1]),
+        "event-log-bool-kind": lambda: EventLog(SiteWindow(0, 3, 1.0),
+                                                [0.5], [True], [1], [2]),
+        "event-log-bool-source": lambda: EventLog(SiteWindow(0, 3, 1.0),
+                                                  [0.5], [0], [True], [1]),
+        "event-log-bool-target": lambda: EventLog(SiteWindow(0, 3, 1.0),
+                                                  [0.5], [0], [1], [True]),
     }
 
 
