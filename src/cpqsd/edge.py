@@ -11,15 +11,13 @@ replicas at once by a FreePopulation (K.gillespie_free_batch, in lockstep,
 with an occupancy bitmap whose window grows on demand), one alone by
 K.free_run, which makes the same draws by the same rule.  Neither has a
 fixed spatial window, so nothing is censored.  Trajectories are recentered
-at read-off time and aggregated into empirical distributions.  Steps on an
-existing graphical log (edge_evolve) serve couplings, where several
-configurations must share one set of marks.
+at read-off time and aggregated into empirical distributions.  No path here
+reads a graphical log.
 """
 
 from __future__ import annotations
 
 import collections
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +25,8 @@ import numpy as np
 from . import _kernels as K
 from .errors import (ParameterError, ResolutionError, check_integer,
                      check_positive, check_seed, check_sites, check_time)
-from .graphical import evolve
-
-
-def default_beta(lam):
-    """Smallest integer jump-rate slope strictly above the good-point
-    threshold 12*lambda*e."""
-    check_positive(lam, "lambda")
-    return float(math.ceil(12.0 * lam * math.e) + 1)
+# unused here; the benchmark's tracer wraps edge.evolve (perfbench/layers.py)
+from .graphical import evolve  # noqa: F401
 
 
 # ===== domain types =====
@@ -252,7 +244,9 @@ class FreePopulation:
     capacity start small and double when an arrow would leave them, which
     continues the same run exactly, so nothing is ever cut off.  sites is
     a nonempty sequence of distinct sites, in the order the replicas list
-    them; words is a uint64 array of shape (n,).
+    them, each |x| < 2**30; words is a uint64 array of shape (n,).
+    The int32 sites cannot wrap: before one leaves int32, a replica must
+    take 2**30 steps in one direction and hold a window of at least 1 GiB.
     """
 
     def __init__(self, sites, lam, n, words):
@@ -264,6 +258,9 @@ class FreePopulation:
         if not distinct:
             raise ParameterError(f"a population starts from a nonempty "
                                  f"sequence of distinct sites, got {sites!r}")
+        if max(map(abs, start)) >= 2**30:
+            raise ParameterError(f"start sites must satisfy |x| < 2**30, "
+                                 f"got {sites!r}")
         check_positive(lam, "lambda")
         n = check_integer(n, "replicas", 1)
         if not (isinstance(words, np.ndarray) and words.dtype == np.uint64
@@ -345,18 +342,6 @@ def simulate_edge_trajectory(init, lam, t, depth, seed, stream=0):
     zeta, _ = recenter(sites)
     key, clipped = clip_key(zeta, depth)
     return EdgeTrajectory(decode_key(key, depth), True, False, clipped)
-
-
-def edge_evolve(zeta, offset, log, s, t):
-    """Edge-view step on an existing log: place zeta at absolute position
-    `offset`, evolve over (s, t], recenter.  Returns (zeta', offset',
-    censored); offset' is the new absolute rightmost site, so successive
-    steps compose exactly like one long step."""
-    offset = check_integer(offset, "offset")
-    eta = {x + offset for x in check_sites(zeta, "offset")}
-    out = evolve(eta, log, s, t)
-    zeta2, shift = recenter(out)
-    return zeta2, shift, out.censored
 
 
 def sample_edge_distribution(init, lam, t, depth, seed, replicas):

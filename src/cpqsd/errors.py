@@ -17,7 +17,9 @@ class ResolutionError(RuntimeError):
 
 class CensoredError(RuntimeError):
     """A window-truncated query touched the boundary, so the answer would be
-    silently wrong rather than approximate."""
+    silently wrong rather than approximate.  Nothing in the package raises
+    it; it stays only because perfbench/workloads.OP_ERRORS names it, until
+    ROADMAP item 2 removes it."""
 
 
 def is_scalar(x):

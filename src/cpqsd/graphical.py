@@ -2,13 +2,13 @@
 
 A window [lo, hi] x [0, horizon] carries Poisson marks: recovery marks at
 rate 1 on each site line, arrow marks at rate lambda on each of the two
-directed lines per neighbour pair.  A log serves couplings, where several
-configurations must share one set of marks (edge.edge_evolve); the queries
-below, forward evolution, backward reachability to the top line and jump
-counts over arrow-only paths; and, in tests, an independent reference for
-the event-by-event simulation that edge and yaglom use for independent
-replicas (TestIndependentReference).  The exact chain in spectral never
-reads a log.
+directed lines per neighbour pair.  A log serves the queries below,
+forward evolution, backward reachability to the top line and jump counts
+over arrow-only paths, which the benchmark asks of one fixed log; and, in
+tests, an independent reference for the event-by-event simulation that
+edge and yaglom use for independent replicas (TestIndependentReference).
+Neither edge nor yaglom reads a log, and neither does the exact chain in
+spectral.
 
 A log never changes, so it keeps what its queries derive from it: its marks
 as plain lists, and its last backward sweep, one entry, so that repeated
@@ -24,7 +24,6 @@ reachability.
 from __future__ import annotations
 
 import logging
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,22 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels as K
-from .errors import (CensoredError, ParameterError, check_integer,
-                     check_positive, check_seed, check_sites, check_time)
+from .errors import (ParameterError, check_integer, check_positive,
+                     check_seed, check_sites, check_time)
 
 logger = logging.getLogger(__name__)
-
-
-def ceil_beta_t(beta, t):
-    """Integer jump budget for slope beta over duration t.
-
-    Rounds beta*t up to the next integer, with a small backward nudge so
-    products that are mathematically integral (18 * 10) are not pushed up
-    by float noise.
-    """
-    check_positive(beta, "beta")
-    check_time(t, "duration")
-    return max(0, int(math.ceil(beta * t - 1e-9)))
 
 
 # ===== domain types =====
@@ -336,13 +323,6 @@ class BackwardReach:
         site, time = point
         return self.query(site, time)
 
-    def at(self, s):
-        """Configuration of all sites x with (x, s) reaching the top line."""
-        k = self._marks_below(s)
-        lo = self.window.lo
-        return Configuration(x + lo for x, flips in enumerate(self._flips)
-                             if _reaches(flips, k))
-
 
 def _reaches(flips, k):
     """Whether a site whose reach bit changes at the ascending mark indices
@@ -374,24 +354,3 @@ def max_jump_count(z, s, log, t):
     best, cen = K.jump_dp(log.times, log.kinds, log.src, log.dst, len(log),
                           J, w.lo, w.hi, z, float(s), float(s + t))
     return int(best), bool(cen)
-
-
-def is_good(z, s, log, beta, t):
-    """Whether every lambda-path from (z, s) makes fewer than ceil(beta*t)
-    jumps within (s, s+t].  Raises CensoredError instead of guessing when
-    the jump cloud hit the window boundary."""
-    count, cen = max_jump_count(z, s, log, t)
-    if cen:
-        raise CensoredError(
-            f"jump cloud from ({z}, {s}) touched the window boundary; "
-            "enlarge the window to decide goodness")
-    return count < ceil_beta_t(beta, t)
-
-
-def is_good_pair(z, s, log, beta, t):
-    """Goodness of z and of its partner z + 2*ceil(beta*t), jointly."""
-    partner = z + 2 * ceil_beta_t(beta, t)
-    if not log.window.contains_site(partner):
-        raise CensoredError(
-            f"partner site {partner} outside window; enlarge the window")
-    return is_good(z, s, log, beta, t) and is_good(partner, s, log, beta, t)

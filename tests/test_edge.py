@@ -18,8 +18,6 @@ from cpqsd.edge import (
     clip_key,
     cylinder_restrict,
     decode_key,
-    default_beta,
-    edge_evolve,
     encode_key,
     recenter,
     sample_edge_distribution,
@@ -92,8 +90,7 @@ class TestRecenterAndKeys:
         assert clip_key({0, -7}, 8) == (encode_key({0, -7}, 8), 0)
         assert clip_key({0, -8}, 8) == (1, 1)
 
-    def test_beta_defaults(self):
-        assert default_beta(0.5) == 18.0
+    def test_full_interval_depth_is_a_nonnegative_integer(self):
         assert FullInterval(0).M == 0
         with pytest.raises(ParameterError):
             FullInterval(-1)
@@ -312,47 +309,6 @@ class TestFullIntervalStandIn:
         # the truncation's own spread is nothing beside the error bar
         assert abs(clip - kill) < 0.01 * err
         assert abs(density - clip) <= 4.0 * err
-
-
-class TestFlowConsistency:
-
-    def test_two_legs_equal_one(self):
-        window = SiteWindow(-14, 6, 3.0)
-        for seed in range(40):
-            log = sample_event_log(window, 0.7, seed=seed)
-            zeta = EdgeConfiguration({-2, 0})
-            one = edge_evolve(zeta, -1, log, 0.0, 2.9)
-            mid = edge_evolve(zeta, -1, log, 0.0, 1.3)
-            two = edge_evolve(mid[0], mid[1], log, 1.3, 2.9)
-            assert two[0] == one[0]
-            # an extinct process has no edge position
-            if one[0]:
-                assert two[1] == one[1]
-
-    @settings(derandomize=True, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1),
-           zeta=st.sets(st.integers(-4, -1), max_size=3),
-           offset=st.integers(-8, 4), s=st.floats(0.0, 3.0))
-    def test_two_steps_equal_one(self, seed, zeta, offset, s):
-        # edge_evolve composes: stepping to s and on to t, from the edge
-        # and offset of the first step, ends where one step to t ends
-        log = sample_event_log(SiteWindow(-14, 6, 3.0), 0.7, seed)
-        zeta = EdgeConfiguration(zeta | {0})
-        one = edge_evolve(zeta, offset, log, 0.0, 3.0)
-        mid = edge_evolve(zeta, offset, log, 0.0, s)
-        two = edge_evolve(mid[0], mid[1], log, s, 3.0)
-        assert two[0] == one[0]
-        # an extinct process has no edge position
-        if one[0]:
-            assert two[1] == one[1]
-        assert one[2] == (mid[2] or two[2])
-
-    def test_shift_is_absolute_position(self):
-        window = SiteWindow(-10, 10, 2.0)
-        log = sample_event_log(window, 0.5, seed=3)
-        zeta, offset, _ = edge_evolve(EdgeConfiguration({0}), 4, log, 0.0, 2.0)
-        if zeta:
-            assert -10 <= offset <= 10
 
 
 class TestSampleDistribution:

@@ -4,9 +4,10 @@ the exact semigroup, and the walk and its arrays' row sums against a
 reference built from the generator's rows and its own splitmix64), the
 free-process walks (each lockstep replica against the one-replica path on
 its word, window and capacity growth, keys read from the bitmap), both
-lockstep walks against themselves at other block lengths, and guards that every public kernel, and every other public function and
-method of the package, has a caller, and that every function the
-benchmark's tracer wraps exists."""
+lockstep walks against themselves at other block lengths, and guards that
+every public kernel, and every other public function and method of the
+package, has a caller, and that every function the benchmark's tracer
+wraps exists."""
 
 import ast
 import collections
@@ -60,12 +61,6 @@ def test_every_kernel_has_a_caller():
 # public functions and methods with no caller in src/, bench/ or
 # perfbench/, each with the reason it stays
 _UNCALLED = {
-    "default_beta": "good points: kept or deleted with ROADMAP item 4's "
-                    "coupling decision",
-    "is_good_pair": "good points, as default_beta",
-    "edge_evolve": "steps on a shared log, for item 4's coupling times",
-    "BackwardReach.at": "the reached line at one time, for item 4's "
-                        "break points",
     "h_estimate": "the h of the decay triple (alpha, nu, h), which "
                   "alpha_estimate and yaglom_estimate do not give",
 }

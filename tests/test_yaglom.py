@@ -10,15 +10,13 @@ import pytest
 from cpqsd import yaglom
 from cpqsd.edge import (EdgeConfiguration, EmpiricalDistribution, Finite,
                         FreePopulation, FullInterval, clip_key,
-                        cylinder_restrict, decode_key, default_beta,
-                        edge_evolve, encode_key, recenter,
+                        cylinder_restrict, decode_key, encode_key, recenter,
                         sample_edge_distribution, simulate_edge_trajectory,
                         tv_distance)
 from cpqsd.errors import (ParameterError, check_integer, check_positive,
                           check_time)
-from cpqsd.graphical import (EventLog, SiteWindow, ceil_beta_t, evolve,
-                             max_jump_count, reach_backward,
-                             sample_event_log)
+from cpqsd.graphical import (EventLog, SiteWindow, evolve, max_jump_count,
+                             reach_backward, sample_event_log)
 from cpqsd.spectral import (POLICY_CLIP, POLICY_KILL, build_generator,
                             dominant_eigenpair, key_to_index, survival_curve,
                             vector_distribution, yaglom_exact)
@@ -115,6 +113,15 @@ def test_empty_start_is_rejected():
     with pytest.raises(ParameterError):
         yaglom.yaglom_estimate(3.9, 0.5, 1.0, 10, yaglom.Splitting(), 4, 0,
                                gen=build_generator(4, 0.5))
+
+
+def test_start_sites_just_inside_the_bound_are_taken():
+    # |x| < 2**30 is the bound; a population built there is never advanced
+    words = yaglom._words((0, 0), 2)
+    for x in (2**30 - 1, -(2**30 - 1)):
+        pop = FreePopulation([x], 0.5, 2, words)
+        assert pop.sites[:, 0].tolist() == [x, x]
+        assert pop.occ[0, x - pop.lo] == 1
 
 
 def test_time_zero_counts_replicas_with_clipped_offsets():
@@ -445,9 +452,6 @@ def _bad_input_calls():
             EmpiricalDistribution(6, {1: 1.0}), 2.5),
         "event-log-tuple-window": lambda: EventLog((0, 3, 1.0), [], [], [],
                                                    []),
-        "ceil-beta-t-negative-beta": lambda: ceil_beta_t(-1.0, 1.0),
-        "ceil-beta-t-nan-time": lambda: ceil_beta_t(1.0, math.nan),
-        "default-beta-nan-lambda": lambda: default_beta(math.nan),
         "key-to-index-float-key": lambda: key_to_index(3.0),
         "decode-key-float-key": lambda: decode_key(3.0, 4),
         "encode-key-fractional-offset": lambda: encode_key({0, -0.5}, 4),
@@ -489,7 +493,6 @@ def _bad_input_calls():
         "sample-distribution-int-start": lambda: sample_edge_distribution(
             5, 0.5, 1.0, 4, 0, 2),
         "evolve-int-start": lambda: evolve(5, log, 0.0, 1.0),
-        "edge-evolve-int-start": lambda: edge_evolve(5, 0, log, 0.0, 1.0),
         # a depth-9 law was read off a depth-4 chain
         "yaglom-chain-depth-above-L": estimate(init=1, depth=9, gen=g4),
         "vector-distribution-short-vector": lambda: vector_distribution(
@@ -505,9 +508,6 @@ def _bad_input_calls():
         "reach-backward-string-time": lambda: reach_backward(log, "1"),
         "reach-query-string-time": lambda: reach_backward(log, 1.0).query(
             0, "0.5"),
-        "reach-at-string-time": lambda: reach_backward(log, 1.0).at("0.5"),
-        "edge-evolve-string-offset": lambda: edge_evolve({0}, "1", log, 0.0,
-                                                         1.0),
         "empirical-distribution-key-beyond-depth":
             lambda: EmpiricalDistribution(4, {99: 1.0}),
         "empirical-distribution-even-key": lambda: EmpiricalDistribution(
@@ -575,6 +575,19 @@ def _bad_input_calls():
             [0], 0.5, 4, words4.astype(np.int64)),
         "population-list-words": lambda: FreePopulation([0], 0.5, 4,
                                                         words4.tolist()),
+        # a site beyond int32 was stored wrapped, and one near its edge
+        # wrapped during the walk; nothing here ever advances a population
+        "population-site-2**32": lambda: FreePopulation([2**32], 0.5, 2,
+                                                        words4[:2]),
+        "population-sites-above-2**31": lambda: FreePopulation(
+            [2**31 + 5, 2**31 + 6], 0.5, 4, words4),
+        "population-site-2**31-5": lambda: FreePopulation([2**31 - 5], 1.6,
+                                                          4, words4),
+        "population-site--2**30": lambda: FreePopulation([-2**30], 0.5, 4,
+                                                         words4),
+        "yaglom-site-2**31-5": estimate(init={2**31 - 5}),
+        "alpha-site-2**31-5": lambda: yaglom.alpha_estimate(
+            {2**31 - 5}, 0.5, (1.0, 2.0, 3.0), 10, 0),
         # a bool passed as a mark time or site
         "event-log-bool-time": lambda: EventLog(SiteWindow(0, 3, 1.0),
                                                 [True], [0], [1], [1]),
