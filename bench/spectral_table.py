@@ -1,13 +1,17 @@
 """Decay rate alpha(L) of the depth-L chain under both truncation policies.
 
-Builds and solves build_generator(L, lam, policy) for L = 2 .. max-L and
-writes one JSON record: per (L, policy) the decay rate, both residuals,
-the solver's iteration count (its applications of Q or Q.T), state and
-nonzero counts, build and solve seconds, the semigroup series' seconds
-(`series_s`: the benchmark's `law` op, survival_curve(gen, 1, t = 1..16)
-and yaglom_exact(gen, 1, 8.0)), and the process's peak resident memory so
-far (depths run in increasing order and the chain doubles with each L, so
-that peak is the current depth's).  Both truncations only
+Builds and solves build_generator(L, lam, policy) for L = min-L .. max-L
+and writes one JSON record: per (L, policy) the decay rate, both
+residuals, the solver's iteration count (its applications of Q or Q.T),
+state and nonzero counts, build and solve seconds, the semigroup series'
+seconds (`series_s`: the benchmark's `law` op, survival_curve(gen, 1,
+t = 1..16) and yaglom_exact(gen, 1, 8.0)), and the process's peak resident
+memory twice: `build_peak_mb` right after the build, before the solve,
+and `peak_rss_mb` after the series (depths run in increasing order and
+the chain doubles with each L, so that peak is the current depth's).  Both
+are peaks of the whole process so far: a row measures its own build only
+when it is the first in its process, so measure a deep build alone with
+--min-L L --max-L L --policy clip (or kill).  Both truncations only
 remove infected sites, so alpha_kill(L) >= alpha_clip(L) >= alpha: they
 do not bracket the untruncated rate, and `spread` lists kill - clip per
 depth.  `convergence` lists per depth the ratio of successive alpha_clip
@@ -15,6 +19,8 @@ differences and the Aitken delta-squared limit of alpha_clip(L-2..L), with
 the distance to the previous depth's limit as its error.
 
     PYTHONPATH=src python bench/spectral_table.py --out BENCH_2.json
+    PYTHONPATH=src python bench/spectral_table.py --lam 1.3 --min-L 21 \
+        --max-L 21 --policy clip
 """
 
 from __future__ import annotations
@@ -35,6 +41,11 @@ from cpqsd import spectral as S
 
 # the survival curve's times in the benchmark's `law` op
 TIMES = [float(t) for t in range(1, 17)]
+
+
+def peak_mb():
+    """The process's peak resident memory so far, in MB."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def convergence(alpha):
@@ -61,16 +72,23 @@ def convergence(alpha):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--lam", type=float, default=0.5)
+    ap.add_argument("--min-L", type=int, default=2)
     ap.add_argument("--max-L", type=int, default=S._MAX_L)
+    ap.add_argument("--policy", choices=(S.POLICY_CLIP, S.POLICY_KILL),
+                    default=None, help="one policy (default both)")
     ap.add_argument("--out", default=None, help="JSON file (default stdout)")
     args = ap.parse_args(argv)
 
+    depths = range(args.min_L, args.max_L + 1)
+    policies = ((args.policy,) if args.policy
+                else (S.POLICY_CLIP, S.POLICY_KILL))
     rows = []
-    for L in range(2, args.max_L + 1):
-        for policy in (S.POLICY_CLIP, S.POLICY_KILL):
+    for L in depths:
+        for policy in policies:
             t0 = time.perf_counter()
             gen = S.build_generator(L, args.lam, policy)
             t1 = time.perf_counter()
+            build_peak = peak_mb()
             res = S.dominant_eigenpair(gen)
             t2 = time.perf_counter()
             S.survival_curve(gen, 1, TIMES)
@@ -84,28 +102,31 @@ def main(argv=None):
                 "iterations": res.iterations,
                 "build_s": round(t1 - t0, 4), "solve_s": round(t2 - t1, 4),
                 "series_s": round(t3 - t2, 4),
-                "peak_rss_mb": round(resource.getrusage(
-                    resource.RUSAGE_SELF).ru_maxrss / 1024, 1)})
+                "build_peak_mb": build_peak, "peak_rss_mb": peak_mb()})
             del gen, res
             print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
 
     alpha = {(r["L"], r["policy"]): r["alpha"] for r in rows}
+    command = ("PYTHONPATH=src python bench/spectral_table.py "
+               f"--lam {args.lam} --min-L {args.min_L} --max-L {args.max_L}")
     record = {
-        "what": "alpha(L) of the depth-L truncated chain, clip and kill",
-        "command": "PYTHONPATH=src python bench/spectral_table.py "
-                   f"--lam {args.lam} --max-L {args.max_L}",
+        "what": "alpha(L) of the depth-L truncated chain, "
+                + " and ".join(policies),
+        "command": command + (f" --policy {args.policy}"
+                              if args.policy else ""),
         "USE_NUMBA": bool(_kernels.USE_NUMBA),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__},
         "lambda": args.lam,
+        "min_L": args.min_L,
         "max_L": args.max_L,
         "rows": rows,
         "spread": [{"L": L, "alpha_clip": alpha[L, S.POLICY_CLIP],
                     "alpha_kill": alpha[L, S.POLICY_KILL],
                     "width": alpha[L, S.POLICY_KILL] - alpha[L, S.POLICY_CLIP]}
-                   for L in range(2, args.max_L + 1)],
-        "convergence": convergence({L: alpha[L, S.POLICY_CLIP]
-                                    for L in range(2, args.max_L + 1)}),
+                   for L in depths if args.policy is None],
+        "convergence": convergence({L: alpha[L, S.POLICY_CLIP] for L in depths
+                                    if args.policy != S.POLICY_KILL}),
     }
     text = json.dumps(record, indent=1) + "\n"
     if args.out:

@@ -78,6 +78,11 @@ class FullInterval:
 
 def _init_sites(init):
     if isinstance(init, FullInterval):
+        # FreePopulation's bound on start sites, checked before M + 1 of
+        # them are built
+        if init.M >= 2**30:
+            raise ParameterError(f"FullInterval depth must be below 2**30, "
+                                 f"got {init.M}")
         return list(range(-init.M, 1))
     if not isinstance(init, Finite):
         init = Finite(init)

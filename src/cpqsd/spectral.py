@@ -38,13 +38,13 @@ from .errors import (ParameterError, ResolutionError, check_integer,
 POLICY_CLIP = "clip"
 POLICY_KILL = "kill"
 
-# deepest chain measured to build and solve (2-core, 8 GB machine, by the
-# ARPACK solver this module once used): 2^21 states, 45M nonzeros, 1.7 GB
-# peak, 80 s; each further L doubles both.  At L = 20 the Krylov solver
-# peaked 40 MB lower and solved in 6.6-7.5 s against 9.0-9.4 s; with its
-# two solves on two threads it solves in 4.1-4.6 s against 5.0-5.5 s in
-# series, at a peak of 405-415 MB (BENCH_21.json)
-_MAX_L = 22
+# deepest chain measured end to end: build, dominant_eigenpair,
+# survival_curve(gen, 1, 1..16) and yaglom_exact(gen, 1, 8), at lambda 0.5
+# and 1.3 under both policies, each in a fresh process on a 2-core, 8 GB
+# machine (BENCH_27.json).  L 23 has 2^22 states and 93M nonzeros; its
+# build peaks at 1.3 GB in 6-7 s and the whole run at 2.9-3.0 GB in 3-5 min.
+# Each further L doubles the memory, and L 24 would need 6 GB.
+_MAX_L = 23
 # the eigen-solver's Krylov basis size and the Ritz vectors it keeps at
 # each restart
 _BASIS = 12
@@ -108,6 +108,18 @@ def build_generator(L, lam, policy=POLICY_CLIP):
     (-L, 0) at rate lambda per infected neighbour; infection of -L per
     policy; infection of +1 at rate lambda shifts everything left by one,
     the overflowing offset handled per policy.
+
+    Q is written straight into CSR arrays at their final size.  Each event
+    type gives each row at most one entry, so the row lengths are counted
+    from the keys' bits first and indptr is their cumulative sum; then each
+    event type, in the order above, writes its target and rate into the
+    next free slot of each row it moves, and the diagonal comes last.
+    Q.sum_duplicates() then sorts each row in place and merges the targets
+    two events share (from key 0b11 the recovery of -1 and the recentring
+    both reach the singleton).  Rows enter the sort in the order that
+    scipy's COO -> CSR conversion of the concatenated per-event blocks gave
+    them, so indptr, indices and data equal that build's to the bit, at
+    a peak of the CSR plus one event type's arrays.
     """
     L = check_integer(L, "depth L")
     if not 1 <= L <= _MAX_L:
@@ -118,21 +130,37 @@ def build_generator(L, lam, policy=POLICY_CLIP):
     n = 1 << (L - 1)
     mask = (1 << L) - 1
     # int32 keys: even the shifted key stays below 2^(L + 1)
-    idx = np.arange(n, dtype=np.int32)
-    key = 2 * idx + 1
-    # one block of (rows, cols, rates) per event type, each with at most one
-    # entry per row; blocks are summed into the exit rates in event order
-    rows, cols, rates = [], [], []
+    key = np.arange(1, 2 * n, 2, dtype=np.int32)
+    # infection of +1: left shift, re-pin at the new rightmost site
+    shifted = (key << 1) | 1
+    if policy == POLICY_KILL:
+        moves = shifted <= mask
+    else:
+        shifted &= mask
+        moves = shifted != key
+    # entries per row: the diagonal, one per offset in (-L, 0) that is
+    # infected (its recovery) or has an infected neighbour (its infection),
+    # the pinned site's recovery unless it is alone, and the shift
+    count = (np.bitwise_count((key | key << 1 | key >> 1) & (mask & ~1))
+             + (key != 1) + moves + 1)
+    # int32 indices: nnz stays below 2^31 up to _MAX_L
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(count, out=indptr[1:])
+    del count
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    # each row's next free slot
+    slot = indptr[:-1].copy()
+    # the exit rates sum each row's events in event order
     out_rate = np.zeros(n)
     absorption = np.zeros(n)
 
     def emit(sel, tkey, rate):
-        r = idx[sel]
-        rate = np.broadcast_to(rate, key.shape)[sel]
-        rows.append(r)
-        cols.append(tkey[sel] >> 1)
-        rates.append(rate)
-        out_rate[r] += rate
+        at = slot[sel]
+        indices[at] = tkey[sel] >> 1
+        data[at] = np.broadcast_to(rate, key.shape)[sel]
+        np.add(out_rate, rate, out=out_rate, where=sel)
+        slot[:] += sel
 
     # recoveries away from the pinned site
     for i in range(1, L):
@@ -143,6 +171,7 @@ def build_generator(L, lam, policy=POLICY_CLIP):
     alive = rest != 0
     absorption[~alive] += 1.0
     emit(alive, rest // np.where(alive, rest & -rest, 1), 1.0)
+    del rest, alive
     # infections of healthy offsets inside the depth (key >> L is 0, so the
     # deepest offset has only its upper neighbour)
     for i in range(1, L):
@@ -151,24 +180,14 @@ def build_generator(L, lam, policy=POLICY_CLIP):
     # infection of the site just below the depth
     if policy == POLICY_KILL:
         absorption[key >> (L - 1) & 1 == 1] += lam
-    # infection of +1: left shift, re-pin at the new rightmost site
-    shifted = (key << 1) | 1
-    inside = shifted <= mask
-    if policy == POLICY_KILL:
-        absorption[~inside] += lam
-        emit(inside, shifted, lam)
-    else:
-        clipped = shifted & mask
-        emit(clipped != key, clipped, lam)
+        absorption[~moves] += lam
+    # infection of +1, whose targets the row lengths needed first
+    emit(moves, shifted, lam)
 
-    rows.append(idx)
-    cols.append(idx)
-    rates.append(-(out_rate + absorption))
-    # rebinding frees each list of blocks as soon as it is joined
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    rates = np.concatenate(rates)
-    Q = sp.csr_matrix((rates, (rows, cols)), shape=(n, n))
+    indices[slot] = key >> 1
+    data[slot] = -(out_rate + absorption)
+    Q = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    Q.sum_duplicates()
     return TruncatedGenerator(L, float(lam), policy, Q, absorption)
 
 

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,38 @@ class TestGeneratorOracle:
             build_generator(4, math.inf)
         with pytest.raises(ParameterError):
             build_generator(4, 0.5, "chop")
+
+    @pytest.mark.parametrize("lam", [0.5, 1.3])
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    def test_csr_is_canonical(self, policy, lam):
+        # each row sorted, without a repeated column, with one diagonal
+        # entry: the oracle tests compare rows as dicts and see none of this
+        for L in range(1, 13):
+            Q = build_generator(L, lam, policy).Q
+            assert Q.has_canonical_format
+            n = Q.shape[0]
+            assert len(Q.indices) == len(Q.data) == Q.indptr[-1]
+            rows = np.repeat(np.arange(n), np.diff(Q.indptr))
+            same_row = rows[1:] == rows[:-1]
+            assert np.all(np.diff(Q.indices)[same_row] > 0)
+            diagonal = np.bincount(rows[Q.indices == rows], minlength=n)
+            assert np.array_equal(diagonal, np.ones(n))
+
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    def test_build_peaks_near_its_csr(self, policy):
+        # the build writes the CSR in place, beside one event type's arrays;
+        # per-event COO blocks, their concatenation and scipy's COO -> CSR
+        # conversion peaked at 2.4x
+        tracemalloc.start()
+        try:
+            gen = build_generator(14, 0.5, policy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        Q = gen.Q
+        held = (Q.indptr.nbytes + Q.indices.nbytes + Q.data.nbytes
+                + gen.absorption.nbytes)
+        assert peak <= 1.6 * held
 
     def test_key_index_bijection(self):
         for idx in range(16):

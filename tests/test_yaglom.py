@@ -3,10 +3,14 @@ its start configurations, and its estimates checked against the exact
 truncated chain."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cpqsd
 from cpqsd import yaglom
 from cpqsd.edge import (EdgeConfiguration, EmpiricalDistribution, Finite,
                         FreePopulation, FullInterval, clip_key,
@@ -122,6 +126,41 @@ def test_start_sites_just_inside_the_bound_are_taken():
         pop = FreePopulation([x], 0.5, 2, words)
         assert pop.sites[:, 0].tolist() == [x, x]
         assert pop.occ[0, x - pop.lo] == 1
+
+
+# each call on a FullInterval of depth 2**30 or more, in a child whose
+# address space is capped at 3 GiB: a start built before its check fails
+# there with MemoryError rather than filling the machine
+_HUGE_START = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from cpqsd import yaglom
+from cpqsd.edge import FullInterval, sample_edge_distribution
+for M in (2**30, 2**31):
+    for name, call in (
+            ("yaglom", lambda: yaglom.yaglom_estimate(
+                FullInterval(M), 0.5, 1.0, 10, yaglom.Splitting(), 4, 0)),
+            ("alpha", lambda: yaglom.alpha_estimate(
+                FullInterval(M), 0.5, (1.0, 2.0, 3.0), 10, 0)),
+            ("sample", lambda: sample_edge_distribution(
+                FullInterval(M), 0.5, 1.0, 10, 0, 4))):
+        try:
+            call()
+            print(name, M, "ran")
+        except Exception as exc:
+            print(name, M, type(exc).__name__)
+"""
+
+
+def test_huge_full_interval_is_rejected_before_its_sites_exist():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cpqsd.__file__)))
+    out = subprocess.run([sys.executable, "-c", _HUGE_START], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == [
+        f"{name} {M} ParameterError" for M in (2**30, 2**31)
+        for name in ("yaglom", "alpha", "sample")] + [""]
 
 
 def test_time_zero_counts_replicas_with_clipped_offsets():
