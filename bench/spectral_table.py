@@ -5,7 +5,9 @@ and writes one JSON record: per (L, policy) the decay rate, both
 residuals, the solver's iteration count (its applications of Q or Q.T),
 state and nonzero counts, build and solve seconds, the semigroup series'
 seconds (`series_s`: the benchmark's `law` op, survival_curve(gen, 1,
-t = 1..16) and yaglom_exact(gen, 1, 8.0)), and the process's peak resident
+t = 1..16) and yaglom_exact(gen, 1, 8.0)) and of the conditioned law alone
+(`law_s`: yaglom_exact(gen, 1, 8.0), whose products split over two threads
+from spectral._SPLIT_NNZ nonzeros), and the process's peak resident
 memory twice: `build_peak_mb` right after the build, before the solve,
 and `peak_rss_mb` after the series (depths run in increasing order and
 the chain doubles with each L, so that peak is the current depth's).  Both
@@ -92,8 +94,9 @@ def main(argv=None):
             res = S.dominant_eigenpair(gen)
             t2 = time.perf_counter()
             S.survival_curve(gen, 1, TIMES)
-            S.yaglom_exact(gen, 1, 8.0)
             t3 = time.perf_counter()
+            S.yaglom_exact(gen, 1, 8.0)
+            t4 = time.perf_counter()
             rows.append({
                 "L": L, "policy": policy, "nstates": gen.nstates,
                 "nnz": int(gen.Q.nnz), "alpha": res.alpha,
@@ -101,7 +104,7 @@ def main(argv=None):
                 "residual_right": res.residual_right,
                 "iterations": res.iterations,
                 "build_s": round(t1 - t0, 4), "solve_s": round(t2 - t1, 4),
-                "series_s": round(t3 - t2, 4),
+                "series_s": round(t4 - t2, 4), "law_s": round(t4 - t3, 4),
                 "build_peak_mb": build_peak, "peak_rss_mb": peak_mb()})
             del gen, res
             print(json.dumps(rows[-1]), file=sys.stderr, flush=True)

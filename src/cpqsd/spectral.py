@@ -10,8 +10,11 @@ depth; its two solves, nu on Q.T and h on Q, run at once on two threads.
 The semigroup series runs on both cores too: a survival mass v P^k 1 is
 the product (v P^i).(P^j 1) with i + j = k, so the left powers come on the
 calling thread and the right ones on a worker, in blocks of _BLOCK.  Those
-masses agree with a one-sided sum within relative _RTOL, not to the bit;
-the conditioned law stays on one thread and is the same to the bit.
+masses agree with a one-sided sum within relative _RTOL, not to the bit.
+The conditioned law needs the powers v P^k themselves: on chains of at
+least _SPLIT_NNZ nonzeros each power is split by rows, the top half on the
+calling thread and the bottom half on a worker, and every entry is the
+same row sum in the same order, so the law is the same to the bit.
 
 Truncation policies: "clip" silently discards infections that would land
 at or below -L (self-loops are simply not transitions), "kill" routes that
@@ -24,7 +27,10 @@ alpha.  Measured, not proved: alpha_clip(L) falls at every L toward alpha.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import queue
 import threading
 from dataclasses import dataclass, field
 
@@ -64,6 +70,13 @@ _RTOL = 1e-12
 # 16 measured about even at L 12-16 and 8 the faster at L 18, where a
 # longer block computes more powers past the last term (BENCH_22.json)
 _BLOCK = 8
+# P^T's nonzeros from which the law pass splits each product by rows over
+# two threads; below it the handovers cost more than the second core
+# gains.  The split/serial time of yaglom_exact(gen, 1, 8) (clip, lambda
+# 0.5, median ratio of interleaved pairs; BENCH_28.json) read 1.94 at L 12,
+# 1.46 at L 13, 1.14 at L 14 (118k nonzeros), 0.92 at L 15 (250k), 0.78 at
+# L 16, 0.84 at L 17 and 0.68 at L 18
+_SPLIT_NNZ = 1 << 17
 
 
 def key_to_index(key):
@@ -85,7 +98,9 @@ class TruncatedGenerator:
 
     Q carries the full generator including the diagonal; `absorption[i]` is
     the rate from state i to the empty set, so every row satisfies
-    sum(off-diagonal) + absorption = -diagonal.
+    sum(off-diagonal) + absorption = -diagonal.  `walk` keeps the arrays
+    of the chain's Monte Carlo walk once an estimator has built them
+    (yaglom._walk_of); it is no part of the generator's repr or equality.
     """
 
     L: int
@@ -93,6 +108,8 @@ class TruncatedGenerator:
     policy: str
     Q: sp.csr_matrix = field(repr=False)
     absorption: np.ndarray = field(repr=False)
+    walk: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     @property
     def nstates(self):
@@ -389,53 +406,141 @@ def _series(gen, v, times, law=False):
     mass is sum_k w_k a_k with a_k = v P^k 1.  The powers come _BLOCK at a
     time into a preallocated (_BLOCK + 1, n) array, whose row 0 carries the
     last power of the block before, and _Poisson does the bookkeeping once
-    per block.
+    per block.  sigma and P^T's diagonal come from one read of Q's.
 
-    With law=True one thread computes u_k = v P^k; a_k = sum(u_k), and the
+    With law=True the pass computes u_k = v P^k; a_k = sum(u_k), and the
     largest time adds w_k u_k to the row in k order, so the row is the same
-    to the bit as a pass that computes one power per term.  Without it the
-    masses split over two threads as a_{i+j} = (v P^i).(P^j 1): the calling
-    thread computes u_i, a worker thread started and joined here computes
-    r_j = P^j 1 as r + (Q r)/sigma from gen.Q, so no second copy of the
-    matrix is made, and a_{2I+s} = u_{I+ceil(s/2)}.r_{I+floor(s/2)} for
-    s = 0 .. 2 _BLOCK - 1 from one block of each side, whose row 0 holds
-    u_I and r_I.  The two sides hand over once per block, and the dot
-    products go through np.einsum, numpy's own loops, not BLAS (see
-    _rightmost).  A thread per call, not a pool, because a pool's worker
-    does not exist in a child made by os.fork.  These masses round
-    differently from sum(u_k): they are the same within relative _RTOL,
-    not to the bit.  Returns ({t: mass}, row), the row None unless
-    law=True; with no time t > 0 it returns ({}, None) at once.
+    to the bit as a pass that computes one power per term (see _law).
+    When P^T has at least _SPLIT_NNZ nonzeros, each power is computed by
+    rows on two threads (_split_rows), with the same bits.
+
+    Without law=True the masses split over two threads as a_{i+j} =
+    (v P^i).(P^j 1): the calling thread computes u_i, a worker thread
+    started and joined here computes r_j = P^j 1 as r + (Q r)/sigma from
+    gen.Q, so no second copy of the matrix is made, and a_{2I+s} =
+    u_{I+ceil(s/2)}.r_{I+floor(s/2)} for s = 0 .. 2 _BLOCK - 1 from one
+    block of each side, whose row 0 holds u_I and r_I.  The two sides hand
+    over once per block, and the dot products go through np.einsum, numpy's
+    own loops, not BLAS (see _rightmost).  A thread per call, not a pool,
+    because a pool's worker does not exist in a child made by os.fork.
+    These masses round differently from sum(u_k): they are the same within
+    relative _RTOL, not to the bit.  Returns ({t: mass}, row), the row None
+    unless law=True; with no time t > 0 it returns ({}, None) at once.
     """
     ts = np.array(sorted({t for t in times if t > 0}))
     if not ts.size:
         return {}, None
-    sigma = float((-gen.Q.diagonal()).max())
+    d = gen.Q.diagonal()
+    sigma = float((-d).max())
     # P^T from a transposed copy: Q stores every diagonal entry, so adding
     # 1 there keeps the sparsity pattern
     PT = gen.Q.T.tocsr()
     PT.data /= sigma
-    PT.setdiag(PT.diagonal() + 1.0)
+    PT.setdiag(d / sigma + 1.0)
     poisson = _Poisson(ts, sigma)
     U = np.empty((_BLOCK + 1, gen.nstates))
     U[0] = v
     if not law:
         return _paired(gen.Q, sigma, PT, U, poisson), None
-    row = np.zeros(gen.nstates)
-    k = 0
-    while poisson.open.any():
-        _powers(PT, U)
-        for w, u in zip(poisson.add(k, U[:-1].sum(axis=1)), U):
-            row += w * u
-        k += _BLOCK
-        U[0] = U[-1]
+    if PT.nnz < _SPLIT_NNZ:
+        row = _law(U, poisson, functools.partial(_power, PT))
+    else:
+        with _split_rows(PT) as product:
+            row = _law(U, poisson, product)
     return poisson.masses(), row
 
 
-def _powers(PT, U):
-    """U[j + 1] = U[j] P for j < _BLOCK, P^T given as PT."""
-    for j in range(_BLOCK):
-        U[j + 1] = PT @ U[j]
+def _law(U, poisson, product):
+    """_series' row, U holding u_0 in row 0; product(x, out) sets out to
+    x P.
+
+    Each block first asks _Poisson.needed how many of its terms the open
+    times can need, computes the powers for those only, and adds them; the
+    power that carries into the next block comes after, only if a time is
+    still open.  So the pass makes as many products as its last needed
+    term, where whole blocks would make up to _BLOCK - 1 more.  Should
+    rounding keep a time open past that bound, the pass goes on from the
+    last power; the row is the same to the bit wherever the blocks end.
+    """
+    row = np.zeros(U.shape[1])
+    k = 0
+    while poisson.open.any():
+        n = poisson.needed(k, _BLOCK, U[0].sum())
+        for j in range(n - 1):
+            product(U[j], U[j + 1])
+        for w, u in zip(poisson.add(k, U[:n].sum(axis=1)), U):
+            row += w * u
+        k += n
+        if poisson.open.any():
+            product(U[n - 1], U[n])
+            U[0] = U[n]
+    return row
+
+
+def _power(PT, x, out):
+    """out = x P, P^T given as PT."""
+    out[:] = PT @ x
+
+
+def _halves(PT):
+    """PT's rows as two CSR matrices, cut where its nonzeros split evenly.
+
+    Both sit on views of PT's indices and data; only the lower half's row
+    pointers, shifted to start at 0, are new.  Their arrays are set after
+    construction, because scipy's constructor copies a view of less than
+    half its base array."""
+    n = PT.shape[0]
+    h = int(np.searchsorted(PT.indptr, PT.nnz // 2))
+    p = PT.indptr[h]
+    top = sp.csr_matrix((h, n))
+    top.indptr = PT.indptr[:h + 1]
+    top.indices = PT.indices[:p]
+    top.data = PT.data[:p]
+    bottom = sp.csr_matrix((n - h, n))
+    bottom.indptr = PT.indptr[h:] - p
+    bottom.indices = PT.indices[p:]
+    bottom.data = PT.data[p:]
+    return top, bottom
+
+
+@contextlib.contextmanager
+def _split_rows(PT):
+    """product(x, out), setting out to x P by PT's rows on two threads:
+    the top half (_halves) on the calling thread and the bottom half on a
+    worker thread started on entry and joined on exit.  Each product hands
+    the worker one job and takes back one reply through C-level queues,
+    which cost less per handover than threading's semaphores.  Each entry
+    is the same row sum in the same order as in PT @ x, so out is the same
+    to the bit.  A worker's error is raised by the caller."""
+    top, bottom = _halves(PT)
+    h = top.shape[0]
+    jobs = queue.SimpleQueue()
+    replies = queue.SimpleQueue()
+
+    def lower():
+        while (job := jobs.get()) is not None:
+            x, out = job
+            try:
+                out[h:] = bottom @ x
+            except Exception as exc:  # handed to the caller, which raises it
+                replies.put(exc)
+                return
+            replies.put(None)
+
+    def product(x, out):
+        jobs.put((x, out))
+        out[:h] = top @ x
+        exc = replies.get()
+        if exc is not None:
+            raise exc
+
+    worker = threading.Thread(target=lower)
+    worker.start()
+    try:
+        yield product
+    finally:
+        jobs.put(None)
+        worker.join()
 
 
 def _paired(Q, sigma, PT, U, poisson):
@@ -471,7 +576,8 @@ def _paired(Q, sigma, PT, U, poisson):
     try:
         while poisson.open.any():
             go.release()
-            _powers(PT, U)
+            for j in range(_BLOCK):
+                U[j + 1] = PT @ U[j]
             done.acquire()
             if failed:
                 raise failed[0]
@@ -506,6 +612,31 @@ class _Poisson:
         self.mass = np.zeros(len(ts))
         self.open = np.ones(len(ts), dtype=bool)
 
+    def _weights(self, k0, n, o):
+        """(w, k): the weights of terms k0 .. k0 + n - 1 for the times o,
+        one row per term, and those k as a column."""
+        ks = range(k0, k0 + n)
+        k = np.array(ks, dtype=float)[:, None]
+        lgam = np.array([math.lgamma(j + 1) for j in ks])[:, None]
+        return np.exp(-self.m[o] + k * self.log_m[o] - lgam), k
+
+    def needed(self, k0, n, a0):
+        """How many of the terms k0 .. k0 + n - 1 the open times can need,
+        given a0 = a_{k0}: up to the first k >= 1 where a0 tail_k <= _RTOL
+        (mass + a0 sum_{k0<=i<=k} w_i), with tail_k _tail_bound's bound and
+        mass that of the terms before k0.  As a_k does not increase, a_k <=
+        a0 and the mass after term k is at least mass + a_k sum w_i, so
+        tail_k a_k <= _RTOL times that mass there: a time closes there at
+        the latest, up to rounding.  n where no term of the block
+        qualifies."""
+        o = np.flatnonzero(self.open)
+        w, k = self._weights(k0, n, o)
+        small = ((a0 * _tail_bound(w, self.m[o], k)
+                  <= _RTOL * (self.mass[o] + a0 * np.cumsum(w, axis=0)))
+                 & (k > 0))
+        return int(np.where(small.any(axis=0), small.argmax(axis=0) + 1,
+                            n).max())
+
     def add(self, k0, a):
         """Add the terms a_k, k = k0, k0 + 1, ..., given as the array a, to
         every open time's mass in k order, as a cumulative sum from its
@@ -515,10 +646,7 @@ class _Poisson:
         is still open past k_max, quoting the first such k."""
         o = np.flatnonzero(self.open)
         m = self.m[o]
-        ks = range(k0, k0 + len(a))
-        k = np.array(ks, dtype=float)[:, None]
-        lgam = np.array([math.lgamma(j + 1) for j in ks])[:, None]
-        w = np.exp(-m + k * self.log_m[o] - lgam)
+        w, k = self._weights(k0, len(a), o)
         mass = np.cumsum(np.vstack([self.mass[o], w * a[:, None]]), axis=0)[1:]
         tail = _tail_bound(w, m, k)
         # open after term k: no closing at any term up to k, and none at 0
@@ -608,7 +736,10 @@ def yaglom_exact(gen, start, t):
 
     The row v e^{Qt} is summed until its truncated tail has l1 norm below
     _RTOL times the mass kept, so the normalized law is within 2 _RTOL of
-    the exact one in l1 (up to rounding).
+    the exact one in l1 (up to rounding).  The pass makes one product by P
+    per term it adds and none past the last; from _SPLIT_NNZ nonzeros each
+    product runs on two threads, the calling one and a worker started and
+    joined per call (none when t = 0), with the same result to the bit.
     """
     t = float(check_time(t))
     v = _start_vector(gen, start)

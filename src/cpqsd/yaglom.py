@@ -77,6 +77,19 @@ def _chain_walk(gen):
             off + gen.absorption)
 
 
+def _walk_of(gen):
+    """_chain_walk(gen), built on the first call for gen and kept on it,
+    read-only, beside the Q and absorption it was built from; a generator
+    whose Q or absorption was since replaced gets a new one."""
+    kept = gen.walk
+    if kept is None or kept[0] is not gen.Q or kept[1] is not gen.absorption:
+        walk = _chain_walk(gen)
+        for a in walk:
+            a.flags.writeable = False
+        kept = gen.walk = (gen.Q, gen.absorption, walk)
+    return kept[2]
+
+
 class _ChainPopulation:
     """N replicas of the depth-L truncated chain, walked in lockstep on the
     arrays of _chain_walk."""
@@ -120,12 +133,12 @@ def _starter(lam, gen):
     """start(init) -> populate for gen's chain, or for the free process
     when gen is None.  init is a canonical key of the chain, else a
     nonempty finite set of sites; populate(n, words) makes n replicas
-    started from init, one kernel word each.  The chain's walk arrays are
-    built here, once for every start."""
+    started from init, one kernel word each.  The chain's walk arrays come
+    from _walk_of, once per generator."""
     if gen is not None and lam != gen.lam:
         raise ParameterError(
             f"lambda {lam} differs from the generator's {gen.lam}")
-    walk = None if gen is None else _chain_walk(gen)
+    walk = None if gen is None else _walk_of(gen)
 
     def start(init):
         if walk is None:

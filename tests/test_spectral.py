@@ -7,6 +7,7 @@ implementation uses.  At lambda = 0.5 every rate is a small multiple of
 the comparison is literal equality.
 """
 
+import contextlib
 import itertools
 import math
 import multiprocessing
@@ -604,9 +605,192 @@ class TestTwoThreadSeries:
         assert started == [1]
 
 
+def _force_split(monkeypatch, split):
+    """Make the law pass split its products by rows at every depth, or at
+    none."""
+    monkeypatch.setattr(cpqsd.spectral, "_SPLIT_NNZ", 0 if split else 1 << 62)
+
+
+def _law_in_child(law):
+    if not np.array_equal(yaglom_exact(build_generator(8, 0.5), 1, 8.0), law):
+        sys.exit(1)
+
+
+def _threads_started(monkeypatch):
+    """A list that gains an entry per thread spectral starts from now on."""
+    started = []
+    thread = threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(1)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(cpqsd.spectral.threading, "Thread", counted)
+    return started
+
+
+class TestSplitLawPass:
+    """With P^T's nonzeros at least _SPLIT_NNZ, the law pass computes the
+    top rows of each power on the calling thread and the bottom rows on a
+    worker thread, one started and joined per call."""
+
+    @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
+    @pytest.mark.parametrize("L", [8, 10, 12, 14, 16])
+    def test_split_and_serial_passes_are_equal(self, L, policy, monkeypatch):
+        gen = build_generator(L, 0.5, policy)
+        mixture = np.random.default_rng(L).random(gen.nstates)
+        got = {}
+        for split in (False, True):
+            _force_split(monkeypatch, split)
+            got[split] = [cpqsd.spectral._series(
+                gen, cpqsd.spectral._start_vector(gen, start), [1.0, t],
+                law=True) for start in (1, 5, mixture) for t in (0.3, 8.0)]
+        for (mass, row), (mass2, row2) in zip(got[False], got[True]):
+            assert mass == mass2
+            assert np.array_equal(row, row2)
+
+    def test_halves_are_views_of_one_copy(self):
+        PT = build_generator(10, 0.5).Q.T.tocsr()
+        top, bottom = cpqsd.spectral._halves(PT)
+        assert top.shape[0] + bottom.shape[0] == PT.shape[0]
+        # cut at the row where the nonzeros pass half
+        assert abs(top.nnz - bottom.nnz) <= 2 * np.diff(PT.indptr).max()
+        for half in (top, bottom):
+            assert np.shares_memory(half.data, PT.data)
+            assert np.shares_memory(half.indices, PT.indices)
+        x = np.random.default_rng(0).random(PT.shape[0])
+        assert np.array_equal(np.concatenate([top @ x, bottom @ x]), PT @ x)
+
+    def test_only_large_chains_split(self, monkeypatch):
+        started = _threads_started(monkeypatch)
+        for L in (14, 16):
+            gen = build_generator(L, 0.5)
+            yaglom_exact(gen, 1, 1.0)
+            assert len(started) == (gen.Q.nnz >= cpqsd.spectral._SPLIT_NNZ)
+            started.clear()
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("L, t", [(8, 0.3), (8, 8.0), (12, 8.0),
+                                      (14, 8.0)])
+    def test_products_stop_at_the_last_needed_term(self, L, t, split,
+                                                   monkeypatch):
+        # a block stops at the term where the series closes, not at the
+        # end of its _BLOCK powers
+        gen = build_generator(L, 0.5)
+        v = np.eye(1, gen.nstates)[0]
+        products = []
+        power, split_rows = cpqsd.spectral._power, cpqsd.spectral._split_rows
+
+        def counted_power(*args):
+            products.append(1)
+            return power(*args)
+
+        @contextlib.contextmanager
+        def counted_split(PT):
+            with split_rows(PT) as product:
+                def counted(*args):
+                    products.append(1)
+                    return product(*args)
+                yield counted
+
+        monkeypatch.setattr(cpqsd.spectral, "_power", counted_power)
+        monkeypatch.setattr(cpqsd.spectral, "_split_rows", counted_split)
+        _force_split(monkeypatch, split)
+        cpqsd.spectral._series(gen, v, [t], law=True)
+        closing = _series_by_term(gen, v, t)[2]
+        assert len(products) == closing
+        assert closing % cpqsd.spectral._BLOCK
+
+    def test_rows_equal_when_every_block_is_cut_short(self, monkeypatch):
+        # a bound that holds too few terms leaves the time open, and the
+        # pass goes on from the last power: the row is the same to the bit
+        gen = build_generator(10, 0.5, POLICY_KILL)
+        v = np.eye(1, gen.nstates)[0]
+        want = cpqsd.spectral._series(gen, v, [1.0, 8.0], law=True)
+        monkeypatch.setattr(cpqsd.spectral._Poisson, "needed",
+                            lambda self, k0, n, a0: 1 + k0 % 3)
+        for split in (False, True):
+            _force_split(monkeypatch, split)
+            mass, row = cpqsd.spectral._series(gen, v, [1.0, 8.0], law=True)
+            assert mass == want[0]
+            assert np.array_equal(row, want[1])
+
+    def test_worker_error_raised_by_the_caller(self, monkeypatch):
+        # the bottom rows fail on the worker while the top rows run on
+        caller = threading.get_ident()
+        halves = cpqsd.spectral._halves
+
+        class WorkerFails(type(build_generator(2, 0.5).Q)):
+            def __matmul__(self, x):
+                if threading.get_ident() != caller:
+                    raise ResolutionError("bottom rows failed")
+                return super().__matmul__(x)
+
+        def failing(PT):
+            top, bottom = halves(PT)
+            return top, WorkerFails(bottom)
+
+        monkeypatch.setattr(cpqsd.spectral, "_halves", failing)
+        _force_split(monkeypatch, True)
+        gen = build_generator(12, 0.5)
+        threads = threading.active_count()
+        with pytest.raises(ResolutionError, match="bottom rows failed"):
+            yaglom_exact(gen, 1, 8.0)
+        assert threading.active_count() == threads
+
+    def test_worker_joined_when_the_series_does_not_close(self, monkeypatch):
+        gen = build_generator(12, 0.5)
+        _force_split(monkeypatch, True)
+        monkeypatch.setattr(cpqsd.spectral, "_RTOL", -1.0)
+        threads = threading.active_count()
+        with pytest.raises(ResolutionError, match="did not close"):
+            yaglom_exact(gen, 1, 8.0)
+        assert threading.active_count() == threads
+
+    def test_no_thread_without_a_positive_time(self, monkeypatch):
+        gen = build_generator(8, 0.5)
+        _force_split(monkeypatch, True)
+        started = _threads_started(monkeypatch)
+        assert np.array_equal(yaglom_exact(gen, 1, 0.0),
+                              np.eye(1, gen.nstates)[0])
+        assert started == []
+        yaglom_exact(gen, 1, 1.0)
+        assert started == [1]
+
+    def test_concurrent_callers_match_a_serial_call(self, monkeypatch):
+        gen = build_generator(12, 0.5)
+        serial = yaglom_exact(gen, 1, 8.0)
+        _force_split(monkeypatch, True)
+        results = [None, None]
+
+        def law(i):
+            results[i] = yaglom_exact(gen, 1, 8.0)
+
+        threads = [threading.Thread(target=law, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for res in results:
+            assert np.array_equal(res, serial)
+
+    def test_forked_child_runs_the_pass(self, monkeypatch):
+        # the child inherits the forced split
+        law = yaglom_exact(build_generator(8, 0.5), 1, 8.0)
+        _force_split(monkeypatch, True)
+        assert _run_forked(_law_in_child, law) == 0
+
+
 def _series_by_term(gen, v, t):
-    """(mass, row) of v e^{Qt} by the uniformized series one term at a
-    time: u_k = v P^k, the weight w_k, and the closing check after each."""
+    """(mass, row, k) of v e^{Qt} by the uniformized series one term at a
+    time: u_k = v P^k, the weight w_k, and the closing check after each;
+    k is the closing term, so the series makes k products."""
     sigma = float((-gen.Q.diagonal()).max())
     PT = gen.Q.T.tocsr()
     PT.data /= sigma
@@ -624,7 +808,7 @@ def _series_by_term(gen, v, t):
         mass += w[0] * a
         row += w[0] * u
         if k and not _tail_bound(w, m, k)[0] * a > cpqsd.spectral._RTOL * mass:
-            return mass, row
+            return mass, row, k
         k += 1
 
 
@@ -678,14 +862,16 @@ class TestSemigroup:
 
     @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
     @pytest.mark.parametrize("L", [8, 12])
-    def test_law_pass_matches_the_loop_by_term(self, L, policy):
+    def test_law_pass_matches_the_loop_by_term(self, L, policy, monkeypatch):
         # the blocked law pass adds the same terms in the same order as
         # one power and one closing check per term, so its mass and row
-        # are the same to the bit; the paired survival masses are not
+        # are the same to the bit, its products split by rows or not; the
+        # paired survival masses are not
         gen = build_generator(L, 0.5, policy)
         v = np.eye(1, gen.nstates)[0]
-        for t in (0.3, 8.0):
-            mass, row = _series_by_term(gen, v, t)
+        for split, t in itertools.product((False, True), (0.3, 8.0)):
+            _force_split(monkeypatch, split)
+            mass, row, _ = _series_by_term(gen, v, t)
             got_mass, got_row = cpqsd.spectral._series(gen, v, [t], law=True)
             assert got_mass == {t: mass}
             assert np.array_equal(got_row, row)

@@ -269,6 +269,34 @@ def test_chain_splitting_weight_matches_survival_curve(seed):
     assert abs(z) < K_SIGMA
 
 
+def test_chain_walk_is_built_once_per_generator(monkeypatch):
+    built = []
+    chain_walk = yaglom._chain_walk
+
+    def counted(gen):
+        built.append(gen)
+        return chain_walk(gen)
+
+    monkeypatch.setattr(yaglom, "_chain_walk", counted)
+    gen = build_generator(8, 0.5)
+    first = yaglom.yaglom_estimate(1, 0.5, 2.0, 200, yaglom.Splitting(), 8,
+                                   3, gen=gen)
+    again = yaglom.yaglom_estimate(1, 0.5, 2.0, 200, yaglom.Splitting(), 8,
+                                   3, gen=gen)
+    yaglom.alpha_estimate(1, 0.5, (1.0, 2.0, 3.0), 200, 3, gen=gen)
+    yaglom.h_estimate([1, 3, 5], 0.4, 0.5, 1.0, 100, 8, 3, gen=gen)
+    assert built == [gen]
+    assert repr(again) == repr(first)
+    assert repr(gen) == repr(build_generator(8, 0.5))
+    assert not any(a.flags.writeable for a in gen.walk[2])
+    # a replaced Q is walked afresh
+    gen.Q = gen.Q.copy()
+    yaglom.yaglom_estimate(1, 0.5, 2.0, 200, yaglom.Splitting(), 8, 3,
+                           gen=gen)
+    assert built == [gen, gen]
+    assert gen.walk[0] is gen.Q
+
+
 def _tv_bound(p, ess):
     """TV distance an empirical law of `ess` effective draws from p stays
     under except with probability about 1e-4: the mean bound
