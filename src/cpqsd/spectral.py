@@ -6,7 +6,11 @@ probabilities, and conditioned laws are all computed with certified
 residuals or rigorously truncated series, so downstream Monte Carlo has an
 exact finite-state object to be checked against.  One eigen-solver, a
 thick-restart Arnoldi method on numpy alone, finds the eigentriple at every
-depth; its two solves, nu on Q.T and h on Q, run at once on two threads.
+depth.  It iterates (I + Q/s)^2 - I, s a little above the largest exit
+rate, whose rightmost eigenvalue (1 - alpha/s)^2 - 1 has Q's rightmost
+eigenvector, so each Gram-Schmidt pass serves two products by Q.  Its two
+solves, nu on the transpose and h on the matrix itself, run at once on two
+threads.
 The semigroup series runs on both cores too: a survival mass v P^k 1 is
 the product (v P^i).(P^j 1) with i + j = k, so the left powers come on the
 calling thread and the right ones on a worker, in blocks of _BLOCK.  Those
@@ -55,12 +59,17 @@ _MAX_L = 23
 # each restart
 _BASIS = 12
 _KEEP = 4
+# the eigen-solver iterates (I + Q/s)^2 - I with s = _SHIFT times Q's
+# largest exit rate: at 1 the two-state chain's I + Q/s is periodic and the
+# solve fails there, 1.02 made as many products as 1 on larger chains, and
+# 1.1 and 1.25 made 15-30 % more
+_SHIFT = 1.02
 # the eigenpair certificate's bound: sup-norm residuals below _TOL, the l1
 # left residual below 10 * _TOL
 _TOL = 1e-10
-# a runaway guard on the eigen-solver's applications of Q or Q.T, both
-# sides together, counted under one lock by the two threads; the solves
-# in BENCH_16.json (L <= 20) took at most 231
+# a runaway guard on the eigen-solver's products by Q or Q.T, both sides
+# together, counted under one lock by the two threads; the solves in
+# BENCH_29.json (L 8-23, lambda 0.5 and 1.3) took at most 456
 _MAX_ITERS = 200_000
 # where a semigroup series closes: its tail's l1 bound below _RTOL times the
 # mass kept
@@ -215,7 +224,7 @@ class SpectralResult:
     """Decay rate alpha with its eigenvectors, normalized nu*1 = 1 and
     nu.h = 1; residuals are sup norms of nu Q + alpha nu and Q h + alpha h.
 
-    `iterations` is the solver's work: its applications of Q or Q.T, both
+    `iterations` is the solver's work: its products by Q or Q.T, both
     sides together, at every depth."""
 
     lam: float
@@ -232,24 +241,31 @@ class SpectralResult:
 def dominant_eigenpair(gen):
     """Perron triple (alpha, nu, h) of the truncated generator.
 
-    One solver serves every depth: _rightmost's thick-restart Arnoldi, on
-    Q.T from the singleton state, whose Krylov space holds the laws started
-    there, and on Q from 1, whose Krylov space holds the survival functions
-    P^k 1.  The two solves are independent and run at once: h on a worker
-    thread started and joined here, nu on the calling thread.  Both spend
-    their time in code that releases the interpreter lock (scipy's sparse
-    products and numpy's own loops), so on two cores the pair takes about
-    the time of the longer one.  A thread per call, not a pool, because a
-    pool's worker does not exist in a child made by os.fork.  The calling
-    thread allocates both Krylov bases: a basis allocated on the worker comes
-    from a second malloc arena and raised the peak resident memory.
-    `iterations` counts the applications of Q or Q.T, both sides together,
+    One solver serves every depth: _rightmost's thick-restart Arnoldi on
+    M = P^2 - I, P = I + Q/s, s = _SHIFT sigma with sigma the largest exit
+    rate, so that P is primitive and its Perron root 1 - alpha/s is its one
+    eigenvalue of largest modulus.  It runs with Q.T from the singleton
+    state, whose Krylov space holds the laws started there, and with Q from
+    1, whose Krylov space holds the survival functions P^k 1.  Each Krylov
+    vector costs two products by Q.T or Q and one Gram-Schmidt pass.  A
+    side stops where the certificate would read its residual, computed from
+    one more product, at no more than _TOL / 10: nu's sup norm and a tenth
+    of its l1 norm (_left_reading), and h's sup norm bounded without nu
+    (_right_reading).  The two solves are independent and run at once: h on
+    a worker thread started and joined here, nu on the calling thread.
+    Both spend their time in code that releases the interpreter lock
+    (scipy's sparse products and numpy's own loops), so on two cores the
+    pair takes about the time of the longer one.  A thread per call, not a
+    pool, because a pool's worker does not exist in a child made by
+    os.fork.  The calling thread allocates both Krylov bases: a basis
+    allocated on the worker comes from a second malloc arena and raised the
+    peak resident memory.  `iterations` counts the single products by Q or
+    Q.T, two per Krylov vector and one per stop check, both sides together,
     against one _MAX_ITERS budget.  The result must pass the certificate:
     the sup-norm residuals below _TOL and the l1 left residual below
-    10*_TOL (the l1 norm is what propagates into semigroup errors).
-    Raises ResolutionError, quoting the residuals, when that fails, or when
-    _MAX_ITERS applications are used up, always after the worker has
-    finished.
+    10*_TOL (the l1 norm is what propagates into semigroup errors).  Raises
+    ResolutionError, quoting the residuals, when that fails, or when
+    _MAX_ITERS products are used up, always after the worker has finished.
     """
     n = gen.nstates
     # Q.T is a CSC view of Q, no copy; its products sum in the same order
@@ -275,12 +291,14 @@ def dominant_eigenpair(gen):
         except Exception as exc:  # handed to the caller, which raises it
             right.append(exc)
 
+    s = _SHIFT * float((-gen.Q.diagonal()).max())
     worker = threading.Thread(target=solve_right, args=(
-        gen.Q, np.ones(n), np.empty((rows, n)), take))
+        gen.Q, s, np.ones(n), np.empty((rows, n)), take, _right_reading))
     worker.start()
     try:
         # the left solve starts from the singleton state (index 0, key 1)
-        v = _rightmost(QT, np.eye(1, n)[0], np.empty((rows, n)), take)
+        v = _rightmost(QT, s, np.eye(1, n)[0], np.empty((rows, n)), take,
+                       _left_reading)
     finally:
         worker.join()
     h, = right
@@ -319,27 +337,71 @@ def _certificate(Q, QT, v, h):
             float(np.max(np.abs(z + alpha * h))) / vh)
 
 
+def _left_reading(u, res):
+    """What the certificate reads of the left residual res of u, nu =
+    u / sum(u): the sup norm, or a tenth of the l1 norm, whichever is
+    larger."""
+    a = np.abs(res)
+    return max(float(a.max()), float(a.sum()) / 10) / abs(float(u.sum()))
+
+
+def _right_reading(u, res):
+    """A bound on what the certificate reads of the right residual res of
+    u, h = u / (nu.u): its sup norm over min |u|, since nu.u >= min u for a
+    positive u and a probability nu, which the right solve does not know.
+    At L 18, lambda 0.5, clip, nu.u was 1.6 times min u."""
+    return float(np.abs(res).max()) / float(np.abs(u).min())
+
+
 def _norm(w):
     """Euclidean norm of w by numpy's own loops (see _rightmost)."""
     return math.sqrt(np.einsum("i,i", w, w))
 
 
-def _rightmost(A, x, V, take):
-    """Eigenvector of A's rightmost eigenvalue by thick-restart Arnoldi from
-    x (Stewart, SIAM J. Matrix Anal. Appl. 23 (2001) 601; Wu and Simon,
-    ibid. 22 (2000) 602), in the Krylov basis V of min(_BASIS, n) + 1 rows
-    of n that the caller allocated; take() is called before each
-    application of A and raises when the budget is spent.
+def _rightmost(A, s, x, V, take, reading):
+    """Eigenvector of A's rightmost eigenvalue, for A = Q or Q.T, by
+    thick-restart Arnoldi on M = P^2 - I = 2 A/s + (A/s)^2, P = I + A/s,
+    from x (Stewart, SIAM J. Matrix Anal. Appl. 23 (2001) 601; Wu and
+    Simon, ibid. 22 (2000) 602), in the Krylov basis V of min(_BASIS, n) +
+    1 rows of n that the caller allocated; take() is called before each
+    product by A, two per Krylov vector and one per stop check, and raises
+    when the budget is spent.  reading(u, res) is what the certificate
+    reads, or a bound on it, of the residual res = A u + a u of the unit
+    vector u.
 
-    The rows of V are an orthonormal basis, A V[:m]^T = V[:m]^T H[:m] +
+    P is nonnegative for s >= sigma, Q's largest exit rate, and every
+    eigenvalue of Q lies in the disk |z + sigma| <= sigma - alpha
+    (Perron-Frobenius applied to I + Q/sigma).  So for s > sigma, P is
+    primitive, its Perron root 1 - alpha/s is its one eigenvalue of largest
+    modulus, and its square is the rightmost eigenvalue of P^2, with A's
+    rightmost eigenvector, and M = P^2 - I has the same eigenvectors and
+    Krylov spaces.  At s = sigma the two-state chain's P is periodic, and
+    the solve failed there.  Each Krylov vector costs two products by A and
+    one Gram-Schmidt pass, where Arnoldi on A costs one of each: at L 16
+    that pass took half a solve on A (polynomial preconditioning; Embree,
+    Loe and Morgan, SIAM J. Sci. Comput. 43 (2021) A1).  The identity is
+    left out because adding it rounds away the digits of A u + a u, which
+    is a/s times the vector: on P^2 itself the certificate's right
+    residual could fall no lower than 2e-11 at L 18, lambda 0.5, clip,
+    however long the solve ran, and on M it reaches 8e-13.
+
+    The rows of V are an orthonormal basis, M V[:m]^T = V[:m]^T H[:m] +
     V[m]^T H[m], each new row orthogonalised by two passes of classical
     Gram-Schmidt.  With _BASIS rows, the rightmost Ritz pair (theta, y) of
-    H is accepted when it is real, as a generator's rightmost eigenvalue
-    is, and |H[m] y| <= 1e-3 _TOL |theta|, well inside the certificate's
-    _TOL.  Otherwise the _KEEP rightmost Ritz vectors, a complex pair as its
-    real and imaginary parts, orthonormalised by QR, restart the basis, and
-    H is projected onto them.  An invariant Krylov space (on chains of
-    L <= 3) holds exact pairs, and its rightmost one is returned as it is.
+    H is a candidate when it is real, as a generator's rightmost
+    eigenvalue is, and |H[m] y| <= 1e-3 _TOL 2 r (1 - r), r = sqrt(1 +
+    theta) = 1 - a/s: the first order image, under z -> (1 + z/s)^2 - 1,
+    of |A u + a u| <= 1e-3 _TOL a for the Ritz vector u.  That bounds a
+    2-norm, where the certificate reads sup and l1 norms of nu = u / sum u
+    and h = u / (nu.u), which grow with the state count, so a candidate is
+    accepted only when reading(u, A u + a u), a = -u.A u, is at most _TOL
+    / 10, or when it has not halved since the last candidate: then
+    rounding, not the Krylov space, limits the residual, and the
+    certificate decides.  Otherwise the _KEEP rightmost Ritz vectors, a
+    complex pair as its real and imaginary parts, orthonormalised by QR,
+    restart the basis, and H is projected onto them.  An invariant Krylov
+    space (on chains of L <= 3) holds exact pairs, and its rightmost one is
+    returned as it is.
 
     Every product with a length-n operand goes through np.einsum, numpy's
     own loops, and none through BLAS: the two solves of dominant_eigenpair
@@ -348,14 +410,25 @@ def _rightmost(A, x, V, take):
     Only the small H stays with LAPACK's eig and qr.
     """
     tol = 1e-3 * _TOL
+    # scale by reciprocals: dividing a length-n vector took 3.5 times as
+    # long as multiplying it at L 16
+    two_by_s = 2 / s
+    half_by_s = 0.5 / s
     m = V.shape[0] - 1
     H = np.zeros((m + 1, m))
     V[0] = x / _norm(x)
     k = 0
+    last = math.inf
     while True:
         for j in range(k, m):
+            # w = M V[j] = q + A q / (2 s), q = 2 A V[j] / s
             take()
-            w = A @ V[j]
+            q = A @ V[j]
+            q *= two_by_s
+            take()
+            w = A @ q
+            w *= half_by_s
+            w += q
             scale = _norm(w)
             B = V[:j + 1]
             for _ in range(2):
@@ -368,13 +441,23 @@ def _rightmost(A, x, V, take):
                 return np.einsum("i,ij->j", Y[:, np.argmax(theta.real)].real,
                                  B)
             H[j + 1, j] = beta
-            V[j + 1] = w / beta
+            np.multiply(w, 1 / beta, out=V[j + 1])
         theta, Y = np.linalg.eig(H[:m, :m])
         order = np.argsort(-theta.real, kind="stable")
         i = order[0]
+        # r = 1 - a/s, with 1 - r = -theta / (1 + r) free of cancellation
+        r = math.sqrt(max(1 + theta[i].real, 0.0))
         if (theta[i].imag == 0
-                and abs(H[m, :m] @ Y[:, i]) <= tol * abs(theta[i])):
-            return np.einsum("i,ij->j", Y[:, i].real, V[:m])
+                and abs(H[m, :m] @ Y[:, i])
+                <= tol * 2 * r * -theta[i].real / (1 + r)):
+            u = np.einsum("i,ij->j", Y[:, i].real, V[:m])
+            take()
+            z = A @ u
+            z -= np.einsum("i,i", u, z) * u
+            got = reading(u, z)
+            if got <= _TOL / 10 or got > last / 2:
+                return u
+            last = got
         cols = []
         for i in order:
             if len(cols) >= _KEEP:
@@ -465,10 +548,10 @@ def _law(U, poisson, product):
     row = np.zeros(U.shape[1])
     k = 0
     while poisson.open.any():
-        n = poisson.needed(k, _BLOCK, U[0].sum())
+        n, weights = poisson.needed(k, _BLOCK, U[0].sum())
         for j in range(n - 1):
             product(U[j], U[j + 1])
-        for w, u in zip(poisson.add(k, U[:n].sum(axis=1)), U):
+        for w, u in zip(poisson.add(k, U[:n].sum(axis=1), weights), U):
             row += w * u
         k += n
         if poisson.open.any():
@@ -545,29 +628,25 @@ def _split_rows(PT):
 
 def _paired(Q, sigma, PT, U, poisson):
     """_series' masses from left powers u_i on the calling thread and right
-    powers r_j on a worker thread; U holds u_0 in row 0."""
+    powers r_j on a worker thread; U holds u_0 in row 0.  Each block hands
+    the worker one job and takes back one reply through C-level queues, as
+    _split_rows does."""
     R = np.empty_like(U)
     R[0] = 1.0
-    go = threading.Semaphore(0)
-    done = threading.Semaphore(0)
-    stop = False
-    failed = []
+    jobs = queue.SimpleQueue()
+    replies = queue.SimpleQueue()
 
     def right():
-        while True:
-            go.acquire()
-            if stop:
-                return
+        while jobs.get():
             try:
                 for j in range(_BLOCK):
                     q = Q @ R[j]
                     q /= sigma
                     np.add(R[j], q, out=R[j + 1])
             except Exception as exc:  # handed to the caller, which raises it
-                failed.append(exc)
+                replies.put(exc)
                 return
-            finally:
-                done.release()
+            replies.put(None)
 
     worker = threading.Thread(target=right)
     worker.start()
@@ -575,12 +654,12 @@ def _paired(Q, sigma, PT, U, poisson):
     k = 0
     try:
         while poisson.open.any():
-            go.release()
+            jobs.put(True)
             for j in range(_BLOCK):
                 U[j + 1] = PT @ U[j]
-            done.acquire()
-            if failed:
-                raise failed[0]
+            exc = replies.get()
+            if exc is not None:
+                raise exc
             a[0::2] = np.einsum("ij,ij->i", U[:-1], R[:-1])
             a[1::2] = np.einsum("ij,ij->i", U[1:], R[:-1])
             poisson.add(k, a)
@@ -588,8 +667,7 @@ def _paired(Q, sigma, PT, U, poisson):
             U[0] = U[-1]
             R[0] = R[-1]
     finally:
-        stop = True
-        go.release()
+        jobs.put(False)
         worker.join()
     return poisson.masses()
 
@@ -612,13 +690,14 @@ class _Poisson:
         self.mass = np.zeros(len(ts))
         self.open = np.ones(len(ts), dtype=bool)
 
-    def _weights(self, k0, n, o):
-        """(w, k): the weights of terms k0 .. k0 + n - 1 for the times o,
-        one row per term, and those k as a column."""
+    def _weights(self, k0, n):
+        """(o, w, k): the open times o, the weights of terms k0 .. k0 + n
+        - 1 for them, one row per term, and those k as a column."""
+        o = np.flatnonzero(self.open)
         ks = range(k0, k0 + n)
         k = np.array(ks, dtype=float)[:, None]
         lgam = np.array([math.lgamma(j + 1) for j in ks])[:, None]
-        return np.exp(-self.m[o] + k * self.log_m[o] - lgam), k
+        return o, np.exp(-self.m[o] + k * self.log_m[o] - lgam), k
 
     def needed(self, k0, n, a0):
         """How many of the terms k0 .. k0 + n - 1 the open times can need,
@@ -628,25 +707,28 @@ class _Poisson:
         a0 and the mass after term k is at least mass + a_k sum w_i, so
         tail_k a_k <= _RTOL times that mass there: a time closes there at
         the latest, up to rounding.  n where no term of the block
-        qualifies."""
-        o = np.flatnonzero(self.open)
-        w, k = self._weights(k0, n, o)
+        qualifies.  Returns that count and the block's _weights, which the
+        add of its terms takes so as not to compute them again."""
+        weights = self._weights(k0, n)
+        o, w, k = weights
         small = ((a0 * _tail_bound(w, self.m[o], k)
                   <= _RTOL * (self.mass[o] + a0 * np.cumsum(w, axis=0)))
                  & (k > 0))
         return int(np.where(small.any(axis=0), small.argmax(axis=0) + 1,
-                            n).max())
+                            n).max()), weights
 
-    def add(self, k0, a):
+    def add(self, k0, a, weights=None):
         """Add the terms a_k, k = k0, k0 + 1, ..., given as the array a, to
         every open time's mass in k order, as a cumulative sum from its
         mass so far, and close each at its first k where the tail is small
-        enough.  Returns the largest time's weights w_k of the terms it
-        took (none if it was closed).  Raises ResolutionError where a time
-        is still open past k_max, quoting the first such k."""
-        o = np.flatnonzero(self.open)
+        enough; weights are needed's for this k0, or computed here when
+        None.  Returns the largest time's weights w_k of the terms it took
+        (none if it was closed).  Raises ResolutionError where a time is
+        still open past k_max, quoting the first such k."""
+        o, w, k = weights or self._weights(k0, len(a))
+        w = w[:len(a)]
+        k = k[:len(a)]
         m = self.m[o]
-        w, k = self._weights(k0, len(a), o)
         mass = np.cumsum(np.vstack([self.mass[o], w * a[:, None]]), axis=0)[1:]
         tail = _tail_bound(w, m, k)
         # open after term k: no closing at any term up to k, and none at 0

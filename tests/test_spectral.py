@@ -340,7 +340,7 @@ class TestDominantEigenpair:
                                         spectral(L - 2).nu)
             assert tv_distance(big, small) < 0.1
 
-    @pytest.mark.parametrize("lam", [0.5, 1.3])
+    @pytest.mark.parametrize("lam", [0.5, 1.3, 1.6])
     @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
     @pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 10])
     def test_matches_dense_eig(self, L, policy, lam):
@@ -383,12 +383,21 @@ class TestArpackEigenpair:
         assert float(res.nu @ res.h) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("policy", [POLICY_CLIP, POLICY_KILL])
-    @pytest.mark.parametrize("L", [8, 12, 13, 14, 15])
-    def test_residuals_keep_a_tenfold_margin(self, L, policy):
-        # the solver stops at a relative Ritz residual of _TOL / 1000, so
-        # the certificate must pass with room to spare, not by a hair
+    @pytest.mark.parametrize("L, lam", [
+        pytest.param(L, lam, id=str(L) if lam == 0.5 else f"{L}-{lam}")
+        for lam in (0.5, 1.3, 1.6) for L in (2, 3, 8, 12, 13, 14, 15)]
+        + [pytest.param(18, lam, id=f"18-{lam}") for lam in (0.3, 0.5)])
+    def test_residuals_keep_a_tenfold_margin(self, L, lam, policy):
+        # each side stops where its residual, as the certificate reads it,
+        # is at most _TOL / 10, so the certificate must pass with room to
+        # spare, not by a hair.  Toward lambda_c ~ 1.6489 alpha falls (0.02
+        # at L 14, clip, lambda 1.6) and the Perron root 1 - alpha/s of
+        # I + Q/s nears 1; at depth the certificate's norms of h and nu
+        # grow with the state count, and at L 18, lambda 0.3 and 0.5, the
+        # stop's 2-norm test alone let the right residual reach 1.1e-11 to
+        # 2.0e-11
         tol = cpqsd.spectral._TOL
-        res = spectral(L, policy=policy)
+        res = spectral(L, lam, policy)
         assert res.residual_left <= tol / 10
         assert res.residual_right <= tol / 10
 
@@ -409,6 +418,14 @@ class TestArpackEigenpair:
             assert r1.iterations == r2.iterations
             assert r1.residual_left == r2.residual_left
             assert r1.residual_right == r2.residual_right
+
+    def test_stops_at_the_rounding_floor(self, monkeypatch):
+        # a _TOL that rounding cannot reach: each side stops once its
+        # residual's reading no longer halves, and the certificate, not the
+        # product budget, refuses the pair
+        monkeypatch.setattr(cpqsd.spectral, "_TOL", 1e-17)
+        with pytest.raises(ResolutionError, match="failed the certificate"):
+            dominant_eigenpair(build_generator(8, 0.5))
 
     def test_iterations_count_operator_applications(self, monkeypatch):
         limit = cpqsd.spectral._MAX_ITERS
@@ -708,7 +725,7 @@ class TestSplitLawPass:
         v = np.eye(1, gen.nstates)[0]
         want = cpqsd.spectral._series(gen, v, [1.0, 8.0], law=True)
         monkeypatch.setattr(cpqsd.spectral._Poisson, "needed",
-                            lambda self, k0, n, a0: 1 + k0 % 3)
+                            lambda self, k0, n, a0: (1 + k0 % 3, None))
         for split in (False, True):
             _force_split(monkeypatch, split)
             mass, row = cpqsd.spectral._series(gen, v, [1.0, 8.0], law=True)
