@@ -10,7 +10,7 @@ depth.  It iterates (I + Q/s)^2 - I, s a little above the largest exit
 rate, whose rightmost eigenvalue (1 - alpha/s)^2 - 1 has Q's rightmost
 eigenvector, so each Gram-Schmidt pass serves two products by Q.  Its two
 solves, nu on the transpose and h on the matrix itself, run at once on two
-threads.
+threads (_beside).
 The semigroup series runs on both cores too: a survival mass v P^k 1 is
 the product (v P^i).(P^j 1) with i + j = k, so the left powers come on the
 calling thread and the right ones on a worker, in blocks of _BLOCK.  Those
@@ -217,6 +217,52 @@ def build_generator(L, lam, policy=POLICY_CLIP):
     return TruncatedGenerator(L, float(lam), policy, Q, absorption)
 
 
+# ===== the second core =====
+
+@contextlib.contextmanager
+def _beside():
+    """(run, wait) for work beside the calling thread: run(fn, *args)
+    hands fn(*args) to a worker thread, and wait() returns its result on
+    the calling thread, or raises its error there.
+
+    The worker is started on entry and joined on exit, also when the block
+    raises, so an error leaves the block only after the worker has
+    finished.  A thread per entry, not a pool, because a pool's worker does
+    not exist in a child made by os.fork.  Jobs and replies go through
+    C-level queues, which cost less per handover than threading's
+    semaphores.  The work on both sides is scipy's sparse products and
+    numpy's own loops, which release the interpreter lock, so on two cores
+    a pair of jobs takes about the time of the longer one.
+    """
+    jobs = queue.SimpleQueue()
+    replies = queue.SimpleQueue()
+
+    def serve():
+        while (job := jobs.get()) is not None:
+            fn, args = job
+            try:
+                replies.put((None, fn(*args)))
+            except Exception as exc:  # raised again by wait()
+                replies.put((exc, None))
+
+    def run(fn, *args):
+        jobs.put((fn, args))
+
+    def wait():
+        exc, got = replies.get()
+        if exc is not None:
+            raise exc
+        return got
+
+    worker = threading.Thread(target=serve)
+    worker.start()
+    try:
+        yield run, wait
+    finally:
+        jobs.put(None)
+        worker.join()
+
+
 # ===== dominant eigenpair =====
 
 @dataclass
@@ -251,21 +297,17 @@ def dominant_eigenpair(gen):
     side stops where the certificate would read its residual, computed from
     one more product, at no more than _TOL / 10: nu's sup norm and a tenth
     of its l1 norm (_left_reading), and h's sup norm bounded without nu
-    (_right_reading).  The two solves are independent and run at once: h on
-    a worker thread started and joined here, nu on the calling thread.
-    Both spend their time in code that releases the interpreter lock
-    (scipy's sparse products and numpy's own loops), so on two cores the
-    pair takes about the time of the longer one.  A thread per call, not a
-    pool, because a pool's worker does not exist in a child made by
-    os.fork.  The calling thread allocates both Krylov bases: a basis
-    allocated on the worker comes from a second malloc arena and raised the
-    peak resident memory.  `iterations` counts the single products by Q or
-    Q.T, two per Krylov vector and one per stop check, both sides together,
-    against one _MAX_ITERS budget.  The result must pass the certificate:
-    the sup-norm residuals below _TOL and the l1 left residual below
-    10*_TOL (the l1 norm is what propagates into semigroup errors).  Raises
+    (_right_reading).  The two solves are independent and run at once: h
+    on _beside's worker, nu on the calling thread.  The calling thread
+    allocates both Krylov bases: a basis allocated on the worker comes from
+    a second malloc arena and raised the peak resident memory.
+    `iterations` counts the single products by Q or Q.T, two per Krylov
+    vector and one per stop check, both sides together, against one
+    _MAX_ITERS budget.  The result must pass the certificate: the sup-norm
+    residuals below _TOL and the l1 left residual below 10*_TOL (the l1
+    norm is what propagates into semigroup errors).  Raises
     ResolutionError, quoting the residuals, when that fails, or when
-    _MAX_ITERS products are used up, always after the worker has finished.
+    _MAX_ITERS products are used up.
     """
     n = gen.nstates
     # Q.T is a CSC view of Q, no copy; its products sum in the same order
@@ -283,27 +325,14 @@ def dominant_eigenpair(gen):
                                       f"{_MAX_ITERS} applications of Q or Q.T")
             used += 1
 
-    right = []
-
-    def solve_right(*args):
-        try:
-            right.append(_rightmost(*args))
-        except Exception as exc:  # handed to the caller, which raises it
-            right.append(exc)
-
     s = _SHIFT * float((-gen.Q.diagonal()).max())
-    worker = threading.Thread(target=solve_right, args=(
-        gen.Q, s, np.ones(n), np.empty((rows, n)), take, _right_reading))
-    worker.start()
-    try:
+    with _beside() as (run, wait):
+        run(_rightmost, gen.Q, s, np.ones(n), np.empty((rows, n)), take,
+            _right_reading)
         # the left solve starts from the singleton state (index 0, key 1)
         v = _rightmost(QT, s, np.eye(1, n)[0], np.empty((rows, n)), take,
                        _left_reading)
-    finally:
-        worker.join()
-    h, = right
-    if isinstance(h, Exception):
-        raise h
+        h = wait()
     v = v / v.sum()
     if v.min() < 0:
         # rounding leaves entries of -1e-17 where nu is that small: clip them
@@ -495,20 +524,19 @@ def _series(gen, v, times, law=False):
     largest time adds w_k u_k to the row in k order, so the row is the same
     to the bit as a pass that computes one power per term (see _law).
     When P^T has at least _SPLIT_NNZ nonzeros, each power is computed by
-    rows on two threads (_split_rows), with the same bits.
+    rows on two threads (_split_product), with the same bits.
 
     Without law=True the masses split over two threads as a_{i+j} =
-    (v P^i).(P^j 1): the calling thread computes u_i, a worker thread
-    started and joined here computes r_j = P^j 1 as r + (Q r)/sigma from
-    gen.Q, so no second copy of the matrix is made, and a_{2I+s} =
-    u_{I+ceil(s/2)}.r_{I+floor(s/2)} for s = 0 .. 2 _BLOCK - 1 from one
-    block of each side, whose row 0 holds u_I and r_I.  The two sides hand
-    over once per block, and the dot products go through np.einsum, numpy's
-    own loops, not BLAS (see _rightmost).  A thread per call, not a pool,
-    because a pool's worker does not exist in a child made by os.fork.
-    These masses round differently from sum(u_k): they are the same within
-    relative _RTOL, not to the bit.  Returns ({t: mass}, row), the row None
-    unless law=True; with no time t > 0 it returns ({}, None) at once.
+    (v P^i).(P^j 1): the calling thread computes u_i, _beside's worker
+    computes r_j = P^j 1 as r + (Q r)/sigma from gen.Q, so no second copy
+    of the matrix is made, and a_{2I+s} = u_{I+ceil(s/2)}.r_{I+floor(s/2)}
+    for s = 0 .. 2 _BLOCK - 1 from one block of each side, whose row 0
+    holds u_I and r_I (_paired).  The two sides hand over once per block,
+    and the dot products go through np.einsum, numpy's own loops, not BLAS
+    (see _rightmost).  These masses round differently from sum(u_k): they
+    are the same within relative _RTOL, not to the bit.  Returns ({t:
+    mass}, row), the row None unless law=True; with no time t > 0 it
+    returns ({}, None) at once, and no thread is started.
     """
     ts = np.array(sorted({t for t in times if t > 0}))
     if not ts.size:
@@ -528,8 +556,8 @@ def _series(gen, v, times, law=False):
     if PT.nnz < _SPLIT_NNZ:
         row = _law(U, poisson, functools.partial(_power, PT))
     else:
-        with _split_rows(PT) as product:
-            row = _law(U, poisson, product)
+        with _beside() as (run, wait):
+            row = _law(U, poisson, _split_product(PT, run, wait))
     return poisson.masses(), row
 
 
@@ -586,89 +614,52 @@ def _halves(PT):
     return top, bottom
 
 
-@contextlib.contextmanager
-def _split_rows(PT):
+def _split_product(PT, run, wait):
     """product(x, out), setting out to x P by PT's rows on two threads:
-    the top half (_halves) on the calling thread and the bottom half on a
-    worker thread started on entry and joined on exit.  Each product hands
-    the worker one job and takes back one reply through C-level queues,
-    which cost less per handover than threading's semaphores.  Each entry
-    is the same row sum in the same order as in PT @ x, so out is the same
-    to the bit.  A worker's error is raised by the caller."""
+    the top half (_halves) on the calling thread and the bottom half handed
+    to _beside's run.  Each entry is the same row sum in the same order as
+    in PT @ x, so out is the same to the bit."""
     top, bottom = _halves(PT)
     h = top.shape[0]
-    jobs = queue.SimpleQueue()
-    replies = queue.SimpleQueue()
 
-    def lower():
-        while (job := jobs.get()) is not None:
-            x, out = job
-            try:
-                out[h:] = bottom @ x
-            except Exception as exc:  # handed to the caller, which raises it
-                replies.put(exc)
-                return
-            replies.put(None)
+    def lower(x, out):
+        out[h:] = bottom @ x
 
     def product(x, out):
-        jobs.put((x, out))
+        run(lower, x, out)
         out[:h] = top @ x
-        exc = replies.get()
-        if exc is not None:
-            raise exc
+        wait()
 
-    worker = threading.Thread(target=lower)
-    worker.start()
-    try:
-        yield product
-    finally:
-        jobs.put(None)
-        worker.join()
+    return product
 
 
 def _paired(Q, sigma, PT, U, poisson):
     """_series' masses from left powers u_i on the calling thread and right
-    powers r_j on a worker thread; U holds u_0 in row 0.  Each block hands
-    the worker one job and takes back one reply through C-level queues, as
-    _split_rows does."""
+    powers r_j on _beside's worker, one block per handover; U holds u_0 in
+    row 0."""
     R = np.empty_like(U)
     R[0] = 1.0
-    jobs = queue.SimpleQueue()
-    replies = queue.SimpleQueue()
 
     def right():
-        while jobs.get():
-            try:
-                for j in range(_BLOCK):
-                    q = Q @ R[j]
-                    q /= sigma
-                    np.add(R[j], q, out=R[j + 1])
-            except Exception as exc:  # handed to the caller, which raises it
-                replies.put(exc)
-                return
-            replies.put(None)
+        for j in range(_BLOCK):
+            q = Q @ R[j]
+            q /= sigma
+            np.add(R[j], q, out=R[j + 1])
 
-    worker = threading.Thread(target=right)
-    worker.start()
     a = np.empty(2 * _BLOCK)
     k = 0
-    try:
+    with _beside() as (run, wait):
         while poisson.open.any():
-            jobs.put(True)
+            run(right)
             for j in range(_BLOCK):
                 U[j + 1] = PT @ U[j]
-            exc = replies.get()
-            if exc is not None:
-                raise exc
+            wait()
             a[0::2] = np.einsum("ij,ij->i", U[:-1], R[:-1])
             a[1::2] = np.einsum("ij,ij->i", U[1:], R[:-1])
             poisson.add(k, a)
             k += 2 * _BLOCK
             U[0] = U[-1]
             R[0] = R[-1]
-    finally:
-        jobs.put(False)
-        worker.join()
     return poisson.masses()
 
 
@@ -801,10 +792,9 @@ def survival_curve(gen, start, times):
     series truncated where the tail's l1 bound falls below _RTOL times the
     mass kept, so it lies within relative _RTOL below the exact survival
     probability (up to rounding).  The terms v P^k 1 pair left powers
-    v P^i, on the calling thread, with right powers P^j 1, on a worker
-    thread started and joined per call (none when no t > 0), so the values
-    round differently from a sum of v P^k: within relative _RTOL, not to
-    the bit.
+    v P^i, on the calling thread, with right powers P^j 1, on _beside's
+    worker (none when no t > 0), so the values round differently from a
+    sum of v P^k: within relative _RTOL, not to the bit.
     """
     v = _start_vector(gen, start)
     times = [float(check_time(t)) for t in times]
@@ -820,8 +810,8 @@ def yaglom_exact(gen, start, t):
     _RTOL times the mass kept, so the normalized law is within 2 _RTOL of
     the exact one in l1 (up to rounding).  The pass makes one product by P
     per term it adds and none past the last; from _SPLIT_NNZ nonzeros each
-    product runs on two threads, the calling one and a worker started and
-    joined per call (none when t = 0), with the same result to the bit.
+    product runs on two threads, the calling one and _beside's worker
+    (none when t = 0), with the same result to the bit.
     """
     t = float(check_time(t))
     v = _start_vector(gen, start)

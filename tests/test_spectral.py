@@ -465,6 +465,41 @@ class TestArpackEigenpair:
         run_fresh(code)
 
 
+def _two_callers(call):
+    """[call(), call()] from two threads started together under a 10 us
+    switch interval, each joined within 60 s."""
+    results = [None, None]
+
+    def run(i):
+        results[i] = call()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def _threads_started(monkeypatch):
+    """A list that gains an entry per thread spectral starts from now on."""
+    started = []
+    thread = threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(1)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(cpqsd.spectral.threading, "Thread", counted)
+    return started
+
+
 def _solve_in_child(alpha):
     if dominant_eigenpair(build_generator(8, 0.5)).alpha != alpha:
         sys.exit(1)
@@ -477,23 +512,7 @@ class TestTwoThreadSolve:
     def test_concurrent_callers_match_a_serial_call(self):
         gen = build_generator(12, 0.5)
         serial = dominant_eigenpair(gen)
-        results = [None, None]
-
-        def solve(i):
-            results[i] = dominant_eigenpair(gen)
-
-        threads = [threading.Thread(target=solve, args=(i,)) for i in (0, 1)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for res in results:
+        for res in _two_callers(lambda: dominant_eigenpair(gen)):
             assert repr(res) == repr(serial)
             assert np.array_equal(res.nu, serial.nu)
             assert np.array_equal(res.h, serial.h)
@@ -554,24 +573,8 @@ class TestTwoThreadSeries:
     def test_concurrent_callers_match_a_serial_call(self):
         gen = build_generator(12, 0.5)
         serial = survival_curve(gen, 1, _TIMES16)
-        results = [None, None]
-
-        def survive(i):
-            results[i] = survival_curve(gen, 1, _TIMES16)
-
-        threads = [threading.Thread(target=survive, args=(i,))
-                   for i in (0, 1)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [serial, serial]
+        assert (_two_callers(lambda: survival_curve(gen, 1, _TIMES16))
+                == [serial, serial])
 
     def test_worker_joined_when_the_series_does_not_close(self, monkeypatch):
         # an _RTOL of 0 still closes once the Poisson weights underflow to
@@ -606,15 +609,8 @@ class TestTwoThreadSeries:
         assert _run_forked(_survive_in_child, curve) == 0
 
     def test_no_thread_without_a_positive_time(self, monkeypatch):
-        started = []
-        thread = threading.Thread
-
-        def counted(*args, **kwargs):
-            started.append(1)
-            return thread(*args, **kwargs)
-
         gen = build_generator(8, 0.5)
-        monkeypatch.setattr(cpqsd.spectral.threading, "Thread", counted)
+        started = _threads_started(monkeypatch)
         assert survival_curve(gen, 1, []) == []
         assert survival_curve(gen, 1, [0.0]) == [1.0]
         assert started == []
@@ -631,19 +627,6 @@ def _force_split(monkeypatch, split):
 def _law_in_child(law):
     if not np.array_equal(yaglom_exact(build_generator(8, 0.5), 1, 8.0), law):
         sys.exit(1)
-
-
-def _threads_started(monkeypatch):
-    """A list that gains an entry per thread spectral starts from now on."""
-    started = []
-    thread = threading.Thread
-
-    def counted(*args, **kwargs):
-        started.append(1)
-        return thread(*args, **kwargs)
-
-    monkeypatch.setattr(cpqsd.spectral.threading, "Thread", counted)
-    return started
 
 
 class TestSplitLawPass:
@@ -696,22 +679,23 @@ class TestSplitLawPass:
         gen = build_generator(L, 0.5)
         v = np.eye(1, gen.nstates)[0]
         products = []
-        power, split_rows = cpqsd.spectral._power, cpqsd.spectral._split_rows
+        power = cpqsd.spectral._power
+        split_product = cpqsd.spectral._split_product
 
         def counted_power(*args):
             products.append(1)
             return power(*args)
 
-        @contextlib.contextmanager
-        def counted_split(PT):
-            with split_rows(PT) as product:
-                def counted(*args):
-                    products.append(1)
-                    return product(*args)
-                yield counted
+        def counted_split(*args):
+            product = split_product(*args)
+
+            def counted(*args):
+                products.append(1)
+                return product(*args)
+            return counted
 
         monkeypatch.setattr(cpqsd.spectral, "_power", counted_power)
-        monkeypatch.setattr(cpqsd.spectral, "_split_rows", counted_split)
+        monkeypatch.setattr(cpqsd.spectral, "_split_product", counted_split)
         _force_split(monkeypatch, split)
         cpqsd.spectral._series(gen, v, [t], law=True)
         closing = _series_by_term(gen, v, t)[2]
@@ -778,23 +762,7 @@ class TestSplitLawPass:
         gen = build_generator(12, 0.5)
         serial = yaglom_exact(gen, 1, 8.0)
         _force_split(monkeypatch, True)
-        results = [None, None]
-
-        def law(i):
-            results[i] = yaglom_exact(gen, 1, 8.0)
-
-        threads = [threading.Thread(target=law, args=(i,)) for i in (0, 1)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for res in results:
+        for res in _two_callers(lambda: yaglom_exact(gen, 1, 8.0)):
             assert np.array_equal(res, serial)
 
     def test_forked_child_runs_the_pass(self, monkeypatch):
@@ -802,6 +770,32 @@ class TestSplitLawPass:
         law = yaglom_exact(build_generator(8, 0.5), 1, 8.0)
         _force_split(monkeypatch, True)
         assert _run_forked(_law_in_child, law) == 0
+
+
+def test_every_thread_is_a_beside_worker(monkeypatch):
+    # the eigen solve, the survival series and the split law pass each
+    # enter _beside once, and _beside starts the only thread
+    started = _threads_started(monkeypatch)
+    entered = []
+    beside = cpqsd.spectral._beside
+
+    @contextlib.contextmanager
+    def counted():
+        entered.append(1)
+        with beside() as pair:
+            yield pair
+
+    monkeypatch.setattr(cpqsd.spectral, "_beside", counted)
+    gen16 = build_generator(16, 0.5)
+    assert gen16.Q.nnz >= cpqsd.spectral._SPLIT_NNZ
+    for call in (lambda: dominant_eigenpair(build_generator(8, 0.5)),
+                 lambda: dominant_eigenpair(gen16),
+                 lambda: survival_curve(gen16, 1, [0.0, 1.0]),
+                 lambda: yaglom_exact(gen16, 1, 1.0)):
+        call()
+        assert (started, entered) == ([1], [1])
+        started.clear()
+        entered.clear()
 
 
 def _series_by_term(gen, v, t):
